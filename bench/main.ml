@@ -1401,8 +1401,8 @@ let fighl () =
     let ratio =
       median (List.map2 (fun e a -> e /. Float.max 1e-9 a) !eupd !aupd)
     in
-    ( (median !eupd, median !ereads, tot !eupd),
-      (median !aupd, median !areads, tot !aupd),
+    ( (median !eupd, median !ereads, tot !eupd, tot !ereads),
+      (median !aupd, median !areads, tot !aupd, tot !areads),
       ratio, hl_stats )
   in
   let run_pass ~label ~base ~fanout () =
@@ -1415,9 +1415,11 @@ let fighl () =
     "(document ~%d KB, %d statement(s)/pass, %d view(s); fanout = heavy \
      threshold)\n"
     kb (List.length stmts) (List.length views);
-  Printf.printf "  %-10s %7s %11s %13s %8s %9s %9s %6s %5s\n" "regime" "fanout"
-    "eager(ms)" "adaptive(ms)" "speedup" "e.read" "a.read" "heavy" "migr";
+  Printf.printf "  %-10s %7s %11s %13s %8s %9s %9s %9s %6s %5s\n" "regime"
+    "fanout" "eager(ms)" "adaptive(ms)" "speedup" "e.read" "a.read" "combined"
+    "heavy" "migr";
   let best_skew_speedup = ref 0. and worst_uniform_overhead = ref 0. in
+  let best_skew_combined = ref 0. and worst_uniform_combined = ref infinity in
   List.iter
     (fun (rname, skew) ->
       let base =
@@ -1433,8 +1435,8 @@ let fighl () =
         bstat.Store.ls_count bstat.Store.ls_max_fanout;
       List.iter
         (fun f ->
-          let ( (e_med, e_read, e_total),
-                (a_med, a_read, a_total),
+          let ( (e_med, e_read, e_total, e_read_total),
+                (a_med, a_read, a_total, a_read_total),
                 speedup,
                 hl_stats ),
               a_prof =
@@ -1447,6 +1449,15 @@ let fighl () =
           if rname = "uniform" then
             worst_uniform_overhead :=
               Float.max !worst_uniform_overhead ((1. /. Float.max 1e-7 speedup) -. 1.);
+          (* The combined figure: each side's whole bill, every update
+             plus every read (drains included), over the same stream.
+             Above 1 the adaptive side did less total work. *)
+          let e_combined = e_total +. e_read_total
+          and a_combined = a_total +. a_read_total in
+          let combined = e_combined /. Float.max 1e-9 a_combined in
+          if rname <> "uniform" then
+            best_skew_combined := Float.max !best_skew_combined combined
+          else worst_uniform_combined := Float.min !worst_uniform_combined combined;
           let nheavy, migr =
             match hl_stats with
             | _ :: ("heavy_parts", Json.Num n) :: ("migrations", Json.Num m) :: _
@@ -1455,8 +1466,9 @@ let fighl () =
             | _ -> (0, 0)
           in
           Printf.printf
-            "  %-10s %7d %11.3f %13.3f %7.1fx %9.3f %9.3f %6d %5d\n%!" rname f
-            (ms e_med) (ms a_med) speedup (ms e_read) (ms a_read) nheavy migr;
+            "  %-10s %7d %11.3f %13.3f %7.1fx %9.3f %9.3f %8.2fx %6d %5d\n%!"
+            rname f (ms e_med) (ms a_med) speedup (ms e_read) (ms a_read)
+            combined nheavy migr;
           record "figHL"
             ([
                ("regime", Json.Str rname);
@@ -1472,6 +1484,11 @@ let fighl () =
                ("adaptive_total_ms", Json.num (ms a_total));
                ("eager_read_ms", Json.num (ms e_read));
                ("adaptive_read_ms", Json.num (ms a_read));
+               ("eager_read_total_ms", Json.num (ms e_read_total));
+               ("adaptive_read_total_ms", Json.num (ms a_read_total));
+               ("eager_combined_ms", Json.num (ms e_combined));
+               ("adaptive_combined_ms", Json.num (ms a_combined));
+               ("combined_ratio", Json.num combined);
              ]
             @ hl_stats @ counter_fields a_prof))
         fanouts)
@@ -1479,7 +1496,11 @@ let fighl () =
   Printf.printf
     "  crossover: best skewed speedup %.1fx; uniform overhead %+.1f%%\n%!"
     !best_skew_speedup
-    (100. *. !worst_uniform_overhead)
+    (100. *. !worst_uniform_overhead);
+  Printf.printf
+    "  combined (updates + reads, eager/adaptive): best skewed %.2fx; worst \
+     uniform %.2fx\n%!"
+    !best_skew_combined !worst_uniform_combined
 
 (* {1 Fuzz oracle smoke}
 

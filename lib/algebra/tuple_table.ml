@@ -304,6 +304,77 @@ let filter t keep =
     if !k < t.len then t.len <- !k;
     c.cache <- None
 
+(* Handle sets for [remove_ids]: handles are dense small ints, so the
+   identity hash spreads them evenly. *)
+module Handle_set = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
+module Dewey_set = Hashtbl.Make (Dewey)
+
+let remove_ids t keys =
+  let keys = List.filter (fun (_, d) -> d.len > 0) keys in
+  if keys <> [] && t.len > 0 then
+    match t.repr with
+    | Cols c ->
+      (* One handle set per keyed column; identifiers of a boxed or
+         foreign-arena key that the arena never saw cannot occur in [t]. *)
+      let probes =
+        Array.of_list
+          (List.map
+             (fun (node, d) ->
+               let set = Handle_set.create (2 * d.len) in
+               (match d.repr with
+               | Cols dc when dc.arena == c.arena ->
+                 let col = dc.data.(0) in
+                 for i = 0 to d.len - 1 do
+                   Handle_set.replace set col.(i) ()
+                 done
+               | Cols _ | Boxed _ ->
+                 for i = 0 to d.len - 1 do
+                   match Dewey_arena.find c.arena (cell_id d i 0) with
+                   | Some h -> Handle_set.replace set h ()
+                   | None -> ()
+                 done);
+               (c.data.(col_pos t node), set))
+             keys)
+      in
+      let ncols = Array.length c.data and nprobes = Array.length probes in
+      let k = ref 0 in
+      for i = 0 to t.len - 1 do
+        let dead = ref false and q = ref 0 in
+        while (not !dead) && !q < nprobes do
+          let col, set = probes.(!q) in
+          dead := Handle_set.mem set col.(i);
+          incr q
+        done;
+        if not !dead then begin
+          if !k < i then
+            for p = 0 to ncols - 1 do
+              c.data.(p).(!k) <- c.data.(p).(i)
+            done;
+          incr k
+        end
+      done;
+      t.len <- !k;
+      c.cache <- None
+    | Boxed _ ->
+      let probes =
+        List.map
+          (fun (node, d) ->
+            let set = Dewey_set.create (2 * d.len) in
+            for i = 0 to d.len - 1 do
+              Dewey_set.replace set (cell_id d i 0) ()
+            done;
+            (col_pos t node, set))
+          keys
+      in
+      filter t (fun row ->
+          not (List.exists (fun (p, set) -> Dewey_set.mem set row.(p)) probes))
+
 let sort_by_node t node =
   let pos = col_pos t node in
   if not (sorted_on t node) then begin

@@ -132,6 +132,16 @@ val append_table : t -> t -> unit
     pass. Sortedness is preserved. *)
 val filter : t -> (Dewey.t array -> bool) -> unit
 
+(** [remove_ids t keys] drops, in place, every row whose column for
+    pattern node [j] holds an identifier of the single-column table [d],
+    for some [(j, d)] in [keys] — an anti-semijoin on identifiers. On a
+    columnar table it tests handle membership in an int set per key, with
+    no row materialization; boxed tables compare identifiers. Keys with
+    an empty [d] are ignored, so with no non-empty key the table is not
+    scanned at all. Sortedness is preserved.
+    @raise Not_found if some [j] is not a column of [t]. *)
+val remove_ids : t -> (int * t) list -> unit
+
 (** [sort_by_node t node] sorts rows by document order of the [node]
     column; a no-op when the metadata already proves the order. *)
 val sort_by_node : t -> int -> unit

@@ -82,7 +82,8 @@ let publish_log t = List.rev t.log
 (* A view is unchanged by a statement when the relevance pre-filter
    skipped it, or when propagation touched nothing: no embeddings in or
    out, no payload refresh, and no rebuild (a rebuild can rewrite
-   payloads without being itemized in the counts). *)
+   payloads without being itemized in the counts). A deferred view gets
+   an all-zero report, so its image counts as unchanged until the drain. *)
 let report_changes r =
   (not r.Maint.skipped_irrelevant)
   && (r.Maint.embeddings_added > 0

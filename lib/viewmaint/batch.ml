@@ -22,10 +22,12 @@ let relevant mv labels =
    footprint every Δ table of the view is empty, so every union term is
    pruned and no embedding is added or removed; no footprint-labeled node
    lies inside a deleted region, so no view entry or snowcap row is
-   purged; [cvn = ∅] means no val/cont payload can go stale; and value-
-   predicate flips are guarded separately by the caller's watches. *)
-let can_skip mv labels =
-  Array.length mv.Mview.cvn = 0 && not (relevant mv labels)
+   purged; a payload can only go stale on an ancestor-or-self of an
+   insertion point or deleted root's parent, and no val/cont node of the
+   view carries a label on those root paths; value-predicate flips are
+   guarded separately by the caller's watches. *)
+let can_skip mv labels affected =
+  (not (relevant mv labels)) && Maint.payload_safe mv affected
 
 (* Heavy-routing test for adaptive maintenance: the update's delta
    enters the view through a heavy label. Exact tags check the delta's

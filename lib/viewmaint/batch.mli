@@ -29,11 +29,13 @@ val touches : update_labels -> string -> bool
     labels. Views with a [*] node are always relevant. *)
 val relevant : Mview.t -> update_labels -> bool
 
-(** [can_skip mv labels]: propagation for [mv] would provably be a no-op
-    — disjoint footprint and no stored val/cont payloads ([cvn] empty).
-    The caller must additionally check its value-predicate watches; a
-    flipped watch forces the rebuild path regardless. *)
-val can_skip : Mview.t -> update_labels -> bool
+(** [can_skip mv labels affected]: propagation for [mv] would provably be
+    a no-op — disjoint footprint, and no val/cont node of [mv] carries a
+    label on the root paths of the update's payload-affected nodes
+    ({!Maint.payload_safe}). The caller must additionally check its
+    value-predicate watches; a flipped watch forces the rebuild path
+    regardless. *)
+val can_skip : Mview.t -> update_labels -> Maint.affected -> bool
 
 (** [routes_heavy ~heavy mv labels]: the update's delta reaches [mv]
     through a label the [heavy] predicate classifies as heavy — the

@@ -35,6 +35,8 @@ let c_emb_removed = Obs.Scope.counter obs_work "embeddings_removed"
 let c_tuples_modified = Obs.Scope.counter obs_work "tuples_modified"
 let c_fallbacks = Obs.Scope.counter obs_work "fallback_recomputes"
 let c_skipped = Obs.Scope.counter obs_work "skipped_irrelevant"
+let c_payload_gated = Obs.Scope.counter obs_work "payload_refresh_gated"
+let c_purge_rows = Obs.Scope.counter obs_work "purge_rows"
 
 let set_find b t =
   b.Timing.find_target <- b.Timing.find_target +. t;
@@ -72,9 +74,7 @@ let emit r =
   if r.skipped_irrelevant then Obs.Counter.incr c_skipped;
   r
 
-(* Report for a view the batch engine's relevance pre-filter proved
-   untouched by the update: no propagation work was performed at all. *)
-let skipped_report () =
+let zero_report ~skipped =
   emit {
     timing = Timing.zero ();
     terms_developed = 0;
@@ -83,8 +83,23 @@ let skipped_report () =
     embeddings_removed = 0;
     tuples_modified = 0;
     fallback_recompute = false;
-    skipped_irrelevant = true;
+    skipped_irrelevant = skipped;
   }
+
+(* Report for a view the batch engine's relevance pre-filter proved
+   untouched by the update: no propagation work was performed at all. *)
+let skipped_report () = zero_report ~skipped:true
+
+(* Report for a view whose propagation the adaptive path deferred: no
+   work now, and not a skip — [maint.defer.deferrals] counts it. *)
+let deferred_report () = zero_report ~skipped:false
+
+module Phase = struct
+  let find_target = set_find
+  let apply_doc = set_apply
+  let compute_delta = set_delta
+  let update_aux = set_aux
+end
 
 let apply_only store u =
   let b = Timing.zero () in
@@ -237,6 +252,22 @@ let term_survives mv (delta : Delta.t) ~scope ~kind s =
     scope;
   !ok
 
+(* R \ Δ⁻ on a table over some pattern nodes. Every identifier in column
+   [j] satisfies node [j]'s tag, value predicate and root anchor, so it
+   lies in the deleted region iff it is in Δ⁻_j: the purge is an
+   anti-semijoin with the non-empty Δ⁻ tables of the table's columns, on
+   arena handles. [deleted_keys] is empty when no row can die, and then
+   the table is not scanned at all. *)
+let deleted_keys (delta : Delta.t) table =
+  Array.fold_left
+    (fun acc j ->
+      if Delta.nonempty delta j then (j, delta.Delta.tables.(j)) :: acc else acc)
+    [] (Tuple_table.cols table)
+
+let purge table keys =
+  Obs.Counter.add c_purge_rows (Tuple_table.length table);
+  Tuple_table.remove_ids table keys
+
 (* Evaluate one union term over [scope]: the R-part is the snowcap [s_set]
    (materialized table when available, otherwise recomputed from the
    lattice leaves), the Δ-part is the rest of [scope], joined along the
@@ -250,24 +281,22 @@ let eval_term mv (delta : Delta.t) ~scope ~s_set ~survivors_only =
   if Lattice.size s_set = 0 then
     Plan.eval_subtree pat ~atom:datom ~within:(Lattice.mem d_set) ~root:0
   else begin
-    let region = delta.Delta.region in
-    let survivor_row row =
-      Array.for_all (fun id -> not (Id_region.mem region id)) row
-    in
     let s_table =
       match Mview.mat_for mv s_set with
       | Some table ->
-        if survivors_only then begin
-          let t = Tuple_table.copy table in
-          Tuple_table.filter t survivor_row;
-          t
-        end
+        if survivors_only then
+          match deleted_keys delta table with
+          | [] -> table
+          | keys ->
+            let t = Tuple_table.copy table in
+            purge t keys;
+            t
         else table
       | None ->
         let atom i =
           let a = Plan.atom_of_store store pat i in
-          if survivors_only then
-            Tuple_table.filter a (fun row -> not (Id_region.mem region row.(0)));
+          (if survivors_only then
+             match deleted_keys delta a with [] -> () | keys -> purge a keys);
           a
         in
         Plan.eval_subtree pat ~atom ~within:(Lattice.mem s_set) ~root:0
@@ -285,49 +314,85 @@ let eval_term mv (delta : Delta.t) ~scope ~s_set ~survivors_only =
     !result
   end
 
-(* {1 Tuple modification: PIMT (Alg. 4) and PDMT} *)
+(* {1 Tuple modification: PIMT (Alg. 4) and PDMT}
 
-let refresh_affected mv affected =
-  if Array.length mv.Mview.cvn = 0 || Hashtbl.length affected = 0 then 0
-  else begin
+   The val/cont payload of a node changes iff its subtree changed: the
+   node is an insertion point or one of its ancestors (PIMT), or a strict
+   ancestor of a deleted root (PDMT). That set is computed once per
+   statement, keyed by identifier, together with the label codes it
+   holds. A Dewey identifier carries its ancestors' labels and IDs, so
+   both come from the applied update's identifiers alone — also for
+   deleted roots, whose detached nodes no longer have a parent. *)
+
+module Dewey_set = Hashtbl.Make (Dewey)
+
+type affected = { a_ids : unit Dewey_set.t; a_labels : (int, unit) Hashtbl.t }
+
+let affected_of applied =
+  let a = { a_ids = Dewey_set.create 64; a_labels = Hashtbl.create 16 } in
+  (* Walking up stops at the first identifier already present: its
+     ancestors were added with it. *)
+  let rec add id =
+    if not (Dewey_set.mem a.a_ids id) then begin
+      Dewey_set.add a.a_ids id ();
+      Hashtbl.replace a.a_labels (Dewey.label id) ();
+      Option.iter add (Dewey.parent id)
+    end
+  in
+  let add_pairs (app : Update.applied_insert) =
+    List.iter (fun (tid, _) -> add tid) app.Update.pairs
+  in
+  (match applied with
+  | Ins app | Repl (_, app) -> add_pairs app
+  | Del app ->
+    List.iter (fun root -> Option.iter add (Dewey.parent root)) app.Update.roots);
+  a
+
+(* Positions (into [mv.stored]) of the val/cont nodes whose tag occurs
+   among the affected labels — the only cells whose payload the update
+   can have changed. *)
+let at_risk_positions mv aff =
+  let pat = mv.Mview.pat in
+  let dict = Store.dict mv.Mview.store in
+  let out = ref [] in
+  Array.iteri
+    (fun p i ->
+      let a = pat.Pattern.annots.(i) in
+      if a.Pattern.store_val || a.Pattern.store_cont then begin
+        let tag = pat.Pattern.tags.(i) in
+        let hit =
+          if tag = "*" then Hashtbl.length aff.a_labels > 0
+          else
+            match Label_dict.find dict tag with
+            | Some code -> Hashtbl.mem aff.a_labels code
+            | None -> false
+        in
+        if hit then out := p :: !out
+      end)
+    mv.Mview.stored;
+  Array.of_list (List.rev !out)
+
+let payload_safe mv aff = at_risk_positions mv aff = [||]
+
+let refresh_affected mv aff =
+  match at_risk_positions mv aff with
+  | [||] ->
+    if Array.length mv.Mview.cvn > 0 then Obs.Counter.incr c_payload_gated;
+    0
+  | positions ->
     let modified = ref 0 in
     Mview.iter_entries mv (fun e ->
-        Array.iteri
-          (fun p i ->
-            let a = mv.Mview.pat.Pattern.annots.(i) in
-            if a.Pattern.store_val || a.Pattern.store_cont then begin
-              let cell = e.Mview.cells.(p) in
-              if Hashtbl.mem affected (Dewey.encode cell.Mview.cell_id) then
-                if Mview.refresh_cell mv ~stored_node:i cell then incr modified
-            end)
-          mv.Mview.stored);
+        Array.iter
+          (fun p ->
+            let cell = e.Mview.cells.(p) in
+            if
+              Dewey_set.mem aff.a_ids cell.Mview.cell_id
+              && Mview.refresh_cell mv ~stored_node:mv.Mview.stored.(p) cell
+            then incr modified)
+          positions);
     !modified
-  end
 
-let pimt mv (app : Update.applied_insert) =
-  (* Content / value of a node changes iff it is an insertion point or one
-     of its ancestors. *)
-  let affected = Hashtbl.create 64 in
-  List.iter
-    (fun (tid, _) ->
-      Hashtbl.replace affected (Dewey.encode tid) ();
-      List.iter (fun a -> Hashtbl.replace affected (Dewey.encode a) ()) (Dewey.ancestors tid))
-    app.Update.pairs;
-  refresh_affected mv affected
-
-let pdmt mv (app : Update.applied_delete) =
-  (* Only strict ancestors of a deleted root survive with changed
-     content. *)
-  let affected = Hashtbl.create 64 in
-  List.iter
-    (fun root ->
-      List.iter (fun a -> Hashtbl.replace affected (Dewey.encode a) ()) (Dewey.ancestors root))
-    app.Update.roots;
-  refresh_affected mv affected
-
-let refresh_payloads mv = function
-  | Ins app | Repl (_, app) -> pimt mv app
-  | Del app -> pdmt mv app
+let refresh_payloads mv applied = refresh_affected mv (affected_of applied)
 
 (* {1 Snowcap (auxiliary structure) maintenance} *)
 
@@ -366,22 +431,24 @@ let maintain_mats_insert mv delta =
     (fun (table, rows) -> Tuple_table.append_rows table (Array.of_list rows))
     additions
 
-let maintain_mats_delete mv (delta : Delta.t) =
-  let region = delta.Delta.region in
+let maintain_mats_delete mv delta =
   List.iter
     (fun (_scope, table) ->
-      Tuple_table.filter table (fun row ->
-          Array.for_all (fun id -> not (Id_region.mem region id)) row))
+      match deleted_keys delta table with [] -> () | keys -> purge table keys)
     mv.Mview.mats
 
 (* {1 Drivers} *)
 
 let full_scope mv = Lattice.full mv.Mview.pat
 
-let propagate_applied ?(commit = true) ?(watches = []) ?(prune = true) ?shared mv
-    applied =
+let propagate_applied ?(commit = true) ?(watches = []) ?(prune = true) ?shared
+    ?affected mv applied =
   let b = Timing.zero () in
   let store = mv.Mview.store in
+  let refresh () =
+    refresh_affected mv
+      (match affected with Some a -> a | None -> affected_of applied)
+  in
   if watches_flipped mv watches then begin
     (* Exact fallback: a predicate flipped on an existing node, outside
        the delta model; rebuild from the (committed) relations. *)
@@ -401,7 +468,7 @@ let propagate_applied ?(commit = true) ?(watches = []) ?(prune = true) ?shared m
   end
   else
   match applied with
-  | Repl (_app_del, app_ins) ->
+  | Repl _ ->
     if Array.exists (( = ) "#text") mv.Mview.pat.Pattern.tags then begin
       (* Text nodes participate structurally in this view: take the exact
          rebuild path (replace-value swaps text nodes wholesale). *)
@@ -425,7 +492,7 @@ let propagate_applied ?(commit = true) ?(watches = []) ?(prune = true) ?shared m
          is created or destroyed — only val/cont payloads of the targets
          and their ancestors need refreshing. *)
       let modified = ref 0 in
-      Timing.timed b set_exec (fun () -> modified := pimt mv app_ins);
+      Timing.timed b set_exec (fun () -> modified := refresh ());
       Timing.timed b set_aux (fun () -> if commit then Store.commit store);
       emit {
         timing = b;
@@ -466,7 +533,7 @@ let propagate_applied ?(commit = true) ?(watches = []) ?(prune = true) ?shared m
               incr added
             done)
           terms;
-        modified := pimt mv app);
+        modified := refresh ());
     Timing.timed b set_aux (fun () ->
         maintain_mats_insert mv delta;
         if commit then Store.commit store);
@@ -506,7 +573,7 @@ let propagate_applied ?(commit = true) ?(watches = []) ?(prune = true) ?shared m
               incr removed
             done)
           terms;
-        modified := pdmt mv app);
+        modified := refresh ());
     Timing.timed b set_aux (fun () ->
         maintain_mats_delete mv delta;
         if commit then Store.commit store);

@@ -36,6 +36,22 @@ type report = {
     [maint.work.skipped_irrelevant]. *)
 val skipped_report : unit -> report
 
+(** Zeroed report for a view whose propagation the adaptive path
+    deferred: [skipped_irrelevant] is {e not} set and the skip counter
+    is not bumped ([maint.defer.deferrals] counts deferrals). Like a
+    skip, it reports no change to the view's image. *)
+val deferred_report : unit -> report
+
+(** The Figure 18/19 phase setters: each adds a span to the breakdown
+    {e and} to the matching [maint.phase.*] timer. [View_set] times its
+    shared per-statement phases through them. *)
+module Phase : sig
+  val find_target : Timing.breakdown -> float -> unit
+  val apply_doc : Timing.breakdown -> float -> unit
+  val compute_delta : Timing.breakdown -> float -> unit
+  val update_aux : Timing.breakdown -> float -> unit
+end
+
 (** [propagate ?prune mv u] applies [u] to the underlying document {e and}
     incrementally maintains [mv]. When several views share one store,
     apply the update through one of them and use {!propagate_applied} for
@@ -88,13 +104,34 @@ val vpred_watches : Mview.t -> Xml_tree.node list -> watches
     this view and propagation will rebuild instead. *)
 val watches_flipped : Mview.t -> watches -> bool
 
-(** [propagate_applied ?commit ?watches ?shared mv applied] incrementally
+(** {1 Payload-affected nodes}
+
+    An update can change the [val]/[cont] payload of exactly the
+    ancestors-or-self of its insertion points and the strict ancestors
+    of its deleted roots. [affected_of applied] collects those
+    identifiers and their label codes once per statement, from the
+    applied update's identifiers alone (a Dewey identifier carries its
+    ancestors). *)
+
+type affected
+
+val affected_of : applied -> affected
+
+(** [payload_safe mv aff]: no [val]/[cont] node of [mv] carries a label
+    of [aff] (a [*] node matches any), so no stored payload of [mv] can
+    have gone stale. Always true when [mv] stores no payloads. *)
+val payload_safe : Mview.t -> affected -> bool
+
+(** [propagate_applied ?commit ?watches ?shared ?affected mv applied] incrementally
     maintains [mv]. Without [watches], predicate flips are assumed absent
     (true whenever updates never put text below a vpred-matching
     ancestor). [shared] supplies a prebuilt {!Delta.Shared} index for the
     same applied update, so Δ extraction is a per-pattern-node lookup
     instead of a fresh scan — the batch engine builds one index per
-    update and passes it to every view.
+    update and passes it to every view. [affected] likewise supplies
+    {!affected_of}[ applied], computed once per statement; the payload
+    refresh (PIMT/PDMT) only visits a view's entries when
+    {!payload_safe} fails, and then only its at-risk cells.
 
     Read-only-store contract: with [~commit:false] and non-flipped
     [watches], propagation of an [Ins]/[Del] application only {e reads}
@@ -106,7 +143,7 @@ val watches_flipped : Mview.t -> watches -> bool
     {!Store.commit} itself rejects being called off the main domain. *)
 val propagate_applied :
   ?commit:bool -> ?watches:watches -> ?prune:bool -> ?shared:Delta.Shared.t ->
-  Mview.t -> applied -> report
+  ?affected:affected -> Mview.t -> applied -> report
 
 (** {1 Union-term introspection}
 

@@ -133,7 +133,8 @@ let adaptive t = Option.map (fun a -> a.hl) t.adaptive
    then split three ways:
 
    - [skipped]: the relevance pre-filter proves propagation a no-op
-     (disjoint label footprint, no stored payloads, watches clean);
+     (disjoint label footprint, no val/cont node labeled like a node on
+     the update's root paths, watches clean);
    - [clean]: incremental propagation against the pre-update relations,
      read-only on the store — safe to fan out across domains;
    - [committing]: a flipped value-predicate watch, or a replace-value
@@ -173,9 +174,7 @@ let update ?(jobs = 1) t u =
     let pre = List.map (fun mv -> (mv, static_skip mv)) views in
     let live = List.filter_map (fun (mv, sk) -> if sk then None else Some mv) pre in
     let targets =
-      Timing.timed b
-        (fun b v -> b.Timing.find_target <- v)
-        (fun () -> Update.targets t.store u)
+      Timing.timed b Maint.Phase.find_target (fun () -> Update.targets t.store u)
     in
     (* Predicate watches must be recorded per view before the mutation. *)
     let watched =
@@ -185,9 +184,7 @@ let update ?(jobs = 1) t u =
         pre
     in
     let applied =
-      Timing.timed b
-        (fun b v -> b.Timing.apply_doc <- v)
-        (fun () ->
+      Timing.timed b Maint.Phase.apply_doc (fun () ->
           match u with
           | Update.Insert _ -> Maint.Ins (Update.apply_insert t.store u ~targets)
           | Update.Delete _ -> Maint.Del (Update.apply_delete t.store ~targets)
@@ -212,23 +209,24 @@ let update ?(jobs = 1) t u =
       let l = Hashtbl.fold (fun k () acc -> k :: acc) tags [] in
       if !star then "*" :: l else l
     in
-    let shared, labels =
-      Timing.timed b
-        (fun b v -> b.Timing.compute_delta <- v)
-        (fun () ->
+    (* The payload-affected identifiers are collected here too, once,
+       for the skip test and every view's PIMT/PDMT. *)
+    let (shared, labels), affected =
+      Timing.timed b Maint.Phase.compute_delta (fun () ->
           (* [Text_only] is a placeholder when every view was discharged
              statically: classification below never consults [labels] for
              those views. *)
-          if live = [] then (None, Batch.Text_only)
-          else
-            match applied with
-            | Maint.Ins app ->
-              let sh = Delta.Shared.of_insert t.store app in
-              (Some sh, Batch.Labels sh)
-            | Maint.Del app ->
-              let sh = Delta.Shared.of_delete ~wanted t.store app in
-              (Some sh, Batch.Labels sh)
-            | Maint.Repl _ -> (None, Batch.Text_only))
+          ( (if live = [] then (None, Batch.Text_only)
+             else
+               match applied with
+               | Maint.Ins app ->
+                 let sh = Delta.Shared.of_insert t.store app in
+                 (Some sh, Batch.Labels sh)
+               | Maint.Del app ->
+                 let sh = Delta.Shared.of_delete ~wanted t.store app in
+                 (Some sh, Batch.Labels sh)
+               | Maint.Repl _ -> (None, Batch.Text_only)),
+            Maint.affected_of applied ))
     in
     let text_structural mv =
       match applied with
@@ -264,11 +262,13 @@ let update ?(jobs = 1) t u =
               in
               let forced = Maint.watches_flipped mv w || text_structural mv in
               match is_stale with
-              | true -> if (not forced) && Batch.can_skip mv labels then `Skip else `Defer
+              | true ->
+                if (not forced) && Batch.can_skip mv labels affected then `Skip
+                else `Defer
               | false ->
                 let defer = heavy_route mv in
                 if forced then if defer then `Defer else `Commit
-                else if Batch.can_skip mv labels then `Skip
+                else if Batch.can_skip mv labels affected then `Skip
                 else if defer then `Defer
                 else `Clean)
           in
@@ -287,12 +287,12 @@ let update ?(jobs = 1) t u =
       Batch.parallel_map ~jobs
         (Array.map
            (fun (mv, watches) () ->
-             (mv, Maint.propagate_applied ~commit:false ~watches ?shared mv applied))
+             ( mv,
+               Maint.propagate_applied ~commit:false ~watches ?shared ~affected mv
+                 applied ))
            (Array.of_list clean))
     in
-    Timing.timed b
-      (fun b v -> b.Timing.update_aux <- v)
-      (fun () -> Store.commit t.store);
+    Timing.timed b Maint.Phase.update_aux (fun () -> Store.commit t.store);
     (* Deferred work units: the shared index's total entry count — the
        delta rows a drain will have to reconcile — plus one for the
        statement itself (replace-value deltas are single-row). *)
@@ -319,10 +319,10 @@ let update ?(jobs = 1) t u =
               Obs.Counter.incr c_deferrals;
               Obs.Counter.add c_defer_work stmt_work
             | None -> assert false);
-            (mv, Maint.skipped_report ())
+            (mv, Maint.deferred_report ())
           | `Commit ->
             let watches = match watches with Some w -> w | None -> assert false in
-            (mv, Maint.propagate_applied ~watches mv applied)
+            (mv, Maint.propagate_applied ~watches ~affected mv applied)
           | `Clean ->
             (match Array.find_opt (fun (m, _) -> m == mv) clean_reports with
             | Some r -> r
@@ -330,7 +330,8 @@ let update ?(jobs = 1) t u =
         classified
     in
     (* Attribute the shared phases — target location, document mutation,
-       shared-index build, store commit — to the first report. *)
+       shared-index build, store commit — to the first report (they were
+       timed into the [maint.phase] timers as they ran). *)
     (match reports with
     | (_, first) :: _ ->
       first.Maint.timing.Timing.find_target <-

@@ -45,7 +45,8 @@ val set_independence : t -> (Update.t -> Mview.t -> bool) option -> unit
     With a classifier installed ({!set_adaptive}), {!update} defers
     propagation for any view the update's delta reaches through a
     heavy-partitioned label (see [Hl] and [Batch.routes_heavy]): the
-    view is marked {e stale}, its report is the zeroed skipped report,
+    view is marked {e stale}, its report is {!Maint.deferred_report}
+    (zeroed, not counted as a skip),
     and the deferred delta work is accounted against the classifier's
     drain budget. No payload is buffered — a drain is an exact
     [Mview.rebuild] from the committed store, so it reconciles any mix
@@ -92,11 +93,14 @@ val views : t -> Mview.t list
     every view from a shared update-region index ({!Delta.Shared}, built
     once per update); reports are in view insertion order. The shared
     work — target location, document mutation, index build, the single
-    store commit — is timed into the first report.
+    store commit — is timed into the first report and into the
+    [maint.phase] timers.
 
-    Views whose label footprint is provably untouched by the update are
-    skipped outright and get a zeroed report with
-    [Maint.skipped_irrelevant] set.
+    Views the update provably cannot touch are skipped outright and get
+    a zeroed report with [Maint.skipped_irrelevant] set: the label
+    footprint is disjoint from the update region, and no val/cont node
+    carries a label on the root paths of the update's payload-affected
+    nodes ({!Batch.can_skip}).
 
     [jobs] (default [1]) fans clean-view propagation out across that
     many OCaml domains; values [<= 1] (including zero and negative,

@@ -73,6 +73,108 @@ let test_star_never_skipped () =
   Alcotest.(check bool) "view grew" true (r.Maint.embeddings_added > 0);
   check_against_recompute mv (v_star "s") stmt
 
+(* {2 Payload-storing views}
+
+   A view that stores val/cont may be skipped only when none of its
+   payload nodes is labeled like a node on the update's root paths (an
+   ancestor-or-self of an insertion point, a strict ancestor of a deleted
+   root). *)
+
+let v_e_cont name = Pattern.compile ~name (n "e" ~id:true ~content:true [])
+
+let check_against_recompute_on text mv pat stmt =
+  let store = Store.of_document (Xml_parse.document text) in
+  let mv2, _ = Recompute.recompute_after store stmt ~pat in
+  match Recompute.diff mv mv2 with
+  | None -> ()
+  | Some d -> Alcotest.fail ("batched view diverged from recompute: " ^ d)
+
+let e_content mv =
+  match Mview.dump mv with
+  | [ (_, _, cells) ] -> Option.value ~default:"" cells.(0).Mview.cell_content
+  | _ -> Alcotest.fail "expected exactly one e tuple"
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let test_cont_insert_below_not_skipped () =
+  (* [f] is outside the footprint {e}, but the insertion point is [e]
+     itself: its stored content changes. *)
+  let stmt = Update.insert ~into:"/r/e" "<f/>" in
+  let set = View_set.create (fresh_store ()) in
+  let mv = View_set.add set (v_e_cont "ec") in
+  let r = List.assq mv (View_set.update set stmt) in
+  Alcotest.(check bool) "not skipped" false r.Maint.skipped_irrelevant;
+  Alcotest.(check int) "content refreshed" 1 r.Maint.tuples_modified;
+  Alcotest.(check bool) "content holds the new child" true
+    (contains (e_content mv) "<f/>");
+  check_against_recompute mv (v_e_cont "ec") stmt
+
+let test_cont_delete_below_not_skipped () =
+  (* The deleted [b] roots hang below [e]; once detached they have no
+     parent, yet [e]'s content must still be refreshed. *)
+  let text = {|<r><e><b>1</b>x<b>2</b></e><c><b>3</b></c></r>|} in
+  let stmt = Update.delete "//b" in
+  let set = View_set.create (Store.of_document (Xml_parse.document text)) in
+  let mv = View_set.add set (v_e_cont "ec") in
+  let r = List.assq mv (View_set.update set stmt) in
+  Alcotest.(check bool) "not skipped" false r.Maint.skipped_irrelevant;
+  Alcotest.(check int) "content refreshed" 1 r.Maint.tuples_modified;
+  Alcotest.(check bool) "content lost the b children" false
+    (contains (e_content mv) "<b>");
+  check_against_recompute_on text mv (v_e_cont "ec") stmt
+
+let test_cont_sibling_insert_skipped () =
+  (* Insertion under [c], a sibling of [e]: no node labeled [e] is on the
+     root path [r/c], so the payload-storing view is skipped. *)
+  let stmt = Update.insert ~into:"/r/c" "<f/>" in
+  let set = View_set.create (fresh_store ()) in
+  let mv = View_set.add set (v_e_cont "ec") in
+  let before = e_content mv in
+  let r = List.assq mv (View_set.update set stmt) in
+  Alcotest.(check bool) "skipped" true r.Maint.skipped_irrelevant;
+  Alcotest.(check string) "content unchanged" before (e_content mv);
+  check_against_recompute mv (v_e_cont "ec") stmt
+
+(* Every Figure-20 view under every Appendix-A statement, insert and
+   delete forms, maintained as one batched set: each view equals a fresh
+   recomputation, and the payload-aware skip fires although every one of
+   these views stores a val or cont payload. *)
+let test_figure20_batched_skips () =
+  let doc = Xmark_gen.document ~seed:42 ~target_kb:32 in
+  let skipped_total = ref 0 in
+  List.iter
+    (fun (u : Xmark_updates.t) ->
+      List.iter
+        (fun (form, stmt) ->
+          let set = View_set.create (Store.of_document (Xml_tree.copy doc)) in
+          List.iter (fun (_, pat) -> ignore (View_set.add set pat)) Xmark_views.all;
+          let reports, snap = Obs.with_scope (fun () -> View_set.update set stmt) in
+          skipped_total :=
+            !skipped_total + Obs.counter_value snap "maint.work.skipped_irrelevant";
+          let ref_store = Store.of_document (Xml_tree.copy doc) in
+          ignore (Maint.apply_only ref_store stmt);
+          Store.commit ref_store;
+          List.iter
+            (fun (mv, (r : Maint.report)) ->
+              let name = mv.Mview.pat.Pattern.name in
+              let expected = Mview.materialize ref_store mv.Mview.pat in
+              (match Recompute.diff mv expected with
+              | None -> ()
+              | Some d ->
+                Alcotest.failf "%s under %s %s diverged: %s" name form
+                  u.Xmark_updates.name d);
+              if name = "Q6" && u.Xmark_updates.name = "X1_L" && form = "insert"
+              then
+                Alcotest.(check bool) "Q6 skipped under insert X1_L" true
+                  r.Maint.skipped_irrelevant)
+            reports)
+        [ ("insert", Xmark_updates.insert u); ("delete", Xmark_updates.delete u) ])
+    Xmark_updates.all;
+  Alcotest.(check bool) "skips counted" true (!skipped_total > 0)
+
 (* Property form of skip safety: on random documents, whether or not the
    pre-filter fires, every view in the batched set matches a fresh
    recomputation. The insert's f/g labels are outside the generator's
@@ -186,10 +288,19 @@ let test_adaptive_defer_and_drain () =
     Alcotest.(check bool) "b classified heavy" true (Hl.is_heavy hl "b")
   | None -> Alcotest.fail "classifier not installed");
   let stmt = Update.insert ~into:"/r/a" "<b>9</b>" in
-  let reports = View_set.update set stmt in
+  let reports, snap = Obs.with_scope (fun () -> View_set.update set stmt) in
   let r = List.assq mv reports in
-  Alcotest.(check bool) "deferred: zeroed skipped report" true
+  (* A deferral is not a skip: zeroed report, skip flag and counter
+     untouched, the deferral counted on its own. *)
+  Alcotest.(check bool) "deferred: not reported as a skip" false
     r.Maint.skipped_irrelevant;
+  Alcotest.(check bool) "deferred: zeroed report" true
+    (r.Maint.embeddings_added = 0 && r.Maint.tuples_modified = 0
+    && r.Maint.terms_developed = 0 && not r.Maint.fallback_recompute);
+  Alcotest.(check int) "deferred: skip counter untouched" 0
+    (Obs.counter_value snap "maint.work.skipped_irrelevant");
+  Alcotest.(check int) "deferred: deferral counted" 1
+    (Obs.counter_value snap "maint.defer.deferrals");
   Alcotest.(check (list string)) "view stale" [ "w" ] (View_set.stale set);
   Alcotest.(check bool) "drain rebuilt the view" true (View_set.drain_view set "w");
   Alcotest.(check (list string)) "nothing stale after drain" [] (View_set.stale set);
@@ -269,6 +380,37 @@ let test_par_counter_merge () =
   in
   Alcotest.(check int) "child-domain increments merged" 8 got
 
+(* {1 Snowcap deletion on handles}
+
+   A snowcap table is purged only through the non-empty Δ⁻ tables of its
+   own columns; with all of them empty it is not scanned at all, which
+   [maint.work.purge_rows] (rows scanned by R \ Δ⁻ purges) shows. *)
+
+(* [r/a/b] under the default snowcap policy materializes the chain
+   prefixes {r} (1 row) and {r,a} (2 rows). *)
+let v_rab name =
+  Pattern.compile ~name (n "r" ~id:true [ n "a" ~id:true [ n "b" ~id:true [] ] ])
+
+let purge_rows stmt =
+  let mv = Mview.materialize (fresh_store ()) (v_rab "sc") in
+  let r, snap = Obs.with_scope (fun () -> Maint.propagate mv stmt) in
+  let expected, _ = Recompute.recompute_after (fresh_store ()) stmt ~pat:(v_rab "sc") in
+  (match Recompute.diff mv expected with
+  | None -> ()
+  | Some d -> Alcotest.fail ("snowcap purge diverged from recompute: " ^ d));
+  (r.Maint.embeddings_removed, Obs.counter_value snap "maint.work.purge_rows")
+
+let test_purge_skips_untouched_snowcaps () =
+  (* No r/a/b node is deleted: no snowcap row is looked at. *)
+  Alcotest.(check (pair int int)) "delete //d: nothing removed, no rows scanned"
+    (0, 0) (purge_rows (Update.delete "//d"));
+  (* Only b nodes die, and neither snowcap has a b column. *)
+  Alcotest.(check (pair int int)) "delete //b: 3 removed, no rows scanned"
+    (3, 0) (purge_rows (Update.delete "//b"));
+  (* a nodes die: {r,a} (2 rows) is scanned once, {r} is left alone. *)
+  Alcotest.(check (pair int int)) "delete /r/a: 3 removed, only {r,a} scanned"
+    (3, 2) (purge_rows (Update.delete "/r/a"))
+
 (* {1 Shared-index counters flat in N} *)
 
 let delta_counters pats stmt =
@@ -308,6 +450,19 @@ let () =
           Alcotest.test_case "star view never skipped" `Quick
             test_star_never_skipped;
           prop_skip_safety;
+          Alcotest.test_case "cont view: insert below is not skipped" `Quick
+            test_cont_insert_below_not_skipped;
+          Alcotest.test_case "cont view: delete below is not skipped" `Quick
+            test_cont_delete_below_not_skipped;
+          Alcotest.test_case "cont view: sibling insert is skipped" `Quick
+            test_cont_sibling_insert_skipped;
+          Alcotest.test_case "figure-20 views x appendix-A batched" `Quick
+            test_figure20_batched_skips;
+        ] );
+      ( "snowcaps",
+        [
+          Alcotest.test_case "purge skips untouched snowcaps" `Quick
+            test_purge_skips_untouched_snowcaps;
         ] );
       ( "adaptive",
         [
