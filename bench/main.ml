@@ -1773,20 +1773,16 @@ let wal_bench () =
       end)
     sizes
 
-(* {1 answer: rewriting from views + DTD independence skip}
+(* {1 answer: rewriting from views}
 
-   Part 1 measures answering a fresh query from the materialized views
-   against algebraic recomputation over the base document, checking
-   tuple-for-tuple agreement on every run. The view set is the Figure-20
-   set minus Q13, plus Q13's two legs ([prune]/[subpattern] at node 1) —
-   so Q13 itself exercises the two-view intersection plan. Part 2
-   installs the DTD-based independence prover on the exact Figure-20 set
-   and drives update statements through [View_set.update], reporting the
-   static-skip hit rate and proving every skip safe against a fresh
-   materialization. *)
+   Answering a fresh query from the materialized views against algebraic
+   recomputation over the base document, checking tuple-for-tuple
+   agreement on every run. The view set is the Figure-20 set minus Q13,
+   plus Q13's two legs ([prune]/[subpattern] at node 1) — so Q13 itself
+   exercises the two-view intersection plan. *)
 
 let answer_bench () =
-  header "answer: answering from views vs base recompute; DTD independence skip";
+  header "answer: answering from views vs base recompute";
   let root = doc small_kb in
   let store = Store.of_document root in
   let set = View_set.create store in
@@ -1888,139 +1884,7 @@ let answer_bench () =
           ("speedup", Json.num (base_s /. views_s));
           ("tuples", Json.int (List.length rows));
         ])
-    queries;
-  (* Part 2: the independence skip, proven safe on every statement. The
-     DTD must be re-inferred whenever the document changes so the
-     soundness precondition (document valid for the DTD) keeps holding —
-     but a statement that changed nothing can reuse the previous DTD, so
-     inference is memoized on the store's commit generation. The memo is
-     itself oracle-checked: a second, uncached sweep over an identical
-     document must discharge exactly the same number of pairs. *)
-  let root2 = doc 64 in
-  let names =
-    List.filteri
-      (fun i _ -> i < 6)
-      (List.sort_uniq compare (List.map snd Xmark_updates.figure20_pairs))
-  in
-  let stmts =
-    List.concat_map
-      (fun nm ->
-        let u = Xmark_updates.find nm in
-        [ (nm ^ "_ins", Xmark_updates.insert u); (nm ^ "_del", Xmark_updates.delete u) ])
-      names
-    @ [
-        ("none_del", Update.parse "delete //xyzzy");
-        ("none_ins", Update.parse "insert into //xyzzy <wrap/>");
-      ]
-  in
-  let sweep ~memo ~verbose =
-    let store2 = Store.of_document (Xml_tree.copy root2) in
-    let set2 = View_set.create store2 in
-    List.iter (fun (_, pat) -> ignore (View_set.add set2 pat)) Xmark_views.all;
-    let hits = ref 0 and pairs = ref 0 in
-    let infers = ref 0 and memo_hits = ref 0 and infer_s = ref 0. in
-    let dtd_cache = ref None in
-    let current_dtd () =
-      let fresh () =
-        incr infers;
-        let dtd, dt = Obs.duration (fun () -> Dtd.infer (Store.root store2)) in
-        infer_s := !infer_s +. dt;
-        dtd
-      in
-      if not memo then fresh ()
-      else
-        let g = Store.generation store2 in
-        match !dtd_cache with
-        | Some (g', dtd) when g' = g ->
-          incr memo_hits;
-          dtd
-        | _ ->
-          let dtd = fresh () in
-          dtd_cache := Some (g, dtd);
-          dtd
-    in
-    let install_prover () =
-      let dtd = current_dtd () in
-      View_set.set_independence set2
-        (Some
-           (fun u mv ->
-             incr pairs;
-             let r = Independence.prover dtd u mv in
-             if r then incr hits;
-             r))
-    in
-    let nviews = List.length (View_set.views set2) in
-    List.iter
-      (fun (label, u) ->
-        install_prover ();
-        let reports = View_set.update set2 u in
-        let skipped =
-          List.length
-            (List.filter (fun (_, r) -> r.Maint.skipped_irrelevant) reports)
-        in
-        if verbose then
-          Printf.printf "  %-10s: %2d/%2d view(s) skipped\n%!" label skipped
-            nviews;
-        (* Safety oracle: every view — skipped or not — must equal a fresh
-           materialization over the post-update store. *)
-        List.iter
-          (fun mv ->
-            let fresh = Mview.materialize store2 mv.Mview.pat in
-            match Recompute.diff mv fresh with
-            | None -> ()
-            | Some d ->
-              write_results ();
-              failwith
-                (Printf.sprintf
-                   "answer bench: view %s diverged after %s (unsound skip?): %s"
-                   mv.Mview.pat.Pattern.name label d))
-          (View_set.views set2))
-      stmts;
-    (!hits, !pairs, !infers, !memo_hits, !infer_s, nviews)
-  in
-  let hits, pairs, infers, memo_hits, infer_s, nviews =
-    sweep ~memo:true ~verbose:true
-  in
-  let fresh_hits, fresh_pairs, fresh_infers, _, fresh_infer_s, _ =
-    sweep ~memo:false ~verbose:false
-  in
-  if hits <> fresh_hits || pairs <> fresh_pairs then begin
-    write_results ();
-    failwith
-      (Printf.sprintf
-         "answer bench: DTD memoization changed the sweep: %d/%d discharged \
-          with the memo vs %d/%d without"
-         hits pairs fresh_hits fresh_pairs)
-  end;
-  let rate = float_of_int hits /. float_of_int (max 1 pairs) in
-  Printf.printf
-    "  independence: %d/%d (update, view) pairs statically discharged (%.1f%%)\n%!"
-    hits pairs (100. *. rate);
-  Printf.printf
-    "  DTD inference: %d infer(s) + %d memo hit(s) (%.2f ms) vs %d uncached \
-     (%.2f ms); identical hit rate\n%!"
-    infers memo_hits (ms infer_s) fresh_infers (ms fresh_infer_s);
-  record "answer"
-    [
-      ("metric", Json.Str "independence");
-      ("statements", Json.int (List.length stmts));
-      ("views", Json.int nviews);
-      ("indep_pairs", Json.int pairs);
-      ("indep_hits", Json.int hits);
-      ("hit_rate", Json.num rate);
-      ("dtd_infers", Json.int infers);
-      ("dtd_memo_hits", Json.int memo_hits);
-      ("dtd_infer_ms", Json.num (ms infer_s));
-      ("dtd_infer_uncached_ms", Json.num (ms fresh_infer_s));
-    ];
-  if hits = 0 then begin
-    write_results ();
-    failwith "answer bench: independence prover discharged no pair"
-  end;
-  if memo_hits = 0 then begin
-    write_results ();
-    failwith "answer bench: DTD memo never hit (no-op statements should reuse)"
-  end
+    queries
 
 let () =
   Printf.printf "xvm benchmark harness — %s mode, %d run(s) per point\n"

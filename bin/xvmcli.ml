@@ -422,7 +422,7 @@ let fuzz_cmd =
 (* {1 difftest} *)
 
 let difftest_cmd =
-  let run metrics seed iters replay multiview recover answer indep heavy jobs =
+  let run metrics seed iters replay multiview recover answer heavy jobs =
     with_metrics metrics @@ fun () ->
     match replay with
     | None when heavy ->
@@ -451,20 +451,6 @@ let difftest_cmd =
       List.iter print_endline rep.Qgen.failures;
       Printf.printf "  %s  (%.1f ms)\n%!"
         (Qgen.summary "views=base" rep)
-        (t *. 1000.);
-      if not (Qgen.ok rep) then exit 1
-    | None when indep ->
-      Printf.printf
-        "independence-safety oracle: declared independent => maintenance \
-         no-op (seed %d, %d iterations)\n\
-         %!"
-        seed iters;
-      let rep, t =
-        Timing.duration (fun () -> Difftest.run_indep ~seed ~iters ())
-      in
-      List.iter print_endline rep.Qgen.failures;
-      Printf.printf "  %s  (%.1f ms)\n%!"
-        (Qgen.summary "independent=no-op" rep)
         (t *. 1000.);
       if not (Qgen.ok rep) then exit 1
     | None when recover ->
@@ -629,15 +615,6 @@ let difftest_cmd =
              two-view intersection, or base fallback) against brute-force \
              embedding enumeration, before and after a maintenance round.")
   in
-  let indep =
-    Arg.(
-      value & flag
-      & info [ "indep" ]
-          ~doc:
-            "Check independence safety: whenever the DTD-based analysis \
-             declares an (update, view) pair independent, maintenance must \
-             be a no-op and equal recomputation from scratch.")
-  in
   let heavy =
     Arg.(
       value & flag
@@ -670,7 +647,7 @@ let difftest_cmd =
           replayable reproducers. Exits 1 on any mismatch.")
     Term.(
       const run $ metrics_term $ seed $ iters $ replay $ multiview $ recover
-      $ answer $ indep $ heavy $ jobs)
+      $ answer $ heavy $ jobs)
 
 (* {1 answer} *)
 
@@ -731,15 +708,13 @@ let answer_cmd =
     match update with
     | None -> ()
     | Some stmt ->
-      (* Apply one statement with the DTD-based independence prover
-         installed, report which views it discharged, and re-answer. *)
-      let dtd = Dtd.infer root in
-      View_set.set_independence set (Some (Independence.prover dtd));
+      (* Apply one statement, report which views the relevance skip
+         discharged, and re-answer. *)
       let reports = View_set.update set (Update.parse stmt) in
       let skipped =
         List.filter (fun (_, r) -> r.Maint.skipped_irrelevant) reports
       in
-      Printf.printf "\napplied %s: %d/%d view(s) proven independent (%s)\n"
+      Printf.printf "\napplied %s: %d/%d view(s) skipped (irrelevant) (%s)\n"
         stmt (List.length skipped) (List.length reports)
         (match skipped with
         | [] -> "none skipped"
@@ -787,9 +762,8 @@ let answer_cmd =
       & info [ "update" ] ~docv:"STMT"
           ~doc:
             "After answering, apply this update statement through the view \
-             set with the DTD-based independence prover installed (the DTD \
-             is inferred from the document), report which views were \
-             statically skipped, and answer again.")
+             set, report which views the relevance skip left untouched, and \
+             answer again.")
   in
   let check =
     Arg.(

@@ -27,7 +27,7 @@ let all =
     ("difftest", "differential maintenance oracle (bounded smoke)");
     ("serve", "snapshot readers under a concurrent writer");
     ("wal", "write-ahead log append/replay/recovery");
-    ("answer", "answering from views; DTD independence skip");
+    ("answer", "answering from views vs base recompute");
     ("micro", "Bechamel micro-benchmarks of core operators");
   ]
 

@@ -1483,143 +1483,6 @@ let run_answer ~seed ~iters () =
   done;
   Qgen.report_of rc ~iterations:iters
 
-(* {1 Independence-safety oracle}
-
-   Whenever the static analysis declares an (update, view) pair
-   independent, full maintenance on that view must be a no-op: zero delta
-   tuples, zero payload refreshes, no rebuild, an image identical before
-   and after — and, as ground truth, identical to recomputation from
-   scratch. The analyzer is pluggable so a deliberately broken one can be
-   proven catchable (and its counterexamples shrinkable). *)
-
-type indep_analyzer = Dtd.t -> Update.t -> Pattern.t -> bool
-
-type indep_mismatch = { icx : triple; idetail : string }
-
-(* Projection of a dump that ignores cell mutability. *)
-let dump_sig mv =
-  Mview.dump mv
-  |> List.map (fun (key, count, cells) ->
-         ( key,
-           count,
-           Array.to_list
-             (Array.map
-                (fun c -> (c.Mview.cell_value, c.Mview.cell_content))
-                cells) ))
-
-let check_indep ?(analyzer : indep_analyzer = Independence.independent) t =
-  let fail d = Some { icx = t; idetail = d } in
-  match
-    let doc = Xml_tree.copy t.doc in
-    let dtd = Dtd.infer doc in
-    let u = Update.parse t.update in
-    if not (analyzer dtd u t.view) then None
-    else begin
-      let store = Store.of_document doc in
-      let mv = Mview.materialize store t.view in
-      let before = dump_sig mv in
-      let r = Maint.propagate mv u in
-      (* [tuples_modified] alone is not a violation: maintenance may
-         conservatively refresh a payload to the same value (e.g. a text-
-         free insert below a [val] node); the image comparison right
-         after catches any refresh that actually changed something. *)
-      if
-        r.Maint.embeddings_added <> 0
-        || r.Maint.embeddings_removed <> 0
-        || r.Maint.fallback_recompute
-      then
-        fail
-          (Printf.sprintf
-             "declared independent, but maintenance produced delta tuples: \
-              +%d -%d embeddings, rebuild=%b"
-             r.Maint.embeddings_added r.Maint.embeddings_removed
-             r.Maint.fallback_recompute)
-      else if dump_sig mv <> before then
-        fail "declared independent, but the view image changed"
-      else begin
-        (* Ground truth: the untouched view must equal recomputation. *)
-        let omv =
-          recompute_engine.eval (Xml_tree.copy t.doc) t.view (Update.parse t.update)
-        in
-        match Recompute.diff mv omv with
-        | None -> None
-        | Some d -> fail ("declared independent, but recomputation differs: " ^ d)
-      end
-    end
-  with
-  | r -> r
-  | exception exn ->
-    fail ("escaped exception: " ^ Printexc.to_string exn)
-
-(* Bias half the triples toward updates over labels the view never
-   mentions — those are the pairs a useful analyzer should discharge. *)
-let gen_indep_triple rnd =
-  let t = gen_triple rnd in
-  if Random.State.bool rnd then t
-  else begin
-    let vtags = Array.to_list t.view.Pattern.tags in
-    let unused =
-      Array.to_list (doc_labels t.doc)
-      |> List.filter (fun l -> not (List.mem l vtags))
-    in
-    let pool = Array.of_list (absent_label :: unused) in
-    let l = Qgen.pick rnd pool in
-    let stmt =
-      if Random.State.bool rnd then "delete //" ^ l
-      else "insert into //" ^ l ^ " " ^ gen_fragment rnd
-    in
-    ignore (Update.parse stmt);
-    { t with update = stmt }
-  end
-
-let describe_indep m =
-  let t = m.icx in
-  Printf.sprintf
-    "independence-safety violation (DTD inferred from the document)\n\
-    \  view:   %s\n\
-    \  update: %s\n\
-    \  doc:    %s (%d nodes)\n\
-    \  detail: %s"
-    (Pattern.to_string t.view) t.update
-    (Qgen.abbrev (Xml_tree.serialize t.doc))
-    (doc_nodes t) m.idetail
-
-let shrink_indep ?analyzer m =
-  let current = ref m in
-  let budget = ref 2000 in
-  let improved = ref true in
-  while !improved && !budget > 0 do
-    improved := false;
-    let t = !current.icx in
-    let candidates = doc_candidates t @ update_candidates t @ view_candidates t in
-    (try
-       List.iter
-         (fun c ->
-           if !budget > 0 then begin
-             decr budget;
-             match check_indep ?analyzer c with
-             | Some m' ->
-               current := m';
-               improved := true;
-               raise Exit
-             | None -> ()
-           end)
-         candidates
-     with Exit -> ())
-  done;
-  !current
-
-let run_indep ?analyzer ~seed ~iters () =
-  let rnd = Random.State.make [| seed; 0x1dec |] in
-  let rc = Qgen.fresh_recorder () in
-  for _ = 1 to iters do
-    let t = gen_indep_triple rnd in
-    match check_indep ?analyzer t with
-    | None -> ()
-    | Some m -> Qgen.record rc (describe_indep (shrink_indep ?analyzer m))
-  done;
-  Qgen.report_of rc ~iterations:iters
-
 let run_recover ?(jobs = 1) ~seed ~iters () =
   let rnd = Random.State.make [| seed; 0xc4a5 |] in
   let rc = Qgen.fresh_recorder () in

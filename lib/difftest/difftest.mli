@@ -310,34 +310,3 @@ val answer_of_repro : string -> answer_case
 val describe_answer : answer_mismatch -> string
 
 val run_answer : seed:int -> iters:int -> unit -> Qgen.report
-
-(** {1 Independence-safety oracle}
-
-    Whenever the static type-based analysis ([Independence.analyze] over
-    a DTD inferred from the document) declares an (update, view) pair
-    independent, maintenance must be a no-op: zero delta tuples, zero
-    payload refreshes, no rebuild, an image identical before and after —
-    and identical to recomputation from scratch. Half the generated
-    updates target labels the view never mentions, so a working analyzer
-    discharges a substantial fraction (exercising the check rather than
-    vacuously passing). The analyzer is pluggable: handing
-    [run_indep ~analyzer:(fun _ _ _ -> true)] a deliberately unsound
-    prover must produce (shrunk) counterexamples. *)
-
-type indep_analyzer = Dtd.t -> Update.t -> Pattern.t -> bool
-
-type indep_mismatch = { icx : triple; idetail : string }
-
-val gen_indep_triple : Random.State.t -> triple
-
-(** [check_indep ?analyzer t] (default [Independence.independent]):
-    [None] when the analyzer declares the pair dependent {e or} the
-    declared independence is confirmed; [Some mismatch] when a declared
-    independence is refuted by maintenance or recomputation. *)
-val check_indep : ?analyzer:indep_analyzer -> triple -> indep_mismatch option
-
-val shrink_indep : ?analyzer:indep_analyzer -> indep_mismatch -> indep_mismatch
-
-val describe_indep : indep_mismatch -> string
-
-val run_indep : ?analyzer:indep_analyzer -> seed:int -> iters:int -> unit -> Qgen.report

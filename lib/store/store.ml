@@ -50,7 +50,6 @@ type t = {
       (* heavy-label predicate: commit routes staged rows of heavy
          labels into the pending tail instead of the main merge *)
   mutable tail_budget : int; (* force a tail merge past this many rows *)
-  mutable generation : int; (* bumped by every effective commit *)
 }
 
 let root t = t.root
@@ -193,7 +192,6 @@ let of_document ?dict ?ord_of root =
       live = 0;
       partition = None;
       tail_budget = max_int;
-      generation = 0;
     }
   in
   assign t ?ord_of root ~parent_id:None ~ord:Dewey.Ord.first;
@@ -321,8 +319,6 @@ let set_partition t ?tail_budget pred =
     | Some b when b > 0 -> b
     | Some _ | None -> max_int)
 
-let generation t = t.generation
-
 (* {2 Per-label statistics}
 
    Frequency and sibling fan-out of each label over the live identifier
@@ -433,8 +429,6 @@ let commit t =
      main-domain-only operation. *)
   if not (Domain.is_main_domain ()) then
     invalid_arg "Store.commit: must be called from the main domain";
-  if t.staged_adds <> [] || Dewey_tbl.length t.detached > 0 then
-    t.generation <- t.generation + 1;
   if t.staged_adds <> [] then begin
     let by_label = Hashtbl.create 16 in
     List.iter

@@ -112,12 +112,6 @@ val drain_label : t -> string -> unit
 (** Fold every pending tail into its main run. *)
 val drain_all : t -> unit
 
-(** Commit counter: bumped by every {!commit} that changed the
-    canonical relations (staged insertions or sweeps of detached
-    subtrees). A stable generation means the document is unchanged —
-    derived artifacts keyed on it (inferred DTDs, statistics) stay
-    valid. *)
-val generation : t -> int
 
 (** {1 Per-label statistics} *)
 

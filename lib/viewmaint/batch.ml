@@ -12,11 +12,14 @@ let touches labels tag =
     else Delta.Shared.mem_label sh tag
   | Text_only -> tag = "#text"
 
-(* Star views are always considered relevant — maximally conservative and
-   cheap to decide; the interesting savings are on exact-tag views. *)
+(* A star node matches elements only, so a star view is relevant exactly
+   when the update region holds an element: attribute-only deletes,
+   text-only inserts, replace-value and target-less statements leave it
+   untouched. *)
 let relevant mv labels =
   let fp = mv.Mview.footprint in
-  fp.Mview.fp_star || Array.exists (touches labels) fp.Mview.fp_tags
+  (fp.Mview.fp_star && touches labels "*")
+  || Array.exists (touches labels) fp.Mview.fp_tags
 
 (* Skip-safety (the argument is spelled out in DESIGN.md): with a disjoint
    footprint every Δ table of the view is empty, so every union term is

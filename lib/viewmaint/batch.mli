@@ -26,7 +26,7 @@ type update_labels =
 val touches : update_labels -> string -> bool
 
 (** [relevant mv labels]: the view's footprint intersects the update's
-    labels. Views with a [*] node are always relevant. *)
+    labels. A [*] node intersects any update region holding an element. *)
 val relevant : Mview.t -> update_labels -> bool
 
 (** [can_skip mv labels affected]: propagation for [mv] would provably be

@@ -22,7 +22,6 @@ type t = {
   mutable views : Mview.t list; (* reverse order *)
   index : (string, Mview.t) Hashtbl.t;
   mutable journal : (Update.t -> unit) option;
-  mutable indep : (Update.t -> Mview.t -> bool) option;
   mutable adaptive : adaptive option;
 }
 
@@ -32,15 +31,12 @@ let create store =
     views = [];
     index = Hashtbl.create 16;
     journal = None;
-    indep = None;
     adaptive = None;
   }
 
 let store t = t.store
 
 let set_journal t j = t.journal <- j
-
-let set_independence t p = t.indep <- p
 
 let name_of mv = mv.Mview.pat.Pattern.name
 
@@ -162,26 +158,12 @@ let update ?(jobs = 1) t u =
     []
   | _ ->
     let b = Timing.zero () in
-    (* Static schema-based independence (when a prover is installed via
-       [set_independence]): decided from the statement and the view
-       pattern alone, before target location, document mutation, watch
-       recording or any delta work. A statically-skipped view records no
-       watches either — if the prover is wrong, the view diverges
-       detectably instead of being silently rescued by a rebuild. *)
-    let static_skip =
-      match t.indep with None -> fun _ -> false | Some prove -> fun mv -> prove u mv
-    in
-    let pre = List.map (fun mv -> (mv, static_skip mv)) views in
-    let live = List.filter_map (fun (mv, sk) -> if sk then None else Some mv) pre in
     let targets =
       Timing.timed b Maint.Phase.find_target (fun () -> Update.targets t.store u)
     in
     (* Predicate watches must be recorded per view before the mutation. *)
     let watched =
-      List.map
-        (fun (mv, sk) ->
-          (mv, if sk then None else Some (Maint.vpred_watches mv targets)))
-        pre
+      List.map (fun mv -> (mv, Maint.vpred_watches mv targets)) views
     in
     let applied =
       Timing.timed b Maint.Phase.apply_doc (fun () ->
@@ -193,10 +175,8 @@ let update ?(jobs = 1) t u =
             Maint.Repl (d, i))
     in
     (* Shared update-region index: built once, consumed per view. The
-       delete build is narrowed to the union of the {e live} views' label
-       footprints — statically-independent views never consult it, so
-       their labels add nothing; when the prover discharges every view
-       the build is skipped outright. *)
+       delete build is narrowed to the union of the views' label
+       footprints. *)
     let wanted =
       let star = ref false in
       let tags = Hashtbl.create 16 in
@@ -205,7 +185,7 @@ let update ?(jobs = 1) t u =
           let fp = mv.Mview.footprint in
           if fp.Mview.fp_star then star := true;
           Array.iter (fun tag -> Hashtbl.replace tags tag ()) fp.Mview.fp_tags)
-        live;
+        views;
       let l = Hashtbl.fold (fun k () acc -> k :: acc) tags [] in
       if !star then "*" :: l else l
     in
@@ -213,19 +193,14 @@ let update ?(jobs = 1) t u =
        for the skip test and every view's PIMT/PDMT. *)
     let (shared, labels), affected =
       Timing.timed b Maint.Phase.compute_delta (fun () ->
-          (* [Text_only] is a placeholder when every view was discharged
-             statically: classification below never consults [labels] for
-             those views. *)
-          ( (if live = [] then (None, Batch.Text_only)
-             else
-               match applied with
-               | Maint.Ins app ->
-                 let sh = Delta.Shared.of_insert t.store app in
-                 (Some sh, Batch.Labels sh)
-               | Maint.Del app ->
-                 let sh = Delta.Shared.of_delete ~wanted t.store app in
-                 (Some sh, Batch.Labels sh)
-               | Maint.Repl _ -> (None, Batch.Text_only)),
+          ( (match applied with
+            | Maint.Ins app ->
+              let sh = Delta.Shared.of_insert t.store app in
+              (Some sh, Batch.Labels sh)
+            | Maint.Del app ->
+              let sh = Delta.Shared.of_delete ~wanted t.store app in
+              (Some sh, Batch.Labels sh)
+            | Maint.Repl _ -> (None, Batch.Text_only)),
             Maint.affected_of applied ))
     in
     let text_structural mv =
@@ -235,8 +210,7 @@ let update ?(jobs = 1) t u =
       | Maint.Ins _ | Maint.Del _ -> false
     in
     (* [`Skip] / [`Clean] / [`Commit] / [`Defer] per view, in insertion
-       order; statically-discharged views (no recorded watches) skip
-       outright. [`Defer] exists only in adaptive mode: the update's
+       order. [`Defer] exists only in adaptive mode: the update's
        delta reaches the view through a heavy-partitioned label, or the
        view is already stale — either way propagation is deferred (the
        view is marked stale and the work accounted against its drain
@@ -251,34 +225,29 @@ let update ?(jobs = 1) t u =
     let classified =
       List.map
         (fun (mv, watches) ->
+          let is_stale =
+            match t.adaptive with
+            | Some a -> (buf_of a (name_of mv)).stale
+            | None -> false
+          in
+          let forced = Maint.watches_flipped mv watches || text_structural mv in
           let cls =
-            match watches with
-            | None -> `Skip
-            | Some w -> (
-              let is_stale =
-                match t.adaptive with
-                | Some a -> (buf_of a (name_of mv)).stale
-                | None -> false
-              in
-              let forced = Maint.watches_flipped mv w || text_structural mv in
-              match is_stale with
-              | true ->
-                if (not forced) && Batch.can_skip mv labels affected then `Skip
-                else `Defer
-              | false ->
-                let defer = heavy_route mv in
-                if forced then if defer then `Defer else `Commit
-                else if Batch.can_skip mv labels affected then `Skip
-                else if defer then `Defer
-                else `Clean)
+            if is_stale then
+              if (not forced) && Batch.can_skip mv labels affected then `Skip
+              else `Defer
+            else
+              let defer = heavy_route mv in
+              if forced then if defer then `Defer else `Commit
+              else if Batch.can_skip mv labels affected then `Skip
+              else if defer then `Defer
+              else `Clean
           in
           (mv, watches, cls))
         watched
     in
     let clean =
       List.filter_map
-        (fun (mv, w, c) ->
-          match (c, w) with `Clean, Some w -> Some (mv, w) | _ -> None)
+        (fun (mv, w, c) -> match c with `Clean -> Some (mv, w) | _ -> None)
         classified
     in
     (* Read-only fan-out: no commit, no document mutation; Obs increments
@@ -320,9 +289,7 @@ let update ?(jobs = 1) t u =
               Obs.Counter.add c_defer_work stmt_work
             | None -> assert false);
             (mv, Maint.deferred_report ())
-          | `Commit ->
-            let watches = match watches with Some w -> w | None -> assert false in
-            (mv, Maint.propagate_applied ~watches ~affected mv applied)
+          | `Commit -> (mv, Maint.propagate_applied ~watches ~affected mv applied)
           | `Clean ->
             (match Array.find_opt (fun (m, _) -> m == mv) clean_reports with
             | Some r -> r

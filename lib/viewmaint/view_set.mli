@@ -28,18 +28,6 @@ val add_view : t -> Mview.t -> unit
     points this at its log appender. *)
 val set_journal : t -> (Update.t -> unit) option -> unit
 
-(** [set_independence set prover] installs (or removes) a static
-    query-update independence prover, e.g.
-    [Answer.Independence.prover dtd] partially applied to a DTD the
-    document is valid for. During {!update}, every view the prover
-    discharges is skipped {e before} target location, watch recording or
-    delta-index construction — it gets a zeroed report with
-    [Maint.skipped_irrelevant] set, exactly like the label-footprint
-    skip. The prover must be sound: a wrongly-discharged view silently
-    diverges from the document (the differential oracle
-    [Difftest.run_indep] exists to catch unsound provers). *)
-val set_independence : t -> (Update.t -> Mview.t -> bool) option -> unit
-
 (** {1 Adaptive (heavy-light) maintenance}
 
     With a classifier installed ({!set_adaptive}), {!update} defers

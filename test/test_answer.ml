@@ -1,9 +1,9 @@
 (* The answering subsystem under test: the containment checker against
    brute-force homomorphism enumeration (with semantic witness replay
    through [Embed]), the rewriting planner's three plan shapes on
-   handcrafted views, the seeded answer-from-views and independence
-   differential oracles, and the static independence analysis on
-   authored DTDs. *)
+   handcrafted views, the seeded answer-from-views differential oracle,
+   and known answers for the relevance skip that keeps views under
+   independent updates. *)
 
 let doc_of = Xml_parse.document
 
@@ -335,132 +335,66 @@ let test_answer_repro_roundtrip () =
       (Xml_tree.serialize c'.Difftest.aset.Difftest.sdoc)
   done
 
-(* The acceptance bar: >= 1000 seeded cases, all clean. *)
-let test_indep_oracle () =
-  let r = Difftest.run_indep ~seed:7 ~iters:1000 () in
-  List.iter print_endline r.Qgen.failures;
-  Alcotest.(check int) "iterations" 1000 r.Qgen.iterations;
-  Alcotest.(check int) "mismatches" 0 r.Qgen.failed
+(* {1 Independent updates skip maintenance}
 
-(* A deliberately unsound analyzer must be caught and its
-   counterexamples shrunk into replayable reports. *)
-let test_indep_broken_analyzer_caught () =
-  let r =
-    Difftest.run_indep ~analyzer:(fun _ _ _ -> true) ~seed:7 ~iters:400 ()
-  in
-  Alcotest.(check bool) "violations found" true (r.Qgen.failed > 0);
+   [xvmcli answer --update] keeps its views through [View_set.update],
+   whose relevance skip decides per statement which views cannot change.
+   Known answers on documents shaped like the DTD
+   [r -> (a|b)*, a -> c*, b -> EMPTY] and, for nesting, [a -> (a|b)*]:
+   a view is skipped when the statement's labels miss its footprint and
+   no payload it stores can change, and skipped or not, it stays equal
+   to recomputation. *)
+
+let sdoc = "<r><a><c>u</c><c>v</c></a><b/><a><c>w</c></a><b/></r>"
+let nested_doc = "<a><a><b/></a><b/><a><a><b/></a></a></a>"
+
+let check_skip ?(doc = sdoc) cases () =
   List.iter
-    (fun f ->
-      Alcotest.(check bool) "report labels the violation" true
-        (String.length f > 0
-        && String.sub f 0 (String.length "independence-safety")
-           = "independence-safety"))
-    r.Qgen.failures
+    (fun (view, stmt, skipped) ->
+      let what = Printf.sprintf "%s under %s" view stmt in
+      let store = Store.of_document (doc_of doc) in
+      let set = View_set.create store in
+      let mv = View_set.add set (compact ~name:"v" view) in
+      (match View_set.update set (Update.parse stmt) with
+      | [ (_, r) ] ->
+        Alcotest.(check bool) (what ^ ": skipped") skipped
+          r.Maint.skipped_irrelevant
+      | _ -> Alcotest.fail (what ^ ": expected one report"));
+      match Recompute.diff mv (Mview.materialize store mv.Mview.pat) with
+      | None -> ()
+      | Some d -> Alcotest.failf "%s: view diverged: %s" what d)
+    cases
 
-(* The default analyzer discharges a real fraction of generated pairs —
-   the safety oracle is not vacuously green. *)
-let test_indep_not_vacuous () =
-  let rnd = Random.State.make [| 7; 0x1dec |] in
-  let n = 500 and indep = ref 0 in
-  for _ = 1 to n do
-    let t = Difftest.gen_indep_triple rnd in
-    let dtd = Dtd.infer t.Difftest.doc in
-    if
-      Independence.independent dtd
-        (Update.parse t.Difftest.update)
-        t.Difftest.view
-    then incr indep
-  done;
-  Alcotest.(check bool)
-    (Printf.sprintf "discharge rate > 20%% (got %d/%d)" !indep n)
-    true
-    (!indep * 5 > n)
-
-(* {1 Static analysis on an authored DTD} *)
-
-let adtd =
-  Dtd.create ~root:"r"
+let test_skip_delete =
+  check_skip
     [
-      ("r", Dtd.Star (Dtd.Alt (Dtd.Sym "a", Dtd.Sym "b")));
-      ("a", Dtd.Star (Dtd.Sym "c"));
-      ("b", Dtd.Epsilon);
-      ("c", Dtd.Epsilon);
+      ("//c{id}", "delete //b", true);
+      ("//c{id}", "delete //a", false);
+      ("//c{id}", "delete //zz", true);
     ]
 
-let verdict_indep = function Independence.Independent _ -> true | _ -> false
+let test_skip_insert =
+  check_skip
+    [
+      ("//a{id,cont}", "insert into //c <d/>", false);
+      ("//a{id,cont}", "insert into //b <d/>", true);
+      ("//b{id}", "insert into //a <b/>", false);
+    ]
 
-let test_analyze_delete () =
-  let view = compact ~name:"v" "//c{id}" in
-  Alcotest.(check bool) "delete //b cannot reach c" true
-    (verdict_indep (Independence.analyze adtd (Update.parse "delete //b") view));
-  Alcotest.(check bool) "delete //a deletes c's subtree" false
-    (verdict_indep (Independence.analyze adtd (Update.parse "delete //a") view));
-  Alcotest.(check bool) "unsatisfiable path" true
-    (verdict_indep (Independence.analyze adtd (Update.parse "delete //zz") view))
+let test_skip_replace =
+  let stmt = "replace value of //c with \"q\"" in
+  check_skip
+    [
+      ("//a{id}", stmt, true);
+      ("//a{id,val}", stmt, false);
+      (* The replaced text nodes share the view's #text label, though none
+         sits below an [a]: the label test keeps the view. *)
+      ("//a{id}[/#text{id}]", stmt, false);
+    ]
 
-let test_analyze_insert () =
-  let v_cont = compact ~name:"v" "//a{id,cont}" in
-  Alcotest.(check bool) "insert below a dirties a's cont" false
-    (verdict_indep
-       (Independence.analyze adtd (Update.parse "insert into //c <d/>") v_cont));
-  Alcotest.(check bool) "insert below b cannot touch a" true
-    (verdict_indep
-       (Independence.analyze adtd (Update.parse "insert into //b <d/>") v_cont));
-  let v_a = compact ~name:"v" "//b{id}" in
-  Alcotest.(check bool) "inserted fragment mentioning the view tag" false
-    (verdict_indep
-       (Independence.analyze adtd (Update.parse "insert into //a <b/>") v_a))
-
-let test_analyze_replace () =
-  let v_id = compact ~name:"v" "//a{id}" in
-  let v_val = compact ~name:"v" "//a{id,val}" in
-  let v_text = compact ~name:"v" "//a{id}[/#text{id}]" in
-  let u = Update.parse "replace value of //c with \"q\"" in
-  Alcotest.(check bool) "no payload, no text binding" true
-    (verdict_indep (Independence.analyze adtd u v_id));
-  Alcotest.(check bool) "val on an ancestor of the target" false
-    (verdict_indep (Independence.analyze adtd u v_val));
-  Alcotest.(check bool) "view binds #text" false
-    (verdict_indep (Independence.analyze adtd u v_text))
-
-let test_analyze_recursive_dtd () =
-  (* A recursive content model must not diverge; with every label
-     reachable from every other, nothing structural is independent. *)
-  let dtd =
-    Dtd.create ~root:"a"
-      [ ("a", Dtd.Star (Dtd.Alt (Dtd.Sym "a", Dtd.Sym "b"))); ("b", Dtd.Epsilon) ]
-  in
-  let view = compact ~name:"v" "//b{id}" in
-  Alcotest.(check bool) "recursive delete reaches b" false
-    (verdict_indep (Independence.analyze dtd (Update.parse "delete //a") view));
-  Alcotest.(check bool) "deleting leaf b cannot reach a" true
-    (verdict_indep
-       (Independence.analyze dtd (Update.parse "delete //b")
-          (compact ~name:"v" "//a{id}")))
-
-(* An update statically proven independent must be skippable inside
-   [View_set.update] without the view diverging from recomputation. *)
-let test_view_set_static_skip () =
-  let store = Store.of_document (doc_of tdoc) in
-  let set = View_set.create store in
-  let mv = View_set.add set (compact ~name:"v" "//c{id,val}") in
-  let hits = ref 0 in
-  View_set.set_independence set
-    (Some
-       (fun u mv ->
-         let r = Independence.prover (Dtd.infer (Store.root store)) u mv in
-         if r then incr hits;
-         r));
-  let reports = View_set.update set (Update.parse "delete //b") in
-  Alcotest.(check int) "prover discharged the view" 1 !hits;
-  (match reports with
-  | [ (_, r) ] ->
-    Alcotest.(check bool) "skipped report" true r.Maint.skipped_irrelevant
-  | _ -> Alcotest.fail "expected one report");
-  let fresh = Mview.materialize store mv.Mview.pat in
-  match Recompute.diff mv fresh with
-  | None -> ()
-  | Some d -> Alcotest.failf "skipped view diverged: %s" d
+let test_skip_nested =
+  check_skip ~doc:nested_doc
+    [ ("//b{id}", "delete //a//a", false); ("//a{id}", "delete //b", true) ]
 
 let () =
   Alcotest.run "answer"
@@ -490,17 +424,12 @@ let () =
         [
           Alcotest.test_case "answer-from-views clean" `Quick test_answer_oracle;
           Alcotest.test_case "reproducer roundtrip" `Quick test_answer_repro_roundtrip;
-          Alcotest.test_case "independence clean (1000)" `Quick test_indep_oracle;
-          Alcotest.test_case "broken analyzer caught" `Quick
-            test_indep_broken_analyzer_caught;
-          Alcotest.test_case "analysis not vacuous" `Quick test_indep_not_vacuous;
         ] );
-      ( "independence analysis",
+      ( "independence via skip",
         [
-          Alcotest.test_case "delete" `Quick test_analyze_delete;
-          Alcotest.test_case "insert" `Quick test_analyze_insert;
-          Alcotest.test_case "replace value" `Quick test_analyze_replace;
-          Alcotest.test_case "recursive DTD" `Quick test_analyze_recursive_dtd;
-          Alcotest.test_case "View_set static skip" `Quick test_view_set_static_skip;
+          Alcotest.test_case "delete" `Quick test_skip_delete;
+          Alcotest.test_case "insert" `Quick test_skip_insert;
+          Alcotest.test_case "replace value" `Quick test_skip_replace;
+          Alcotest.test_case "nested labels" `Quick test_skip_nested;
         ] );
     ]

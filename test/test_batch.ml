@@ -61,9 +61,9 @@ let test_skip_irrelevant () =
   Alcotest.(check int) "no terms developed" 0 r.Maint.terms_developed;
   check_against_recompute mv (v_ab "w") stmt
 
-let test_star_never_skipped () =
-  (* A [*] pattern tag matches any element: the same irrelevant-looking
-     insert must not be skipped for a star view. *)
+let test_star_skipped_without_elements () =
+  (* A [*] pattern tag matches any element: an insert of elements outside
+     the exact-tag footprint must not be skipped for a star view. *)
   let stmt = Update.insert ~into:"/r/c" "<f><g/></f>" in
   let set = View_set.create (fresh_store ()) in
   let mv = View_set.add set (v_star "s") in
@@ -71,7 +71,24 @@ let test_star_never_skipped () =
   let r = List.assq mv reports in
   Alcotest.(check bool) "not skipped" false r.Maint.skipped_irrelevant;
   Alcotest.(check bool) "view grew" true (r.Maint.embeddings_added > 0);
-  check_against_recompute mv (v_star "s") stmt
+  check_against_recompute mv (v_star "s") stmt;
+  (* An update region without elements — an attribute-only delete, a
+     text-only insert, a statement with no targets — cannot reach a star
+     node, so the view is skipped. *)
+  List.iter
+    (fun (what, stmt) ->
+      let set = View_set.create (fresh_store ()) in
+      let mv = View_set.add set (v_star "s") in
+      let r = List.assq mv (View_set.update set stmt) in
+      Alcotest.(check bool) (what ^ " skipped") true r.Maint.skipped_irrelevant;
+      check_against_recompute mv (v_star "s") stmt)
+    [
+      ("attribute delete", Update.delete "//@k");
+      ( "text insert",
+        Update.insert_forest ~into:(Xpath.parse "/r/c") (fun _ ->
+            [ Xml_tree.text "hello" ]) );
+      ("no targets", Update.delete "//zz");
+    ]
 
 (* {2 Payload-storing views}
 
@@ -447,8 +464,8 @@ let () =
         [
           Alcotest.test_case "name index" `Quick test_name_index;
           Alcotest.test_case "irrelevant view skipped" `Quick test_skip_irrelevant;
-          Alcotest.test_case "star view never skipped" `Quick
-            test_star_never_skipped;
+          Alcotest.test_case "star view skipped only without elements" `Quick
+            test_star_skipped_without_elements;
           prop_skip_safety;
           Alcotest.test_case "cont view: insert below is not skipped" `Quick
             test_cont_insert_below_not_skipped;
