@@ -9,9 +9,7 @@ val of_roots : Dewey.t list -> t
 val is_empty : t -> bool
 
 (** The normalized subtree roots: disjoint, in document order. Do not
-    mutate. Each root covers a contiguous document-order interval, which
-    is what makes binary-search range extraction over sorted relations
-    possible ({!Store.relation_span}). *)
+    mutate. *)
 val roots : t -> Dewey.t array
 
 (** [mem region id]: [id] is one of the roots or a descendant of one. *)

@@ -15,46 +15,9 @@ let entries_matching store pat i =
   end
   else Store.relation store tag
 
-(* Region-pruned variant: only the slices of the canonical relations lying
-   inside the region's subtrees, extracted by binary search instead of a
-   full scan. Region roots are disjoint and document-ordered, so the
-   per-root spans concatenate back into document order. *)
-let region_slices store label region =
-  let roots = Id_region.roots region in
-  match Array.length roots with
-  | 0 -> [||]
-  | 1 -> Store.relation_span store label ~root:roots.(0)
-  | _ ->
-    Array.concat
-      (Array.to_list
-         (Array.map (fun r -> Store.relation_span store label ~root:r) roots))
-
-let entries_in_region store pat i region =
-  let tag = pat.Pattern.tags.(i) in
-  if tag = "*" then begin
-    let all =
-      List.concat_map
-        (fun label ->
-          if String.length label > 0 && (label.[0] = '@' || label.[0] = '#') then []
-          else Array.to_list (region_slices store label region))
-        (Store.relation_labels store)
-    in
-    let arr = Array.of_list all in
-    Array.sort (fun a b -> Dewey.compare a.Store.id b.Store.id) arr;
-    arr
-  end
-  else region_slices store tag region
-
-(* Handle-paired variants of the scan helpers, for the columnar layout:
-   each returns the matching entries alongside the parallel array of
-   arena handles, both in document order. *)
-
-let sort_pairs arena (entries : Store.entry array) (handles : int array) =
-  let n = Array.length handles in
-  let idx = Array.init n Fun.id in
-  Array.sort (fun a b -> Dewey_arena.compare arena handles.(a) handles.(b)) idx;
-  (Array.map (fun j -> entries.(j)) idx, Array.map (fun j -> handles.(j)) idx)
-
+(* Handle-paired variant of the scan helper, for the columnar layout:
+   the matching entries alongside the parallel array of arena handles,
+   both in document order. *)
 let entries_matching_handles store pat i =
   let tag = pat.Pattern.tags.(i) in
   if tag = "*" then begin
@@ -67,37 +30,9 @@ let entries_matching_handles store pat i =
     in
     let entries = Array.concat (List.map fst parts) in
     let handles = Array.concat (List.map snd parts) in
-    sort_pairs (Store.arena store) entries handles
+    Store.sort_pairs (Store.arena store) entries handles
   end
   else Store.relation_handles store tag
-
-let region_slices_handles store label region =
-  let roots = Id_region.roots region in
-  match Array.length roots with
-  | 0 -> ([||], [||])
-  | 1 -> Store.relation_span_handles store label ~root:roots.(0)
-  | _ ->
-    let parts =
-      Array.to_list
-        (Array.map (fun r -> Store.relation_span_handles store label ~root:r) roots)
-    in
-    (Array.concat (List.map fst parts), Array.concat (List.map snd parts))
-
-let entries_in_region_handles store pat i region =
-  let tag = pat.Pattern.tags.(i) in
-  if tag = "*" then begin
-    let parts =
-      List.filter_map
-        (fun label ->
-          if String.length label > 0 && (label.[0] = '@' || label.[0] = '#') then None
-          else Some (region_slices_handles store label region))
-        (Store.relation_labels store)
-    in
-    let entries = Array.concat (List.map fst parts) in
-    let handles = Array.concat (List.map snd parts) in
-    sort_pairs (Store.arena store) entries handles
-  end
-  else region_slices_handles store tag region
 
 let root_anchor_ok pat i id =
   i <> 0 || pat.Pattern.axes.(0) = Pattern.Descendant || Dewey.depth id = 1

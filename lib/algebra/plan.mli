@@ -8,33 +8,12 @@
     before value selection. *)
 val entries_matching : Store.t -> Pattern.t -> int -> Store.entry array
 
-(** [region_slices store label region] is the slice of relation [label]
-    inside [region], in document order: one binary-searched
-    {!Store.relation_span} per region root, concatenated.  Exposed for
-    the shared update-region index (Delta.Shared), which extracts each
-    label's slice once per update instead of once per view. *)
-val region_slices : Store.t -> string -> Id_region.t -> Store.entry array
-
-(** [entries_in_region store pat i region] is the subset of
-    [entries_matching store pat i] lying inside [region], in document
-    order — extracted with binary-search relation spans
-    ({!Store.relation_span}) per region root instead of a full scan, so
-    the cost is O(roots × log |R| + output) per relation. *)
-val entries_in_region :
-  Store.t -> Pattern.t -> int -> Id_region.t -> Store.entry array
-
-(** Handle-paired variants for the columnar layout: the same entries as
-    the boxed helpers, each paired with the parallel array of
+(** Handle-paired variant for the columnar layout: the same entries as
+    {!entries_matching}, paired with the parallel array of
     {!Store.arena} handles. Do not mutate the returned arrays. *)
 
 val entries_matching_handles :
   Store.t -> Pattern.t -> int -> Store.entry array * int array
-
-val region_slices_handles :
-  Store.t -> string -> Id_region.t -> Store.entry array * int array
-
-val entries_in_region_handles :
-  Store.t -> Pattern.t -> int -> Id_region.t -> Store.entry array * int array
 
 (** [root_anchor_ok pat i id]: when the pattern root uses the [Child]
     axis, only the document root (depth 1) may bind to node [0]; always

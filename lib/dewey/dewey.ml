@@ -8,17 +8,18 @@ module Ord = struct
   let after o = [| o.(0) + 1 |]
   let before o = [| o.(0) - 1 |]
 
-  let compare a b =
-    let la = Array.length a and lb = Array.length b in
-    let rec go i =
-      if i >= la && i >= lb then 0
-      else if i >= la then -1
-      else if i >= lb then 1
-      else
-        let c = Stdlib.compare a.(i) b.(i) in
-        if c <> 0 then c else go (i + 1)
-    in
-    go 0
+  (* Kernels are top-level recursive functions rather than local
+     closures: without flambda a local [let rec] capturing its
+     arguments is heap-allocated on every call. *)
+  let rec compare_from (a : int array) (b : int array) la lb i =
+    if i >= la && i >= lb then 0
+    else if i >= la then -1
+    else if i >= lb then 1
+    else
+      let x = Array.unsafe_get a i and y = Array.unsafe_get b i in
+      if x < y then -1 else if x > y then 1 else compare_from a b la lb (i + 1)
+
+  let compare a b = compare_from a b (Array.length a) (Array.length b) 0
 
   (* An ordinal strictly between [a] and [b] always exists: either there is
      room at the first diverging component, or we extend [a] (extensions of
@@ -59,53 +60,60 @@ let ancestors t =
   let rec go i acc = if i = 0 then acc else go (i - 1) (Array.sub t 0 i :: acc) in
   go (n - 1) []
 
+let rec has_label_below (t : t) lab stop i =
+  i < stop && (t.(i).lab = lab || has_label_below t lab stop (i + 1))
+
 let has_ancestor_label ?(self = false) t ~lab =
   let n = Array.length t in
-  let stop = if self then n else n - 1 in
-  let rec go i = i < stop && (t.(i).lab = lab || go (i + 1)) in
-  go 0
+  has_label_below t lab (if self then n else n - 1) 0
 
 (* [a.ord = b.ord] would be a generic structural-equality call on every
    step; ordinals sit on the hot path of every structural predicate, so
-   compare them as int arrays directly. *)
+   compare them as int arrays directly. The loops below are top-level
+   recursive functions, not local closures: without flambda a local
+   [let rec] is allocated on every call (and, nested inside a step loop,
+   on every step). *)
+let rec ord_equal_from (a : int array) (b : int array) n i =
+  i >= n
+  || (Array.unsafe_get a i = Array.unsafe_get b i && ord_equal_from a b n (i + 1))
+
 let ord_equal (a : int array) (b : int array) =
   let n = Array.length a in
-  n = Array.length b
-  &&
-  let rec go i = i >= n || (a.(i) = b.(i) && go (i + 1)) in
-  go 0
+  n = Array.length b && ord_equal_from a b n 0
 
 let step_equal a b = a.lab = b.lab && ord_equal a.ord b.ord
 
+(* Digits of two ordinals up to [m]: the first difference decides. *)
+let rec digits_compare (oa : int array) (ob : int array) m j =
+  if j >= m then 0
+  else
+    let x = Array.unsafe_get oa j and y = Array.unsafe_get ob j in
+    if x < y then -1 else if x > y then 1 else digits_compare oa ob m (j + 1)
+
+(* One step in document order: ordinal digits lexicographically, a
+   strict digit-prefix first, then the label. *)
+let step_compare sa sb =
+  let oa = sa.ord and ob = sb.ord in
+  let loa = Array.length oa and lob = Array.length ob in
+  let c = digits_compare oa ob (if loa < lob then loa else lob) 0 in
+  if c <> 0 then c
+  else if loa <> lob then if loa < lob then -1 else 1
+  else if sa.lab <> sb.lab then if sa.lab < sb.lab then -1 else 1
+  else 0
+
+let rec steps_compare (a : t) (b : t) la lb n i =
+  if i >= n then Stdlib.compare (la : int) lb
+  else
+    let c = step_compare (Array.unsafe_get a i) (Array.unsafe_get b i) in
+    if c <> 0 then c else steps_compare a b la lb n (i + 1)
+
 (* Document-order comparison is the single hottest operation in the
-   system (sorting relations, merge joins, region spans), so the step
-   and ordinal loops are fused into one with direct int comparisons. *)
+   system (sorting relations, merge joins). *)
 let compare (a : t) (b : t) =
   if a == b then 0
-  else begin
+  else
     let la = Array.length a and lb = Array.length b in
-    let n = if la < lb then la else lb in
-    let rec go i =
-      if i >= n then Stdlib.compare (la : int) lb
-      else begin
-        let sa = Array.unsafe_get a i and sb = Array.unsafe_get b i in
-        let oa = sa.ord and ob = sb.ord in
-        let loa = Array.length oa and lob = Array.length ob in
-        let m = if loa < lob then loa else lob in
-        let rec gord j =
-          if j >= m then
-            if loa <> lob then (if loa < lob then -1 else 1)
-            else if sa.lab <> sb.lab then (if sa.lab < sb.lab then -1 else 1)
-            else go (i + 1)
-          else
-            let x = Array.unsafe_get oa j and y = Array.unsafe_get ob j in
-            if x < y then -1 else if x > y then 1 else gord (j + 1)
-        in
-        gord 0
-      end
-    in
-    go 0
-  end
+    steps_compare a b la lb (if la < lb then la else lb) 0
 
 let equal a b = Array.length a = Array.length b && Array.for_all2 step_equal a b
 
@@ -122,25 +130,16 @@ let prefix_hash t k =
 
 let hash t = prefix_hash t (Array.length t)
 
-let prefix_equal a ka b kb =
-  ka = kb
-  &&
-  let rec go i = i >= ka || (step_equal a.(i) b.(i) && go (i + 1)) in
-  go 0
+let rec steps_equal (a : t) (b : t) k i =
+  i >= k || (step_equal a.(i) b.(i) && steps_equal a b k (i + 1))
+
+let prefix_equal a ka b kb = ka = kb && steps_equal a b ka 0
 
 let is_prefix a d =
   a == d
   ||
   let la = Array.length a in
-  la <= Array.length d
-  &&
-  let rec go i =
-    i >= la
-    ||
-    let sa = Array.unsafe_get a i and sd = Array.unsafe_get d i in
-    sa.lab = sd.lab && ord_equal sa.ord sd.ord && go (i + 1)
-  in
-  go 0
+  la <= Array.length d && steps_equal a d la 0
 
 let is_parent p c = Array.length c = Array.length p + 1 && is_prefix p c
 let is_ancestor a d = Array.length a < Array.length d && is_prefix a d

@@ -86,7 +86,7 @@ let add t (id : Dewey.t) ph =
   t.boxed.(h) <- id;
   t.pack_len <- t.pack_len + no;
   t.n <- h + 1;
-  Dewey_tbl.replace t.index id h;
+  Dewey_tbl.add t.index id h;
   if Obs.enabled () then begin
     Obs.Counter.incr c_interned;
     (* Ordinal slice plus the six per-handle side slots, in bytes. *)
@@ -114,6 +114,12 @@ let intern t id =
       invalid_arg "Dewey_arena.intern: new identifier off the main domain";
     intern_new t id
 
+(* No probe at all when the caller knows [id] is new. *)
+let intern_absent_child t ~parent id =
+  if not (Domain.is_main_domain ()) then
+    invalid_arg "Dewey_arena.intern_absent_child: off the main domain";
+  add t id parent
+
 let find t id = Dewey_tbl.find_opt t.index id
 let to_dewey t h = t.boxed.(h)
 let depth t h = t.dep.(h)
@@ -127,26 +133,25 @@ let ancestor_at t h d =
   done;
   !x
 
+(* Ordinal digits of two packed slices up to [m]. A top-level loop, not
+   a local closure: without flambda the latter is allocated per call. *)
+let rec digits_compare (p : int array) ox oy m j =
+  if j >= m then 0
+  else
+    let a = Array.unsafe_get p (ox + j) and b = Array.unsafe_get p (oy + j) in
+    if a < b then -1 else if a > b then 1 else digits_compare p ox oy m (j + 1)
+
 (* Compare the last steps of two handles at equal depth: ordinal digits
    lexicographically, a strict digit-prefix first, then the label —
    exactly [Dewey.compare]'s per-step rule, over the flat buffers. *)
 let step_compare t x y =
-  let p = t.pack in
-  let ox = t.off.(x) and nx = t.nord.(x) in
-  let oy = t.off.(y) and ny = t.nord.(y) in
-  let m = if nx < ny then nx else ny in
-  let rec go j =
-    if j >= m then
-      if nx <> ny then (if nx < ny then -1 else 1)
-      else begin
-        let la = t.lab.(x) and lb = t.lab.(y) in
-        if la < lb then -1 else if la > lb then 1 else 0
-      end
-    else
-      let a = Array.unsafe_get p (ox + j) and b = Array.unsafe_get p (oy + j) in
-      if a < b then -1 else if a > b then 1 else go (j + 1)
-  in
-  go 0
+  let nx = t.nord.(x) and ny = t.nord.(y) in
+  let c = digits_compare t.pack t.off.(x) t.off.(y) (if nx < ny then nx else ny) 0 in
+  if c <> 0 then c
+  else if nx <> ny then if nx < ny then -1 else 1
+  else
+    let la = t.lab.(x) and lb = t.lab.(y) in
+    if la < lb then -1 else if la > lb then 1 else 0
 
 (* Document order without touching boxed steps: lift the deeper handle
    to the shallower one's depth; identical handles there mean an

@@ -35,6 +35,13 @@ val size : t -> int
     is not the main domain. *)
 val intern : t -> Dewey.t -> handle
 
+(** [intern_absent_child a ~parent id] interns an [id] the caller knows
+    is not in the arena yet — e.g. a child of a handle the caller itself
+    just interned, under an ordinal it has not used there — skipping the
+    index probe. Interning a present [id] this way breaks canonicality.
+    @raise Invalid_argument off the main domain. *)
+val intern_absent_child : t -> parent:handle -> Dewey.t -> handle
+
 (** Pure lookup; never mutates, safe from any domain. *)
 val find : t -> Dewey.t -> handle option
 

@@ -134,55 +134,6 @@ let rec mandatory = function
   | Alt (a, b) -> List.filter (fun s -> List.mem s (mandatory b)) (mandatory a)
   | Plus a -> mandatory a
 
-let alphabet re =
-  let rec go acc = function
-    | Empty | Epsilon -> acc
-    | Sym s -> if List.mem s acc then acc else s :: acc
-    | Seq (a, b) | Alt (a, b) -> go (go acc a) b
-    | Star a | Plus a | Opt a -> go acc a
-  in
-  List.sort compare (go [] re)
-
-let infer node =
-  (* One [Star (Alt ...)] rule per label over every child label ever
-     observed; leaf-only labels get [Epsilon]. The source document always
-     validates, and reachability between labels is exact for it. *)
-  let children : (string, string list ref) Hashtbl.t = Hashtbl.create 16 in
-  let seen label = if not (Hashtbl.mem children label) then Hashtbl.add children label (ref []) in
-  Xml_tree.iter
-    (fun n ->
-      match n.Xml_tree.kind with
-      | Xml_tree.Element ->
-        seen n.Xml_tree.name;
-        let kids = Hashtbl.find children n.Xml_tree.name in
-        List.iter
-          (fun c ->
-            match c.Xml_tree.kind with
-            | Xml_tree.Element ->
-              if not (List.mem c.Xml_tree.name !kids) then kids := c.Xml_tree.name :: !kids
-            | Xml_tree.Attribute | Xml_tree.Text -> ())
-          n.Xml_tree.children
-      | Xml_tree.Attribute | Xml_tree.Text -> ())
-    node;
-  let rules =
-    Hashtbl.fold
-      (fun label kids acc ->
-        let re =
-          match List.sort compare !kids with
-          | [] -> Epsilon
-          | first :: rest ->
-            Star (List.fold_left (fun r s -> Alt (r, Sym s)) (Sym first) rest)
-        in
-        (label, re) :: acc)
-      children []
-  in
-  let root_label =
-    match node.Xml_tree.kind with
-    | Xml_tree.Element -> node.Xml_tree.name
-    | Xml_tree.Attribute | Xml_tree.Text -> "#root"
-  in
-  create ~root:root_label rules
-
 (* {1 Δ⁺ reasoning} *)
 
 let delta_constraints t =

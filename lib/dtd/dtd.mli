@@ -51,16 +51,6 @@ val word_matches : regex -> string list -> bool
     children used to derive Δ⁺ constraints (Examples 3.9 / 3.10). *)
 val mandatory : regex -> string list
 
-(** All symbols occurring in the expression, sorted — an
-    over-approximation of the possible children. *)
-val alphabet : regex -> string list
-
-(** [infer doc] builds the coarsest DTD the document satisfies: one
-    [Star (Alt …)] rule per element label over every child label observed
-    anywhere under that label. [doc] always validates against it, and
-    label reachability is exact for [doc]. *)
-val infer : Xml_tree.node -> t
-
 (** {1 Δ⁺ reasoning} *)
 
 (** Transitively closed implications [(a, b)]: any inserted [a] element

@@ -1,9 +1,5 @@
 type entry = { id : Dewey.t; node : Xml_tree.node }
 
-let obs_span = Obs.Scope.v "store.span"
-let c_span_calls = Obs.Scope.counter obs_span "calls"
-let c_span_probes = Obs.Scope.counter obs_span "probes"
-let c_span_rows = Obs.Scope.counter obs_span "rows"
 let obs_scan = Obs.Scope.v "store.scan"
 let c_scan_calls = Obs.Scope.counter obs_scan "calls"
 let c_scan_rows = Obs.Scope.counter obs_scan "rows"
@@ -13,12 +9,118 @@ let c_hl_drains = Obs.Scope.counter obs_hl "drains"
 let c_hl_drain_rows = Obs.Scope.counter obs_hl "drain_rows"
 let c_hl_merge_copies = Obs.Scope.counter obs_hl "merge_copies"
 
-module Dewey_tbl = Hashtbl.Make (struct
-  type t = Dewey.t
+(* Node serials and arena handles are dense small ints: hash them as
+   themselves instead of through the polymorphic hash. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
 
-  let equal = Dewey.equal
-  let hash = Dewey.hash
+  let equal = Int.equal
+  let hash x = x land max_int
 end)
+
+(* The node slot of a handle no live node holds. *)
+let vacant = Xml_tree.text ""
+let vacant_entry = { id = Dewey.root ~lab:0; node = vacant }
+
+(* Index of the first handle in [hs.(lo .. n-1)] not before [h] in
+   document order, for a run sorted in document order. Exponential
+   probing from [lo] then binary search: O(log gap) comparisons, so
+   walking a sorted batch through a sorted relation costs
+   O(batch × log(|R| / batch)) rather than O(|R|) comparisons. *)
+let gallop arena (hs : int array) lo n h =
+  if lo >= n || Dewey_arena.compare arena hs.(lo) h >= 0 then lo
+  else begin
+    let prev = ref lo and step = ref 1 in
+    while !prev + !step < n && Dewey_arena.compare arena hs.(!prev + !step) h < 0 do
+      prev := !prev + !step;
+      step := 2 * !step
+    done;
+    let lo = ref (!prev + 1) and hi = ref (min n (!prev + !step)) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if Dewey_arena.compare arena hs.(mid) h < 0 then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  end
+
+(* Reorder aligned (entry, handle) arrays into document order. *)
+let sort_pairs arena (es : entry array) (hs : int array) =
+  let idx = Array.init (Array.length hs) Fun.id in
+  Array.stable_sort (fun a b -> Dewey_arena.compare arena hs.(a) hs.(b)) idx;
+  (Array.map (fun j -> es.(j)) idx, Array.map (fun j -> hs.(j)) idx)
+
+module Run = struct
+  (* A growable run of (entry, handle) pairs fed by preorder walks. Each
+     walk is one [seg]ment: a preorder walk of one subtree is already in
+     document order, so order can only break where a segment starts, and
+     only those pushes pay a comparison. [seal] trims the run to exact
+     length and sorts it only if such a boundary was out of order. A
+     sealed run's arrays are never written again — a later push grows
+     into fresh arrays — so they can be handed out. Handle-only runs
+     leave [es] empty. *)
+  type t = {
+    mutable es : entry array;
+    mutable hs : int array;
+    mutable n : int;
+    mutable seg : int;
+    mutable ordered : bool;
+  }
+
+  let create () = { es = [||]; hs = [||]; n = 0; seg = -1; ordered = true }
+
+  let check arena r ~seg h =
+    if seg <> r.seg then begin
+      if r.ordered && r.n > 0 && Dewey_arena.compare arena r.hs.(r.n - 1) h > 0 then
+        r.ordered <- false;
+      r.seg <- seg
+    end
+
+  let grow_hs r =
+    let hs = Array.make (max 8 (2 * r.n)) 0 in
+    Array.blit r.hs 0 hs 0 r.n;
+    r.hs <- hs
+
+  let push arena r ~seg e h =
+    check arena r ~seg h;
+    if r.n = Array.length r.hs then begin
+      grow_hs r;
+      let es = Array.make (Array.length r.hs) vacant_entry in
+      Array.blit r.es 0 es 0 r.n;
+      r.es <- es
+    end;
+    Array.unsafe_set r.es r.n e;
+    Array.unsafe_set r.hs r.n h;
+    r.n <- r.n + 1
+
+  let push_handle arena r ~seg h =
+    check arena r ~seg h;
+    if r.n = Array.length r.hs then grow_hs r;
+    Array.unsafe_set r.hs r.n h;
+    r.n <- r.n + 1
+
+  let seal arena r =
+    if Array.length r.hs > r.n then begin
+      r.hs <- Array.sub r.hs 0 r.n;
+      r.es <- Array.sub r.es 0 r.n
+    end;
+    if not r.ordered then begin
+      let es, hs = sort_pairs arena r.es r.hs in
+      r.es <- es;
+      r.hs <- hs;
+      r.ordered <- true
+    end;
+    (r.es, r.hs)
+
+  let seal_handles arena r =
+    if Array.length r.hs > r.n then r.hs <- Array.sub r.hs 0 r.n;
+    if not r.ordered then begin
+      let hs = Array.copy r.hs in
+      Array.stable_sort (Dewey_arena.compare arena) hs;
+      r.hs <- hs;
+      r.ordered <- true
+    end;
+    r.hs
+end
 
 (* [handles] is parallel to [sorted]: the arena handle of each entry's
    identifier, maintained through the same merge/purge passes so that
@@ -26,7 +128,8 @@ end)
    physically two sorted runs: the [sorted]/[handles] main part plus a
    (normally empty) [tail]/[tail_h] pending part holding committed rows
    of heavy-partitioned labels that have not yet been merged into the
-   main arrays — readers see their union, in document order. *)
+   main arrays — readers see their union, in document order. Published
+   arrays are never written again: every commit builds fresh ones. *)
 type rel = {
   mutable sorted : entry array;
   mutable handles : int array;
@@ -34,17 +137,28 @@ type rel = {
   mutable tail_h : int array;
 }
 
+(* One node index: [hids] maps a node's serial to its arena handle and
+   [nodes] maps a handle back to the node holding it ([vacant] when
+   none does); the identifier is the arena's boxed id of the handle.
+   Nodes of detached-but-uncommitted subtrees stay in both until the
+   commit sweeps them, so no identifier can be minted twice within one
+   commit. *)
 type t = {
   root : Xml_tree.node;
   dict : Label_dict.t;
   arena : Dewey_arena.t; (* intern arena: one per store, append-only *)
-  ids : (int, Dewey.t) Hashtbl.t; (* node serial -> id *)
-  hids : (int, int) Hashtbl.t; (* node serial -> arena handle *)
-  nodes : Xml_tree.node Dewey_tbl.t; (* id -> node *)
+  hids : int Itbl.t;
+  mutable nodes : Xml_tree.node array;
   rels : (int, rel) Hashtbl.t; (* label code -> canonical relation *)
-  mutable staged_adds : entry list; (* newest first *)
-  detached : Xml_tree.node Dewey_tbl.t;
-      (* detached subtree roots, unregistered at commit *)
+  staged : Run.t Itbl.t;
+      (* label code -> nodes attached since the last commit, document
+         order once sealed: the statement's Δ⁺, read by the shared Δ
+         index and folded into the relations by [commit] *)
+  mutable staged_elems : Run.t; (* the element nodes among them *)
+  mutable staged_n : int;
+  mutable seg : int; (* preorder walks so far, see {!Run} *)
+  detached : Xml_tree.node Itbl.t;
+      (* handle -> detached subtree root, swept at commit *)
   mutable live : int;
   mutable partition : (string -> bool) option;
       (* heavy-label predicate: commit routes staged rows of heavy
@@ -58,24 +172,27 @@ let arena t = t.arena
 
 (* A node inside a detached-but-uncommitted subtree is already dead for
    the outside world; its identifier still resolves internally so that
-   Δ⁻ tables can be extracted from the subtree. The ancestors-or-self of
-   an identifier are its step-prefixes, so the probe is O(depth). *)
-let in_detached t id =
-  Dewey_tbl.length t.detached > 0
-  && (Dewey_tbl.mem t.detached id
-     || List.exists (fun a -> Dewey_tbl.mem t.detached a) (Dewey.ancestors id))
+   Δ⁻ tables can be extracted from the subtree. The probe walks the
+   arena's parent handles: O(depth), no allocation. *)
+let rec detached_from t h =
+  h >= 0 && (Itbl.mem t.detached h || detached_from t (Dewey_arena.parent t.arena h))
 
-let raw_id t node = Hashtbl.find t.ids node.Xml_tree.serial
+let in_detached t h = Itbl.length t.detached > 0 && detached_from t h
 
-let id_of = raw_id
+let handle_of_node t node = Itbl.find t.hids node.Xml_tree.serial
+let id_of t node = Dewey_arena.to_dewey t.arena (handle_of_node t node)
 
 let mem t node =
-  match Hashtbl.find_opt t.ids node.Xml_tree.serial with
+  match Itbl.find_opt t.hids node.Xml_tree.serial with
   | None -> false
-  | Some id -> not (in_detached t id)
+  | Some h -> not (in_detached t h)
 
 let node_of t id =
-  if in_detached t id then None else Dewey_tbl.find_opt t.nodes id
+  match Dewey_arena.find t.arena id with
+  | Some h when h < Array.length t.nodes ->
+    let n = t.nodes.(h) in
+    if n == vacant || in_detached t h then None else Some n
+  | Some _ | None -> None
 
 let node_count t = t.live
 
@@ -87,27 +204,30 @@ let rel_of t lab_code =
     Hashtbl.add t.rels lab_code r;
     r
 
-(* Merge two aligned sorted (entry, handle) runs into fresh arrays. *)
-let merge_runs (a, ah) (b, bh) =
+(* Merge a sorted batch [b] into a sorted run [a], both aligned
+   (entry, handle) pairs: each batch row is placed by a galloping search
+   from the previous one, the runs of [a] between them are blitted. *)
+let merge_runs arena (a, ah) (b, bh) =
   let na = Array.length a and nb = Array.length b in
   if na = 0 then (b, bh)
   else if nb = 0 then (a, ah)
   else begin
-    let merged = Array.make (na + nb) a.(0) in
+    let merged = Array.make (na + nb) vacant_entry in
     let mergedh = Array.make (na + nb) 0 in
-    let i = ref 0 and j = ref 0 in
-    for k = 0 to na + nb - 1 do
-      if !j >= nb || (!i < na && Dewey.compare a.(!i).id b.(!j).id <= 0) then begin
-        merged.(k) <- a.(!i);
-        mergedh.(k) <- ah.(!i);
-        incr i
-      end
-      else begin
-        merged.(k) <- b.(!j);
-        mergedh.(k) <- bh.(!j);
-        incr j
-      end
+    let i = ref 0 and k = ref 0 in
+    for j = 0 to nb - 1 do
+      let p = gallop arena ah !i na bh.(j) in
+      let len = p - !i in
+      Array.blit a !i merged !k len;
+      Array.blit ah !i mergedh !k len;
+      k := !k + len;
+      i := p;
+      merged.(!k) <- b.(j);
+      mergedh.(!k) <- bh.(j);
+      incr k
     done;
+    Array.blit a !i merged !k (na - !i);
+    Array.blit ah !i mergedh !k (na - !i);
     (merged, mergedh)
   end
 
@@ -116,17 +236,17 @@ let merge_runs (a, ah) (b, bh) =
    would race with child-domain scans of the same arrays. A non-empty
    tail costs a fresh merged copy until an explicit {!drain_label} /
    {!drain_all} (or a budget-crossing commit) folds it in. *)
-let rel_view r =
+let rel_view arena r =
   if Array.length r.tail = 0 then (r.sorted, r.handles)
   else begin
     Obs.Counter.incr c_hl_merge_copies;
-    merge_runs (r.sorted, r.handles) (r.tail, r.tail_h)
+    merge_runs arena (r.sorted, r.handles) (r.tail, r.tail_h)
   end
 
-let drain_rel r =
+let drain_rel arena r =
   let n = Array.length r.tail in
   if n > 0 then begin
-    let merged, mergedh = merge_runs (r.sorted, r.handles) (r.tail, r.tail_h) in
+    let merged, mergedh = merge_runs arena (r.sorted, r.handles) (r.tail, r.tail_h) in
     r.sorted <- merged;
     r.handles <- mergedh;
     r.tail <- [||];
@@ -138,81 +258,112 @@ let drain_rel r =
 (* Interning at registration time keeps every live identifier (and all
    its ancestors) in the arena, so scans hand pre-interned handles to
    the joins and every intern during parallel propagation is a pure
-   lookup. *)
-let register t node id =
-  Hashtbl.replace t.ids node.Xml_tree.serial id;
-  Hashtbl.replace t.hids node.Xml_tree.serial (Dewey_arena.intern t.arena id);
-  Dewey_tbl.replace t.nodes id node;
-  t.live <- t.live + 1
+   lookup. An identifier held by a live or pending-detach node is never
+   handed to a second node. [absent]: the identifier is known to be new
+   to the arena (see [assign]), so interning needs no probe. *)
+let register t node id ~parent ~absent =
+  let h =
+    if absent then Dewey_arena.intern_absent_child t.arena ~parent id
+    else Dewey_arena.intern t.arena id
+  in
+  let cap = Array.length t.nodes in
+  if h >= cap then begin
+    let nodes = Array.make (max (h + 1) (max 1024 (2 * cap))) vacant in
+    Array.blit t.nodes 0 nodes 0 cap;
+    t.nodes <- nodes
+  end
+  else if t.nodes.(h) != vacant then
+    invalid_arg
+      (Printf.sprintf "Store: identifier %s is already held by a node"
+         (Dewey.to_string ~dict:t.dict id));
+  t.nodes.(h) <- node;
+  Itbl.replace t.hids node.Xml_tree.serial h;
+  t.live <- t.live + 1;
+  h
 
-let unregister t node =
-  let serial = node.Xml_tree.serial in
-  match Hashtbl.find_opt t.ids serial with
-  | None -> ()
-  | Some id ->
-    Hashtbl.remove t.ids serial;
-    Hashtbl.remove t.hids serial;
-    Dewey_tbl.remove t.nodes id
+let staged_run t lab =
+  match Itbl.find_opt t.staged lab with
+  | Some r -> r
+  | None ->
+    let r = Run.create () in
+    Itbl.add t.staged lab r;
+    r
 
-let handle_of_node t node = Hashtbl.find t.hids node.Xml_tree.serial
-
-(* Assign IDs to [node] (child of the node identified by [parent_id], with
-   ordinal [ord]) and all its descendants; stage every new entry. [ord_of],
-   when given, overrides the canonical 1..n child numbering — checkpoint
-   recovery uses it to re-intern the exact dynamic ordinals the crashed
-   store had minted, so persisted view images keep resolving. *)
-let rec assign t ?ord_of node ~parent_id ~ord =
+(* Assign IDs to [node] (child of the node of handle [parent], with
+   ordinal [ord]) and all its descendants, in preorder; stage every new
+   entry in its label's run. [ord_of], when given, overrides the
+   canonical 1..n child numbering — checkpoint recovery uses it to
+   re-intern the exact dynamic ordinals the crashed store had minted, so
+   persisted view images keep resolving. Supplied ordinals need not grow
+   along the child list: where one does not, a new segment starts.
+   [absent]: the parent's handle was minted by this walk, so no child
+   identifier of it is interned yet beyond the distinct canonical
+   ordinals this walk hands out. *)
+let rec assign t ord_of node ~parent ~ord ~absent =
   let lab = Label_dict.code t.dict (Xml_tree.label node) in
   let id =
-    match parent_id with
-    | None -> Dewey.root ~lab
-    | Some pid -> Dewey.child pid ~lab ~ord
+    if parent < 0 then Dewey.root ~lab
+    else Dewey.child (Dewey_arena.to_dewey t.arena parent) ~lab ~ord
   in
-  register t node id;
-  t.staged_adds <- { id; node } :: t.staged_adds;
-  List.iteri
-    (fun i child ->
-      let ord = match ord_of with None -> [| i + 1 |] | Some f -> f child in
-      assign t ?ord_of child ~parent_id:(Some id) ~ord)
-    node.Xml_tree.children
+  let fresh = Dewey_arena.size t.arena in
+  let h = register t node id ~parent ~absent in
+  let absent = h >= fresh && Option.is_none ord_of in
+  let e = { id; node } in
+  Run.push t.arena (staged_run t lab) ~seg:t.seg e h;
+  if node.Xml_tree.kind = Xml_tree.Element then
+    Run.push t.arena t.staged_elems ~seg:t.seg e h;
+  t.staged_n <- t.staged_n + 1;
+  assign_children t ord_of h absent 1 [||] node.Xml_tree.children
 
-let of_document ?dict ?ord_of root =
+and assign_children t ord_of parent absent i prev = function
+  | [] -> ()
+  | child :: rest ->
+    let ord =
+      match ord_of with
+      | None -> [| i |]
+      | Some f ->
+        let ord = f child in
+        if Dewey.Ord.compare prev ord >= 0 then t.seg <- t.seg + 1;
+        ord
+    in
+    assign t ord_of child ~parent ~ord ~absent;
+    assign_children t ord_of parent absent (i + 1) ord rest
+
+(* One preorder walk of a fresh subtree under the node of handle
+   [parent] ([-1] for the document root): one segment. *)
+let assign_tree t ?ord_of tree ~parent ~ord =
+  t.seg <- t.seg + 1;
+  assign t ord_of tree ~parent ~ord ~absent:false
+
+let staged_count t = t.staged_n
+
+let staged_runs t =
+  Itbl.fold
+    (fun lab r acc ->
+      let es, hs = Run.seal t.arena r in
+      (Label_dict.label t.dict lab, es, hs) :: acc)
+    t.staged []
+
+let staged_elements t = Run.seal t.arena t.staged_elems
+
+let create_store ?dict root =
   let dict = match dict with Some d -> d | None -> Label_dict.create () in
-  let t =
-    {
-      root;
-      dict;
-      arena = Dewey_arena.create ();
-      ids = Hashtbl.create 4096;
-      hids = Hashtbl.create 4096;
-      nodes = Dewey_tbl.create 4096;
-      rels = Hashtbl.create 64;
-      staged_adds = [];
-      detached = Dewey_tbl.create 16;
-      live = 0;
-      partition = None;
-      tail_budget = max_int;
-    }
-  in
-  assign t ?ord_of root ~parent_id:None ~ord:Dewey.Ord.first;
-  (* Inline commit of the initial load. *)
-  let by_label = Hashtbl.create 64 in
-  List.iter
-    (fun e ->
-      let lab = Dewey.label e.id in
-      let prev = try Hashtbl.find by_label lab with Not_found -> [] in
-      Hashtbl.replace by_label lab (e :: prev))
-    t.staged_adds;
-  Hashtbl.iter
-    (fun lab entries ->
-      let arr = Array.of_list entries in
-      Array.sort (fun a b -> Dewey.compare a.id b.id) arr;
-      let r = rel_of t lab in
-      r.sorted <- arr;
-      r.handles <- Array.map (fun e -> Hashtbl.find t.hids e.node.Xml_tree.serial) arr)
-    by_label;
-  t.staged_adds <- [];
-  t
+  {
+    root;
+    dict;
+    arena = Dewey_arena.create ();
+    hids = Itbl.create 4096;
+    nodes = [||];
+    rels = Hashtbl.create 64;
+    staged = Itbl.create 64;
+    staged_elems = Run.create ();
+    staged_n = 0;
+    seg = 0;
+    detached = Itbl.create 16;
+    live = 0;
+    partition = None;
+    tail_budget = max_int;
+  }
 
 let find_rel t label =
   match Label_dict.find t.dict label with
@@ -223,7 +374,7 @@ let relation t label =
   match find_rel t label with
   | None -> [||]
   | Some r ->
-    let sorted, _ = rel_view r in
+    let sorted, _ = rel_view t.arena r in
     Obs.Counter.incr c_scan_calls;
     Obs.Counter.add c_scan_rows (Array.length sorted);
     sorted
@@ -232,61 +383,10 @@ let relation_handles t label =
   match find_rel t label with
   | None -> ([||], [||])
   | Some r ->
-    let (sorted, _) as v = rel_view r in
+    let (sorted, _) as v = rel_view t.arena r in
     Obs.Counter.incr c_scan_calls;
     Obs.Counter.add c_scan_rows (Array.length sorted);
     v
-
-(* Subtrees are contiguous document-order intervals, so the entries of a
-   sorted relation lying under [root] form one block: binary-search its
-   two endpoints instead of scanning the relation. *)
-(* Subtree bounds of [root] in the sorted array: [start, stop). *)
-let span_bounds arr ~root =
-  let track = Obs.enabled () in
-  let probes = ref 0 in
-  let n = Array.length arr in
-  (* First index with id >= root. *)
-  let lo = ref 0 and hi = ref n in
-  while !lo < !hi do
-    if track then incr probes;
-    let mid = (!lo + !hi) / 2 in
-    if Dewey.compare arr.(mid).id root < 0 then lo := mid + 1 else hi := mid
-  done;
-  let start = !lo in
-  (* First index past the subtree: id > root and not below it. *)
-  let lo = ref start and hi = ref n in
-  while !lo < !hi do
-    if track then incr probes;
-    let mid = (!lo + !hi) / 2 in
-    if Dewey.is_ancestor_or_self root arr.(mid).id then lo := mid + 1
-    else hi := mid
-  done;
-  let stop = !lo in
-  if track then begin
-    Obs.Counter.incr c_span_calls;
-    Obs.Counter.add c_span_probes !probes;
-    Obs.Counter.add c_span_rows (max 0 (stop - start))
-  end;
-  (start, stop)
-
-let relation_span t label ~root =
-  match find_rel t label with
-  | None -> [||]
-  | Some r ->
-    let sorted, _ = rel_view r in
-    let start, stop = span_bounds sorted ~root in
-    if stop <= start then [||] else Array.sub sorted start (stop - start)
-
-let relation_span_handles t label ~root =
-  match find_rel t label with
-  | None -> ([||], [||])
-  | Some r ->
-    let sorted, handles = rel_view r in
-    let start, stop = span_bounds sorted ~root in
-    if stop <= start then ([||], [||])
-    else
-      ( Array.sub sorted start (stop - start),
-        Array.sub handles start (stop - start) )
 
 let relation_labels t =
   Hashtbl.fold
@@ -305,9 +405,9 @@ let pending_rows t =
   Hashtbl.fold (fun _ r acc -> acc + Array.length r.tail) t.rels 0
 
 let drain_label t label =
-  match find_rel t label with None -> () | Some r -> drain_rel r
+  match find_rel t label with None -> () | Some r -> drain_rel t.arena r
 
-let drain_all t = Hashtbl.iter (fun _ r -> drain_rel r) t.rels
+let drain_all t = Hashtbl.iter (fun _ r -> drain_rel t.arena r) t.rels
 
 let set_partition t ?tail_budget pred =
   (* Changing the predicate invalidates the routing of already-buffered
@@ -323,49 +423,48 @@ let set_partition t ?tail_budget pred =
 
    Frequency and sibling fan-out of each label over the live identifier
    set, computed by one pass over the (merged) relation: every entry's
-   parent prefix is counted in a scratch table. O(|R_label|) per call —
+   parent handle is counted in a scratch table. O(|R_label|) per call —
    callers (the heavy-light rebalancer) are expected to amortize. *)
 type label_stat = { ls_count : int; ls_parents : int; ls_max_fanout : int }
-
-let stat_of_arrays sorted tail =
-  let fanout = Dewey_tbl.create 64 in
-  let bump e =
-    match Dewey.parent e.id with
-    | None -> ()
-    | Some p ->
-      let prev = try Dewey_tbl.find fanout p with Not_found -> 0 in
-      Dewey_tbl.replace fanout p (prev + 1)
-  in
-  Array.iter bump sorted;
-  Array.iter bump tail;
-  let parents = Dewey_tbl.length fanout in
-  let max_fanout = Dewey_tbl.fold (fun _ n acc -> max n acc) fanout 0 in
-  {
-    ls_count = Array.length sorted + Array.length tail;
-    ls_parents = parents;
-    ls_max_fanout = max_fanout;
-  }
 
 let label_stat t label =
   match find_rel t label with
   | None -> { ls_count = 0; ls_parents = 0; ls_max_fanout = 0 }
-  | Some r -> stat_of_arrays r.sorted r.tail
+  | Some r ->
+    let fanout = Itbl.create 64 in
+    let bump h =
+      let p = Dewey_arena.parent t.arena h in
+      if p >= 0 then
+        Itbl.replace fanout p (1 + Option.value ~default:0 (Itbl.find_opt fanout p))
+    in
+    Array.iter bump r.handles;
+    Array.iter bump r.tail_h;
+    {
+      ls_count = Array.length r.handles + Array.length r.tail_h;
+      ls_parents = Itbl.length fanout;
+      ls_max_fanout = Itbl.fold (fun _ n acc -> max n acc) fanout 0;
+    }
 
 let label_stats t =
   List.map (fun lab -> (lab, label_stat t lab)) (relation_labels t)
 
+let rec last_child = function
+  | [] -> None
+  | [ c ] -> Some c
+  | _ :: rest -> last_child rest
+
 let attach t ~parent forest =
-  let parent_id = id_of t parent in
+  let ph = handle_of_node t parent in
   (* Ordinal of the first new child: strictly after the last existing one. *)
-  let last_ord =
-    match List.rev parent.Xml_tree.children with
-    | [] -> None
-    | last :: _ -> Some (Dewey.last_ord (id_of t last))
+  let ord =
+    ref
+      (match last_child parent.Xml_tree.children with
+      | None -> Dewey.Ord.first
+      | Some last -> Dewey.Ord.after (Dewey.last_ord (id_of t last)))
   in
-  let ord = ref (match last_ord with None -> Dewey.Ord.first | Some o -> Dewey.Ord.after o) in
   List.iter
     (fun tree ->
-      assign t tree ~parent_id:(Some parent_id) ~ord:!ord;
+      assign_tree t tree ~parent:ph ~ord:!ord;
       ord := Dewey.Ord.after !ord)
     forest;
   Xml_tree.append_children parent forest
@@ -376,7 +475,7 @@ let attach_beside t ~sibling ~where forest =
     | Some p -> p
     | None -> invalid_arg "Store.attach_beside: sibling has no parent"
   in
-  let parent_id = id_of t parent in
+  let ph = handle_of_node t parent in
   let sib_ord = Dewey.last_ord (id_of t sibling) in
   (* Bounds: the neighbours' ordinals on the chosen side. *)
   let neighbour =
@@ -407,7 +506,7 @@ let attach_beside t ~sibling ~where forest =
   List.iter
     (fun tree ->
       let ord = fresh_ord !lo hi in
-      assign t tree ~parent_id:(Some parent_id) ~ord;
+      assign_tree t tree ~parent:ph ~ord;
       lo := Some ord)
     forest;
   Xml_tree.insert_children parent ~anchor:sibling ~where forest
@@ -418,9 +517,161 @@ let detach t node =
   (match node.Xml_tree.parent with
   | Some parent -> Xml_tree.remove_child parent node
   | None -> ());
-  match Hashtbl.find_opt t.ids node.Xml_tree.serial with
+  match Itbl.find_opt t.hids node.Xml_tree.serial with
   | None -> ()
-  | Some id -> Dewey_tbl.replace t.detached id node
+  | Some h -> Itbl.replace t.detached h node
+
+(* Remove the sorted dead handles [dead] from [r]. Each one is located in
+   the main run by a galloping search from the previous hit and the kept
+   stretches between hits are blitted into fresh arrays. Dead handles
+   missing from the main run sit in the pending tail — bounded by the
+   tail budget, so it is purged by membership — or were staged and
+   detached within this commit, and so are in neither. *)
+let purge t r dead =
+  let hs = r.handles in
+  let n = Array.length hs in
+  let hits = Array.make (Array.length dead) 0 in
+  let nh = ref 0 and pos = ref 0 in
+  let missed = Itbl.create 0 in
+  Array.iter
+    (fun d ->
+      let p = gallop t.arena hs !pos n d in
+      if p < n && hs.(p) = d then begin
+        hits.(!nh) <- p;
+        incr nh;
+        pos := p + 1
+      end
+      else begin
+        if Array.length r.tail_h > 0 then Itbl.replace missed d ();
+        pos := p
+      end)
+    dead;
+  if !nh > 0 then begin
+    let m = n - !nh in
+    let sorted = Array.make m vacant_entry and handles = Array.make m 0 in
+    let src = ref 0 and dst = ref 0 in
+    for j = 0 to !nh - 1 do
+      let len = hits.(j) - !src in
+      Array.blit r.sorted !src sorted !dst len;
+      Array.blit hs !src handles !dst len;
+      dst := !dst + len;
+      src := hits.(j) + 1
+    done;
+    Array.blit r.sorted !src sorted !dst (n - !src);
+    Array.blit hs !src handles !dst (n - !src);
+    r.sorted <- sorted;
+    r.handles <- handles
+  end;
+  if Itbl.length missed > 0 then begin
+    let keep = ref [] in
+    for i = Array.length r.tail_h - 1 downto 0 do
+      if not (Itbl.mem missed r.tail_h.(i)) then keep := i :: !keep
+    done;
+    let keep = Array.of_list !keep in
+    if Array.length keep < Array.length r.tail_h then begin
+      r.tail <- Array.map (fun i -> r.tail.(i)) keep;
+      r.tail_h <- Array.map (fun i -> r.tail_h.(i)) keep
+    end
+  end
+
+(* Sweep the detached subtrees out of the node index — roots in
+   document order, each walked in preorder, so every label's dead
+   handles come out as a document-ordered run — then purge those runs
+   from the relations. *)
+let sweep t =
+  let roots = Itbl.fold (fun h node acc -> (h, node) :: acc) t.detached [] in
+  let roots =
+    List.sort (fun (a, _) (b, _) -> Dewey_arena.compare t.arena a b) roots
+  in
+  Itbl.reset t.detached;
+  let dead = Itbl.create 16 in
+  List.iteri
+    (fun seg (_, subtree) ->
+      Xml_tree.iter
+        (fun n ->
+          match Itbl.find_opt t.hids n.Xml_tree.serial with
+          | None -> ()
+          | Some h ->
+            let lab = Dewey_arena.label t.arena h in
+            let run =
+              match Itbl.find_opt dead lab with
+              | Some r -> r
+              | None ->
+                let r = Run.create () in
+                Itbl.add dead lab r;
+                r
+            in
+            Run.push_handle t.arena run ~seg h;
+            Itbl.remove t.hids n.Xml_tree.serial;
+            t.nodes.(h) <- vacant;
+            t.live <- t.live - 1)
+        subtree)
+    roots;
+  Itbl.iter
+    (fun lab run ->
+      match Hashtbl.find_opt t.rels lab with
+      | None -> ()
+      | Some r -> purge t r (Run.seal_handles t.arena run))
+    dead
+
+(* Fold one label's sealed staged run into its relation. *)
+let insert t lab (fresh, freshh) =
+  let r = rel_of t lab in
+  let heavy =
+    match t.partition with
+    | None -> false
+    | Some pred -> pred (Label_dict.label t.dict lab)
+  in
+  if heavy then begin
+    (* Heavy label: buffer the batch in the pending tail — O(|tail| +
+       |batch|) instead of O(|R|) — and only fold into the main run once
+       the tail crosses its amortization budget. *)
+    let tail, tail_h = merge_runs t.arena (r.tail, r.tail_h) (fresh, freshh) in
+    r.tail <- tail;
+    r.tail_h <- tail_h;
+    Obs.Counter.add c_hl_routed (Array.length fresh);
+    if Array.length tail >= t.tail_budget then drain_rel t.arena r
+  end
+  else begin
+    (* Light label: the eager path. A label freshly demoted from heavy
+       may still carry a tail — fold it in first so the single merge
+       below sees one sorted main run. *)
+    drain_rel t.arena r;
+    let merged, mergedh = merge_runs t.arena (r.sorted, r.handles) (fresh, freshh) in
+    r.sorted <- merged;
+    r.handles <- mergedh
+  end
+
+(* Staged rows whose node was swept (staged, then detached before this
+   commit) must not enter the relation. *)
+let keep_live t ((es, hs) as run) =
+  let n = Array.length es in
+  let live i = t.nodes.(hs.(i)) == es.(i).node in
+  let rec all i = i >= n || (live i && all (i + 1)) in
+  if all 0 then run
+  else begin
+    let keep = List.filter live (List.init n Fun.id) |> Array.of_list in
+    (Array.map (fun i -> es.(i)) keep, Array.map (fun i -> hs.(i)) keep)
+  end
+
+let fold_staged t ~swept =
+  if t.staged_n > 0 then begin
+    Itbl.iter
+      (fun lab r ->
+        let run = Run.seal t.arena r in
+        let ((es, _) as run) = if swept then keep_live t run else run in
+        if Array.length es > 0 then insert t lab run)
+      t.staged;
+    Itbl.reset t.staged;
+    t.staged_elems <- Run.create ();
+    t.staged_n <- 0
+  end
+
+let of_document ?dict ?ord_of root =
+  let t = create_store ?dict root in
+  assign_tree t ?ord_of root ~parent:(-1) ~ord:Dewey.Ord.first;
+  fold_staged t ~swept:false;
+  t
 
 let commit t =
   (* Read-only parallel contract: domain-parallel view propagation (see
@@ -429,99 +680,6 @@ let commit t =
      main-domain-only operation. *)
   if not (Domain.is_main_domain ()) then
     invalid_arg "Store.commit: must be called from the main domain";
-  if t.staged_adds <> [] then begin
-    let by_label = Hashtbl.create 16 in
-    List.iter
-      (fun e ->
-        (* An entry staged and then detached before commit must not enter
-           the relation. *)
-        if Hashtbl.mem t.ids e.node.Xml_tree.serial && not (in_detached t e.id) then begin
-          let lab = Dewey.label e.id in
-          let prev = try Hashtbl.find by_label lab with Not_found -> [] in
-          Hashtbl.replace by_label lab (e :: prev)
-        end)
-      t.staged_adds;
-    Hashtbl.iter
-      (fun lab entries ->
-        let r = rel_of t lab in
-        let fresh = Array.of_list entries in
-        Array.sort (fun a b -> Dewey.compare a.id b.id) fresh;
-        let freshh =
-          Array.map (fun e -> Hashtbl.find t.hids e.node.Xml_tree.serial) fresh
-        in
-        let heavy =
-          match t.partition with
-          | None -> false
-          | Some pred -> pred (Label_dict.label t.dict lab)
-        in
-        if heavy then begin
-          (* Heavy label: buffer the batch in the pending tail — O(|tail|
-             + |batch|) instead of O(|R|) — and only fold into the main
-             run once the tail crosses its amortization budget. *)
-          let tail, tail_h = merge_runs (r.tail, r.tail_h) (fresh, freshh) in
-          r.tail <- tail;
-          r.tail_h <- tail_h;
-          Obs.Counter.add c_hl_routed (Array.length fresh);
-          if Array.length tail >= t.tail_budget then drain_rel r
-        end
-        else begin
-          (* Light label: the eager path. A label freshly demoted from
-             heavy may still carry a tail — fold it in first so the
-             single merge below sees one sorted main run. *)
-          drain_rel r;
-          let merged, mergedh = merge_runs (r.sorted, r.handles) (fresh, freshh) in
-          r.sorted <- merged;
-          r.handles <- mergedh
-        end)
-      by_label;
-    t.staged_adds <- []
-  end;
-  if Dewey_tbl.length t.detached > 0 then begin
-    (* Sweep the detached subtrees out of the identifier indexes, noting
-       which labels lost nodes; only those relations need purging. *)
-    let touched = Hashtbl.create 16 in
-    Dewey_tbl.iter
-      (fun _ subtree ->
-        Xml_tree.iter
-          (fun n ->
-            match Hashtbl.find_opt t.ids n.Xml_tree.serial with
-            | None -> ()
-            | Some id ->
-              Hashtbl.replace touched (Dewey.label id) ();
-              unregister t n;
-              t.live <- t.live - 1)
-          subtree)
-      t.detached;
-    Dewey_tbl.reset t.detached;
-    Hashtbl.iter
-      (fun lab () ->
-        match Hashtbl.find_opt t.rels lab with
-        | None -> ()
-        | Some r ->
-          (* Single pass: compact live entries toward the front in place,
-             then truncate — no pre-scan, no Seq allocation. The pending
-             tail is purged the same way: a heavy-buffered row can be
-             detached before its tail is ever drained. *)
-          let purge arr h set =
-            let n = Array.length arr in
-            let k = ref 0 in
-            for i = 0 to n - 1 do
-              let e = arr.(i) in
-              if Hashtbl.mem t.ids e.node.Xml_tree.serial then begin
-                if !k < i then begin
-                  arr.(!k) <- e;
-                  h.(!k) <- h.(i)
-                end;
-                incr k
-              end
-            done;
-            if !k < n then set (Array.sub arr 0 !k) (Array.sub h 0 !k)
-          in
-          purge r.sorted r.handles (fun a h ->
-              r.sorted <- a;
-              r.handles <- h);
-          purge r.tail r.tail_h (fun a h ->
-              r.tail <- a;
-              r.tail_h <- h))
-      touched
-  end
+  let swept = Itbl.length t.detached > 0 in
+  if swept then sweep t;
+  fold_staged t ~swept

@@ -11,11 +11,42 @@
 
     + {!attach} / {!detach} mutate the tree, assign or invalidate IDs, and
       stage the change;
-    + {!commit} folds staged changes into the canonical relations. *)
+    + {!commit} folds staged changes into the canonical relations.
+
+    Every node attached since the last commit is staged in its label's
+    {e run}, in document order: the statement's Δ⁺. The shared Δ index
+    reads the runs ({!staged_runs}) and {!commit} merges the same arrays
+    into the relations, so neither re-walks nor re-sorts the new nodes.
+
+    Within one commit no identifier is minted twice: the identifiers of
+    live nodes and of detached-but-uncommitted ones are all reserved, and
+    an attach that would reuse one raises [Invalid_argument]. *)
 
 type t
 
 type entry = { id : Dewey.t; node : Xml_tree.node }
+
+(** [sort_pairs arena entries handles] reorders aligned entry and handle
+    arrays into document order (fresh arrays). *)
+val sort_pairs :
+  Dewey_arena.t -> entry array -> int array -> entry array * int array
+
+(** A document-ordered run of entries with their parallel arena handles,
+    filled by preorder walks. Each walk is one segment (any int distinct
+    from the previous push's): order is checked only where a segment
+    starts, in O(1) per segment, and {!Run.seal} sorts the run only if a
+    segment started out of order. *)
+module Run : sig
+  type t
+
+  val create : unit -> t
+  val push : Dewey_arena.t -> t -> seg:int -> entry -> int -> unit
+
+  (** Exact-length arrays in document order. They are never written
+      again — a later push grows into fresh arrays — so they may be
+      shared. *)
+  val seal : Dewey_arena.t -> t -> entry array * int array
+end
 
 (** [of_document ?dict ?ord_of root] indexes a document. [ord_of], when
     given, supplies the sibling ordinal of each non-root node instead of
@@ -59,22 +90,11 @@ val node_of : t -> Dewey.t -> Xml_tree.node option
     sorted in document order. Returns [||] for unseen labels. *)
 val relation : t -> string -> entry array
 
-(** [relation_span store label ~root] is the contiguous block of
-    [relation store label] lying inside the subtree rooted at [root]
-    (descendants-or-self), located by binary search on the two interval
-    endpoints: O(log |R| + output) instead of a full relation scan. *)
-val relation_span : t -> string -> root:Dewey.t -> entry array
-
 (** [relation_handles store label] is the committed canonical relation
     paired with the parallel array of arena handles, both in document
     order. Columnar scans build handle columns from it directly. Do not
     mutate either array. *)
 val relation_handles : t -> string -> entry array * int array
-
-(** {!relation_span} returning the entries paired with their parallel
-    arena-handle slice. *)
-val relation_span_handles :
-  t -> string -> root:Dewey.t -> entry array * int array
 
 (** Labels having a non-empty committed relation. *)
 val relation_labels : t -> string list
@@ -130,6 +150,20 @@ val label_stats : t -> (string * label_stat) list
 
 (** {1 Updates} *)
 
+(** Number of nodes attached since the last commit (including any
+    detached again since). *)
+val staged_count : t -> int
+
+(** [staged_runs store] is the nodes attached since the last commit,
+    grouped by label, each run in document order with its parallel
+    arena handles. The arrays are shared with the store: do not mutate
+    them. Main domain only (sealing a run may sort it once). *)
+val staged_runs : t -> (string * entry array * int array) list
+
+(** The element nodes among {!staged_runs}, all labels together, in
+    document order. *)
+val staged_elements : t -> entry array * int array
+
 (** [attach store ~parent forest] appends the trees of [forest] as the last
     children of [parent], assigns IDs to every new node and stages them for
     {!commit}. The forest nodes must be detached (no parent). *)
@@ -146,7 +180,7 @@ val attach_beside :
 
 (** [detach store node] removes the subtree rooted at [node] from the tree
     and stages the removal of all its nodes. IDs of detached nodes resolve
-    to [None] immediately. *)
+    to [None] immediately, but stay reserved until {!commit}. *)
 val detach : t -> Xml_tree.node -> unit
 
 (** Folds staged insertions and removals into the canonical relations.

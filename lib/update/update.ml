@@ -147,7 +147,10 @@ let targets store u =
      (still indexed) nodes are valid targets. *)
   List.filter (Store.mem store) (Xpath.eval (Store.root store) path)
 
-type applied_insert = { pairs : (Dewey.t * Xml_tree.node list) list }
+type applied_insert = {
+  pairs : (Dewey.t * Xml_tree.node list) list;
+  fresh : int;
+}
 
 type applied_delete = {
   roots : Dewey.t list;
@@ -156,6 +159,7 @@ type applied_delete = {
 }
 
 let apply_insert store u ~targets =
+  let staged = Store.staged_count store in
   let forest, placement =
     match u with
     | Insert { forest; placement; _ } -> (forest, placement)
@@ -182,11 +186,15 @@ let apply_insert store u ~targets =
             Some (Store.id_of store parent, copies)))
       targets
   in
-  { pairs }
+  { pairs; fresh = Store.staged_count store - staged }
 
 let apply_insert_at store ~target forest =
+  let staged = Store.staged_count store in
   Store.attach store ~parent:target forest;
-  { pairs = [ (Store.id_of store target, forest) ] }
+  {
+    pairs = [ (Store.id_of store target, forest) ];
+    fresh = Store.staged_count store - staged;
+  }
 
 let apply_replace store ~text ~targets =
   let text_children =
@@ -204,14 +212,19 @@ let apply_replace store ~text ~targets =
         (Store.id_of store target, fresh))
       targets
   in
-  (* Detach the old text, then attach the replacement. *)
-  let roots = List.map (Store.id_of store) text_children in
-  List.iter (Store.detach store) text_children;
-  let deleted = lazy (List.map2 (fun id n -> (id, n)) roots text_children) in
+  (* Attach the replacement before detaching the old text: the new text
+     node then takes an ordinal after the old one's, which stays reserved
+     until the commit sweeps it. Attaching first under an emptied parent
+     would mint the detached node's identifier a second time. *)
+  let staged = Store.staged_count store in
   List.iter2
     (fun target (_, fresh) -> if fresh <> [] then Store.attach store ~parent:target fresh)
     targets pairs;
-  ({ roots; root_nodes = text_children; deleted }, { pairs })
+  let fresh = Store.staged_count store - staged in
+  let roots = List.map (Store.id_of store) text_children in
+  List.iter (Store.detach store) text_children;
+  let deleted = lazy (List.map2 (fun id n -> (id, n)) roots text_children) in
+  ({ roots; root_nodes = text_children; deleted }, { pairs; fresh })
 
 let apply_delete store ~targets =
   (* Skip targets nested below an earlier target: detaching the ancestor

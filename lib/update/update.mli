@@ -88,7 +88,12 @@ val targets : Store.t -> t -> Xml_tree.node list
     the node whose {e content} changed (the target itself for [Into], its
     parent for sibling placements) and the freshly attached forest roots
     (carrying their new identifiers). *)
-type applied_insert = { pairs : (Dewey.t * Xml_tree.node list) list }
+type applied_insert = {
+  pairs : (Dewey.t * Xml_tree.node list) list;
+  fresh : int;
+      (** Nodes the application attached, descendants included: the
+          length of the statement's Δ⁺ in the store's staged runs. *)
+}
 
 (** Result of applying a deletion: the detached subtree roots, plus all
     deleted nodes (descendants included) with their identifiers. The full

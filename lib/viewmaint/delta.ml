@@ -5,7 +5,7 @@ type t = {
 }
 
 (* [nodes] counts update-region nodes scanned during extraction (inserted
-   nodes for Δ⁺, region-span entries for Δ⁻); [rows] counts the delta-table
+   nodes for Δ⁺, indexed detached nodes for Δ⁻); [rows] counts the delta-table
    rows produced. Both are bounded by the update's subtree size times the
    pattern width — never by the document. With a shared index, [nodes] and
    [extractions] are charged once per update (at index build time) while
@@ -24,8 +24,8 @@ let flush_rows tables =
 (* Shared update-region index: the label → sorted-entries map over the
    update region, built once per applied update. Per-view Δ extraction
    ({!of_shared}) then reduces to a hash lookup per pattern node plus the
-   view-specific vpred/anchor filter — no re-walk of the inserted forest
-   and no re-extraction of relation spans. *)
+   view-specific vpred/anchor filter — no re-walk of the update region
+   per view. *)
 module Shared = struct
   (* Entries are stored alongside the parallel array of arena handles
      so that columnar Δ extraction never re-interns; the boxed view
@@ -54,9 +54,6 @@ module Shared = struct
       (fun l (es, _) acc -> (l, Array.length es) :: acc)
       t.sh_by_label []
 
-  let is_element_label l =
-    String.length l = 0 || (l.[0] <> '@' && l.[0] <> '#')
-
   let lookup t tag =
     if tag = "*" then t.sh_star
     else
@@ -64,106 +61,99 @@ module Shared = struct
       | Some a -> a
       | None -> ([||], [||])
 
-  (* One Xml_tree.iter pass over the attached forests, one sort, one
-     stable group-by-label. Grouping by Xml_tree.label is equivalent to
-     Pattern.tag_matches for exact tags: elements group under their name,
-     attributes under "@name", text under "#text". *)
-  let split_pairs pairs =
-    (Array.map fst pairs, Array.map snd pairs)
-
+  (* The store staged the inserted nodes per label in document order as
+     it assigned their identifiers: the index is those runs, shared with
+     [Store.commit], not a re-walk of the forests. *)
   let of_insert store (applied : Update.applied_insert) =
-    let entries = ref [] and count = ref 0 and roots = ref [] in
-    List.iter
-      (fun (_target_id, forest) ->
-        List.iter
-          (fun tree ->
-            roots := Store.id_of store tree :: !roots;
-            Xml_tree.iter
-              (fun n ->
-                incr count;
-                entries :=
-                  ({ Store.id = Store.id_of store n; node = n },
-                   Store.handle_of_node store n)
-                  :: !entries)
-              tree)
-          forest)
-      applied.Update.pairs;
-    let arr = Array.of_list !entries in
-    Array.sort (fun (a, _) (b, _) -> Dewey.compare a.Store.id b.Store.id) arr;
-    Obs.Counter.add c_nodes !count;
-    Obs.Counter.incr c_extractions;
-    let groups = Hashtbl.create 16 in
-    Array.iter
-      (fun ((e, _) as p) ->
-        let l = Xml_tree.label e.Store.node in
-        match Hashtbl.find_opt groups l with
-        | Some acc -> acc := p :: !acc
-        | None -> Hashtbl.add groups l (ref [ p ]))
-      arr;
+    if Store.staged_count store <> applied.Update.fresh then
+      invalid_arg
+        "Delta.Shared.of_insert: the store holds staged nodes of another update";
     let by_label = Hashtbl.create 16 in
-    Hashtbl.iter
-      (fun l acc ->
-        Hashtbl.replace by_label l
-          (split_pairs (Array.of_list (List.rev !acc))))
-      groups;
-    let star =
-      split_pairs
-        (Array.of_list
-           (List.filter
-              (fun (e, _) -> e.Store.node.Xml_tree.kind = Xml_tree.Element)
-              (Array.to_list arr)))
+    List.iter
+      (fun (l, es, hs) -> Hashtbl.replace by_label l (es, hs))
+      (Store.staged_runs store);
+    Obs.Counter.add c_nodes applied.Update.fresh;
+    Obs.Counter.incr c_extractions;
+    let roots =
+      List.concat_map
+        (fun (_, forest) -> List.map (Store.id_of store) forest)
+        applied.Update.pairs
     in
     {
-      sh_region = Id_region.of_roots !roots;
+      sh_region = Id_region.of_roots roots;
       sh_targets = List.map fst applied.Update.pairs;
       sh_arena = Store.arena store;
       sh_by_label = by_label;
-      sh_star = star;
+      sh_star = Store.staged_elements store;
     }
 
-  (* Region-span extraction keyed by label: every relation's slice inside
-     the deleted region, via binary-searched spans — O(labels × roots ×
-     log |R| + region) once per update, however many views consume it.
+  (* The deleted nodes are the detached subtrees, which stay resolvable
+     until the commit: walk them in preorder, roots in order, keeping the
+     labels in [wanted] — O(region), never a relation probe.
 
      [wanted] narrows the indexed labels to the callers' interests (the
      union of the consuming views' pattern tags, ["*"] standing for every
-     element label): extracting slices for labels no view can mention is
-     pure waste, and on label-rich documents it dominates the build.
-     Labels outside [wanted] are absent from the index, so callers must
-     not look them up. *)
+     element label); labels outside [wanted] are absent from the index,
+     so callers must not look them up. *)
   let of_delete ?wanted store (applied : Update.applied_delete) =
-    let labels =
+    let arena = Store.arena store and dict = Store.dict store in
+    let star, tags =
       match wanted with
-      | None -> Store.relation_labels store
+      | None -> (true, None)
       | Some tags ->
-        let star = List.mem "*" tags in
-        List.filter
-          (fun l -> (star && is_element_label l) || List.mem l tags)
-          (Store.relation_labels store)
+        let codes = Hashtbl.create 16 in
+        List.iter
+          (fun tag ->
+            match Label_dict.find dict tag with
+            | Some c -> Hashtbl.replace codes c ()
+            | None -> ())
+          tags;
+        (List.mem "*" tags, Some codes)
     in
-    let region = Id_region.of_roots applied.Update.roots in
-    let by_label = Hashtbl.create 16 in
-    let star_groups = ref [] and total = ref 0 in
-    List.iter
-      (fun label ->
-        let (entries, handles) = Plan.region_slices_handles store label region in
-        if Array.length entries > 0 then begin
-          total := !total + Array.length entries;
-          Hashtbl.replace by_label label (entries, handles);
-          if is_element_label label then
-            star_groups := Array.map2 (fun e h -> (e, h)) entries handles :: !star_groups
-        end)
-      labels;
+    let runs = Hashtbl.create 16 and star_run = Store.Run.create () in
+    let total = ref 0 in
+    List.iteri
+      (fun seg root ->
+        Xml_tree.iter
+          (fun n ->
+            let h = Store.handle_of_node store n in
+            let lab = Dewey_arena.label arena h in
+            let elem = n.Xml_tree.kind = Xml_tree.Element in
+            let indexed =
+              match tags with
+              | None -> true
+              | Some codes -> (star && elem) || Hashtbl.mem codes lab
+            in
+            if indexed then begin
+              let e = { Store.id = Dewey_arena.to_dewey arena h; node = n } in
+              let run =
+                match Hashtbl.find_opt runs lab with
+                | Some r -> r
+                | None ->
+                  let r = Store.Run.create () in
+                  Hashtbl.add runs lab r;
+                  r
+              in
+              Store.Run.push arena run ~seg e h;
+              if elem then Store.Run.push arena star_run ~seg e h;
+              incr total
+            end)
+          root)
+      applied.Update.root_nodes;
     Obs.Counter.add c_nodes !total;
     Obs.Counter.incr c_extractions;
-    let star = Array.concat !star_groups in
-    Array.sort (fun (a, _) (b, _) -> Dewey.compare a.Store.id b.Store.id) star;
+    let by_label = Hashtbl.create 16 in
+    Hashtbl.iter
+      (fun lab run ->
+        Hashtbl.replace by_label (Label_dict.label dict lab)
+          (Store.Run.seal arena run))
+      runs;
     {
-      sh_region = region;
+      sh_region = Id_region.of_roots applied.Update.roots;
       sh_targets = applied.Update.roots;
-      sh_arena = Store.arena store;
+      sh_arena = arena;
       sh_by_label = by_label;
-      sh_star = split_pairs star;
+      sh_star = Store.Run.seal arena star_run;
     }
 end
 
@@ -218,52 +208,10 @@ let of_shared (sh : Shared.t) pat =
 let of_insert store pat (applied : Update.applied_insert) =
   of_shared (Shared.of_insert store applied) pat
 
-(* Δ⁻ extraction is set-oriented: the deleted [l]-nodes are exactly the
-   entries of the (pre-update) canonical relation R_l lying inside the
-   deleted region. Each table is built from the region's binary-searched
-   relation spans, so the cost is bounded by the update's subtree — not
-   the size of the label relation. *)
+(* Δ⁻ for one view: the shared index narrowed to the view's tags. *)
 let of_delete store pat (applied : Update.applied_delete) =
-  let region = Id_region.of_roots applied.Update.roots in
-  let k = Pattern.node_count pat in
-  let columnar = Tuple_table.columnar_enabled () in
-  let tables =
-    Array.init k (fun i ->
-        if columnar then begin
-          let entries, handles = Plan.entries_in_region_handles store pat i region in
-          Obs.Counter.add c_nodes (Array.length entries);
-          let buf = Array.make (Array.length handles) 0 in
-          let kept = ref 0 in
-          Array.iteri
-            (fun idx e ->
-              if
-                Pattern.vpred_holds pat i e.Store.node
-                && Plan.root_anchor_ok pat i e.Store.id
-              then begin
-                buf.(!kept) <- handles.(idx);
-                incr kept
-              end)
-            entries;
-          Tuple_table.of_handles ~sorted:true ~arena:(Store.arena store) ~node:i
-            (Array.sub buf 0 !kept)
-        end
-        else begin
-          let entries = Plan.entries_in_region store pat i region in
-          Obs.Counter.add c_nodes (Array.length entries);
-          let matching = ref [] in
-          Array.iter
-            (fun e ->
-              if
-                Pattern.vpred_holds pat i e.Store.node
-                && Plan.root_anchor_ok pat i e.Store.id
-              then matching := e.Store.id :: !matching)
-            entries;
-          Tuple_table.of_ids ~sorted:true ~node:i
-            (Array.of_list (List.rev !matching))
-        end)
-  in
-  Obs.Counter.incr c_extractions;
-  flush_rows tables;
-  { tables; region; target_ids = applied.Update.roots }
+  of_shared
+    (Shared.of_delete ~wanted:(Array.to_list pat.Pattern.tags) store applied)
+    pat
 
 let nonempty t i = not (Tuple_table.is_empty t.tables.(i))

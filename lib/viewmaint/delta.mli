@@ -21,12 +21,16 @@ type t = {
 module Shared : sig
   type t
 
-  (** One [Xml_tree.iter] pass over the attached forests, one sort by ID,
-      one stable group-by-label. *)
+  (** The store's staged runs ({!Store.staged_runs}): the inserted nodes
+      per label in document order, exactly as [Store.commit] will merge
+      them — no walk, no sort.
+      @raise Invalid_argument if the store holds staged nodes besides
+      [applied]'s (the insertion must be the only change staged since
+      the last commit). *)
   val of_insert : Store.t -> Update.applied_insert -> t
 
-  (** Region-span extraction keyed by label: each relation's slice inside
-      the deleted region via binary-searched {!Store.relation_span}s.
+  (** One preorder walk of the detached subtrees (still resolvable until
+      the commit), grouped by label into document-ordered runs.
 
       [wanted] narrows the indexed labels to the consuming views' pattern
       tags (["*"] standing for every element label); labels outside it
@@ -68,8 +72,9 @@ val of_shared : Shared.t -> Pattern.t -> t
     Builds a throwaway {!Shared} index — single-view convenience. *)
 val of_insert : Store.t -> Pattern.t -> Update.applied_insert -> t
 
-(** [of_delete store pat applied] extracts Δ⁻ from the snapshot of the
-    deleted subtrees. *)
+(** [of_delete store pat applied] extracts Δ⁻ from the detached subtrees:
+    {!of_shared} over a {!Shared.of_delete} index narrowed to the
+    pattern's tags. *)
 val of_delete : Store.t -> Pattern.t -> Update.applied_delete -> t
 
 (** [nonempty d i]: Δ table of pattern node [i] is non-empty. *)

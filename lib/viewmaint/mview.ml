@@ -41,13 +41,12 @@ let key_of mv get =
 
 let make_cell mv i id =
   let annot = mv.pat.Pattern.annots.(i) in
-  let node = Store.node_of mv.store id in
-  let value =
-    if annot.Pattern.store_val then Option.map Xml_tree.string_value node else None
-  in
-  let content =
-    if annot.Pattern.store_cont then Option.map Xml_tree.serialize node else None
-  in
+  let { Pattern.store_val; store_cont; _ } = annot in
+  (* Most stored cells hold the identifier alone: resolve the node only
+     for a payload. *)
+  let node = if store_val || store_cont then Store.node_of mv.store id else None in
+  let value = if store_val then Option.map Xml_tree.string_value node else None in
+  let content = if store_cont then Option.map Xml_tree.serialize node else None in
   { cell_id = id; cell_value = value; cell_content = content }
 
 let add_binding mv get =

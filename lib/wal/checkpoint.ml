@@ -193,12 +193,13 @@ let load ~dir ~parse_pattern m =
     with Doc_codec.Corrupt e -> raise (Corrupt ("checkpoint document: " ^ e))
   in
   (* Restore the dictionary code-for-code, then re-intern the exact
-     identifiers the crashed store had minted. *)
+     identifiers the crashed store had minted. A dead document's image
+     carries placeholder ordinals (its identifiers are gone), so it is
+     indexed canonically before being killed again. *)
   let dict = Label_dict.create () in
   List.iter (fun l -> ignore (Label_dict.code dict l)) img.Doc_codec.labels;
-  let store =
-    Store.of_document ~dict ~ord_of:img.Doc_codec.ord_of img.Doc_codec.root
-  in
+  let ord_of = if m.m_live then Some img.Doc_codec.ord_of else None in
+  let store = Store.of_document ~dict ?ord_of img.Doc_codec.root in
   if not m.m_live then begin
     Store.detach store img.Doc_codec.root;
     Store.commit store

@@ -230,81 +230,76 @@ let test_id_region () =
   Alcotest.(check int) "nested roots normalize" 1
     (Array.length (Id_region.roots (Id_region.of_roots [ b; c ])))
 
-(* Region-pruned relation spans against the naive full-scan filter. *)
-let test_relation_span () =
-  let s = fixture () in
-  let all_b = Store.relation s "b" in
-  let c_roots = Array.map (fun e -> e.Store.id) (Store.relation s "c") in
-  Array.iter
-    (fun root ->
-      let span = Store.relation_span s "b" ~root in
-      let naive =
-        Array.of_seq
-          (Seq.filter
-             (fun e -> Dewey.is_ancestor_or_self root e.Store.id)
-             (Array.to_seq all_b))
-      in
-      Alcotest.(check (list string)) "span = filtered scan"
-        (Array.to_list (Array.map (fun e -> Dewey.encode e.Store.id) naive))
-        (Array.to_list (Array.map (fun e -> Dewey.encode e.Store.id) span)))
-    c_roots;
-  Alcotest.(check int) "span of unknown label" 0
-    (Array.length (Store.relation_span s "zzz" ~root:c_roots.(0)))
+(* Δ⁻ extraction (a preorder walk of the detached subtrees) against the
+   naive filter of the pre-delete relation over the deleted region. *)
+let delta_ids store pat app =
+  let t = (Delta.of_delete store pat app).Delta.tables.(0) in
+  List.init (Tuple_table.length t) (fun r -> Dewey.encode (Tuple_table.cell_id t r 0))
+
+let region_filter all region =
+  Array.to_list all
+  |> List.filter (fun e -> Id_region.mem region e.Store.id)
+  |> List.map (fun e -> Dewey.encode e.Store.id)
 
 let test_region_scan_random =
   Tutil.qtest ~count:200 "region-pruned scan = filtered full scan"
     (QCheck.pair Tutil.arb_doc (QCheck.pair (QCheck.oneofa Tutil.labels) QCheck.small_int))
     (fun (d, (target, pick)) ->
       let store = Store.of_document d in
-      let pat = Pattern.compile ~name:"r" (Pattern.n target ~id:true []) in
-      (* Region: a pseudo-random subset of the document's element nodes. *)
+      let pat =
+        Pattern.compile ~name:"r"
+          (Pattern.n ~axis:Pattern.Descendant target ~id:true [])
+      in
       let all = Plan.entries_matching store pat 0 in
+      (* Region: a pseudo-random subset of the document's element nodes,
+         nested roots included, in no particular order. *)
       let every = max 1 ((pick mod 3) + 1) in
       let roots = ref [] in
       Array.iteri
-        (fun i e -> if i mod every = 0 then roots := e.Store.id :: !roots)
+        (fun i e -> if i mod every = 0 then roots := e.Store.node :: !roots)
         (Store.relation store "a");
       Array.iteri
-        (fun i e -> if i mod 2 = 0 then roots := e.Store.id :: !roots)
+        (fun i e -> if i mod 2 = 0 then roots := e.Store.node :: !roots)
         (Store.relation store "c");
-      let region = Id_region.of_roots !roots in
-      let pruned = Plan.entries_in_region store pat 0 region in
-      let naive =
-        Array.of_seq
-          (Seq.filter (fun e -> Id_region.mem region e.Store.id) (Array.to_seq all))
-      in
-      Array.to_list (Array.map (fun e -> Dewey.encode e.Store.id) pruned)
-      = Array.to_list (Array.map (fun e -> Dewey.encode e.Store.id) naive))
+      let region = Id_region.of_roots (List.map (Store.id_of store) !roots) in
+      let naive = region_filter all region in
+      let app = Update.apply_delete store ~targets:!roots in
+      delta_ids store pat app = naive)
 
-(* Boundary cases of the region-pruned scans: empty relations, empty
-   regions, and single-node regions at the first/last relation rows. *)
+(* Boundary cases of Δ⁻ extraction: empty relations, empty regions, and
+   single-node regions at the first/last relation rows. *)
 let test_entries_in_region_boundaries () =
-  let s = fixture () in
-  let pat_b = Pattern.compile ~name:"b" (Pattern.n "b" ~id:true []) in
-  let all = Plan.entries_matching s pat_b 0 in
-  let enc e = Dewey.encode e.Store.id in
-  let scan region =
-    Array.to_list (Array.map enc (Plan.entries_in_region s pat_b 0 region))
+  let pat_b =
+    Pattern.compile ~name:"b" (Pattern.n ~axis:Pattern.Descendant "b" ~id:true [])
   in
-  let root_id = Store.id_of s (Store.root s) in
+  let enc e = Dewey.encode e.Store.id in
+  let scan pick =
+    let s = fixture () in
+    let all = Plan.entries_matching s pat_b 0 in
+    let app = Update.apply_delete s ~targets:(pick s all) in
+    delta_ids s pat_b app
+  in
+  let all = Plan.entries_matching (fixture ()) pat_b 0 in
+  let last = Array.length all - 1 in
   Alcotest.(check (list string)) "whole-document region = full relation"
     (Array.to_list (Array.map enc all))
-    (scan (Id_region.of_roots [ root_id ]));
-  Alcotest.(check (list string)) "empty region" [] (scan (Id_region.of_roots []));
-  let first = all.(0).Store.id and last = all.(Array.length all - 1).Store.id in
+    (scan (fun s _ -> [ Store.root s ]));
+  Alcotest.(check (list string)) "empty region" [] (scan (fun _ _ -> []));
   Alcotest.(check (list string)) "single-node region at the first row"
-    [ Dewey.encode first ]
-    (scan (Id_region.of_roots [ first ]));
+    [ enc all.(0) ]
+    (scan (fun _ a -> [ a.(0).Store.node ]));
   Alcotest.(check (list string)) "single-node region at the last row"
-    [ Dewey.encode last ]
-    (scan (Id_region.of_roots [ last ]));
+    [ enc all.(last) ]
+    (scan (fun _ a -> [ a.(last).Store.node ]));
   Alcotest.(check (list string)) "single-node regions at both extremes"
-    [ Dewey.encode first; Dewey.encode last ]
-    (scan (Id_region.of_roots [ first; last ]));
-  let pat_z = Pattern.compile ~name:"z" (Pattern.n "zzz" ~id:true []) in
+    [ enc all.(0); enc all.(last) ]
+    (scan (fun _ a -> [ a.(last).Store.node; a.(0).Store.node ]));
+  let pat_z =
+    Pattern.compile ~name:"z" (Pattern.n ~axis:Pattern.Descendant "zzz" ~id:true [])
+  in
+  let s = fixture () in
   Alcotest.(check int) "empty relation" 0
-    (Array.length
-       (Plan.entries_in_region s pat_z 0 (Id_region.of_roots [ root_id ])))
+    (List.length (delta_ids s pat_z (Update.apply_delete s ~targets:[ Store.root s ])))
 
 let test_path_ops () =
   let s = fixture () in
@@ -559,7 +554,6 @@ let () =
       ( "id ops",
         [
           Alcotest.test_case "id region" `Quick test_id_region;
-          Alcotest.test_case "relation span" `Quick test_relation_span;
           Alcotest.test_case "region scan boundaries" `Quick
             test_entries_in_region_boundaries;
           test_region_scan_random;

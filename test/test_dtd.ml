@@ -196,37 +196,6 @@ let test_optional_star_models () =
   | Ok () -> ()
   | Error e -> Alcotest.fail ("star insert rejected: " ^ e)
 
-let test_infer_shape () =
-  (* [infer] collects element children only — text/attributes must not
-     leak into the content models — and the document validates against
-     its own inferred DTD. *)
-  let doc = Xml_parse.document {|<r k="v">t<a>u<b/></a><a/>w</r>|} in
-  let t = infer doc in
-  Alcotest.(check string) "root" "r" (root t);
-  (match validate_tree t doc with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail ("doc invalid for own inferred DTD: " ^ e));
-  let al =
-    labels t
-    @ List.concat_map
-        (fun l -> match rule t l with None -> [] | Some re -> alphabet re)
-        (labels t)
-  in
-  Alcotest.(check bool) "no #text in any model" false (List.mem "#text" al);
-  Alcotest.(check bool) "no attribute in any model" false (List.mem "@k" al);
-  (* Inferred models are Star(Alt …): repetition is always allowed. *)
-  match check_insert t ~parent:doc ~forest:(Xml_parse.fragment "<a/><a/>") with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail ("repetition rejected by inferred model: " ^ e)
-
-let test_infer_validates_qcheck =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:300 ~name:"validate_tree (infer doc) doc = Ok"
-       Tutil.arb_doc (fun doc ->
-         match validate_tree (infer doc) doc with
-         | Ok () -> true
-         | Error e -> QCheck.Test.fail_report e))
-
 let () =
   Alcotest.run "dtd"
     [
@@ -259,7 +228,5 @@ let () =
             test_delta_constraints_cycle;
           Alcotest.test_case "mixed content" `Quick test_mixed_content_transparency;
           Alcotest.test_case "optional/star models" `Quick test_optional_star_models;
-          Alcotest.test_case "infer shape" `Quick test_infer_shape;
-          test_infer_validates_qcheck;
         ] );
     ]

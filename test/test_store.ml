@@ -94,39 +94,6 @@ let test_attach_then_detach_before_commit () =
   Alcotest.(check int) "ghost never enters the relation" 4
     (Array.length (Store.relation s "b"))
 
-(* Boundary cases of the binary-searched relation spans: spans touching
-   the first and last rows of the relation, single-node subtrees, and
-   empty relations. *)
-let test_relation_span_boundaries () =
-  let s = fixture () in
-  let rb = Store.relation s "b" in
-  let id_list entries =
-    Array.to_list (Array.map (fun e -> Dewey.encode e.Store.id) entries)
-  in
-  let span ~root = id_list (Store.relation_span s "b" ~root) in
-  let root_id = Store.id_of s (Store.root s) in
-  Alcotest.(check (list string)) "whole document = first through last row"
-    (id_list rb) (span ~root:root_id);
-  let c0 = (Store.relation s "c").(0).Store.id in
-  Alcotest.(check (list string)) "span starting at the first row"
-    [ Dewey.encode rb.(0).Store.id; Dewey.encode rb.(1).Store.id ]
-    (span ~root:c0);
-  let f = (Store.relation s "f").(0).Store.id in
-  Alcotest.(check (list string)) "span ending at the last row"
-    [ Dewey.encode rb.(2).Store.id; Dewey.encode rb.(3).Store.id ]
-    (span ~root:f);
-  Alcotest.(check (list string)) "subtree at the first row"
-    [ Dewey.encode rb.(0).Store.id ]
-    (span ~root:rb.(0).Store.id);
-  Alcotest.(check (list string)) "single-node subtree at the last row"
-    [ Dewey.encode rb.(3).Store.id ]
-    (span ~root:rb.(3).Store.id);
-  let t0 = (Store.relation s "#text").(0).Store.id in
-  Alcotest.(check (list string)) "single-node subtree without hits" []
-    (span ~root:t0);
-  Alcotest.(check int) "empty relation" 0
-    (Array.length (Store.relation_span s "zzz" ~root:root_id))
-
 (* {1 Heavy-light partition} *)
 
 let test_label_stats () =
@@ -188,6 +155,176 @@ let test_shared_dict () =
     (Dewey.label (Store.id_of s1 (Store.root s1))
     = Dewey.label (Store.id_of s2 (Store.root s2)))
 
+(* Staged runs are filled in preorder; where a walk starts out of
+   document order (a nested insertion target, ordinals supplied out of
+   child order) the run is sorted once when sealed. *)
+let test_runs_out_of_order () =
+  let doc = Xml_parse.document "<r><e><e/></e></r>" in
+  let s = Store.of_document doc in
+  let app =
+    Update.apply_insert s (Update.parse "insert into //e <x><y/></x>")
+      ~targets:(Update.targets s (Update.parse "insert into //e <x/>"))
+  in
+  Alcotest.(check int) "fresh nodes" 4 app.Update.fresh;
+  let runs = Store.staged_runs s in
+  List.iter
+    (fun (l, es, _) ->
+      Alcotest.(check bool) ("staged run " ^ l ^ " sorted") true (ids_sorted es))
+    runs;
+  Alcotest.(check bool) "staged elements sorted" true
+    (ids_sorted (fst (Store.staged_elements s)));
+  Store.commit s;
+  Alcotest.(check bool) "x relation sorted" true (ids_sorted (Store.relation s "x"));
+  Alcotest.(check int) "x rows" 2 (Array.length (Store.relation s "x"));
+  (* Supplied ordinals running against the child list. *)
+  let doc = Xml_parse.document "<a><b/><b/><b/></a>" in
+  let pos n =
+    match n.Xml_tree.parent with
+    | None -> [| 1 |]
+    | Some p ->
+      let rec find i = function
+        | [] -> 0
+        | c :: rest -> if c == n then i else find (i + 1) rest
+      in
+      [| 10 - find 0 p.Xml_tree.children |]
+  in
+  let s = Store.of_document ~ord_of:pos doc in
+  let rb = Store.relation s "b" in
+  Alcotest.(check bool) "reversed ordinals sorted" true (ids_sorted rb);
+  Alcotest.(check bool) "last child first" true
+    (rb.(0).Store.node == List.nth doc.Xml_tree.children 2)
+
+(* {1 Store invariants under random statement streams}
+
+   After every statement the committed store must equal a fresh index
+   of its own tree: each relation equals the relation of
+   [of_document ~dict ~ord_of] reloaded over the same tree (identifiers,
+   nodes, and handles that resolve to those identifiers), relations are
+   strictly increasing, and [mem]/[node_of] resolve every live node. *)
+
+let store_violation store =
+  let root = Store.root store in
+  let fail fmt = Printf.ksprintf (fun m -> Some m) fmt in
+  if not (Store.mem store root) then
+    (* A deleted document root leaves nothing indexed. *)
+    match Store.relation_labels store with
+    | [] when Store.node_count store = 0 -> None
+    | _ -> fail "dead document still indexed"
+  else begin
+    let reload =
+      Store.of_document ~dict:(Store.dict store)
+        ~ord_of:(fun n -> Dewey.last_ord (Store.id_of store n))
+        root
+    in
+    let arena = Store.arena store in
+    let labels =
+      List.sort_uniq compare (Store.relation_labels store @ Store.relation_labels reload)
+    in
+    let bad = ref None in
+    let note m = if !bad = None then bad := Some m in
+    List.iter
+      (fun l ->
+        let es, hs = Store.relation_handles store l in
+        let es' = Store.relation reload l in
+        if Array.length es <> Array.length es' then
+          note (Printf.sprintf "relation %s: %d rows, reload has %d" l
+                  (Array.length es) (Array.length es'))
+        else
+          Array.iteri
+            (fun i e ->
+              let e' = es'.(i) in
+              if not (Dewey.equal e.Store.id e'.Store.id && e.Store.node == e'.Store.node)
+              then note (Printf.sprintf "relation %s row %d differs from the reload" l i)
+              else if not (Dewey.equal (Dewey_arena.to_dewey arena hs.(i)) e.Store.id)
+              then note (Printf.sprintf "relation %s row %d: handle names another id" l i)
+              else if i > 0 && Dewey.compare es.(i - 1).Store.id e.Store.id >= 0 then
+                note (Printf.sprintf "relation %s not strictly increasing at %d" l i))
+            es)
+      labels;
+    let count = ref 0 in
+    Xml_tree.iter
+      (fun n ->
+        incr count;
+        if not (Store.mem store n) then note "live node not mem"
+        else
+          match Store.node_of store (Store.id_of store n) with
+          | Some n' when n' == n -> ()
+          | _ -> note "node_of misses a live node")
+      root;
+    if !count <> Store.node_count store then
+      note (Printf.sprintf "node_count %d, tree has %d" (Store.node_count store) !count);
+    !bad
+  end
+
+let drive_stream ~what ~adaptive doc views stmts =
+  let store = Store.of_document (Xml_tree.copy doc) in
+  let set = View_set.create store in
+  List.iter (fun pat -> ignore (View_set.add set pat)) views;
+  Option.iter
+    (fun cfg -> View_set.set_adaptive set (Some (Hl.create ~config:cfg store)))
+    adaptive;
+  List.iteri
+    (fun i stmt ->
+      ignore (View_set.update set (Update.parse stmt));
+      match store_violation store with
+      | None -> ()
+      | Some m ->
+        Alcotest.failf "%s, after statement %d (%s): %s" what i stmt m)
+    stmts
+
+let test_invariants_recover () =
+  let rnd = Random.State.make [| 42; 0x5701 |] in
+  for k = 1 to 300 do
+    let c = Difftest.gen_recover_case rnd in
+    drive_stream
+      ~what:(Printf.sprintf "recover stream %d" k)
+      ~adaptive:None c.Difftest.rc_set.Difftest.sdoc c.Difftest.rc_set.Difftest.sviews
+      c.Difftest.rc_stmts
+  done
+
+let test_invariants_heavy () =
+  let rnd = Random.State.make [| 42; 0x5702 |] in
+  for k = 1 to 300 do
+    let c = Difftest.gen_heavy_case rnd in
+    let cfg =
+      {
+        Hl.default_config with
+        Hl.heavy_count = c.Difftest.hc_count;
+        Hl.heavy_fanout = c.Difftest.hc_fanout;
+        Hl.drain_budget = c.Difftest.hc_budget;
+        Hl.tail_budget = c.Difftest.hc_tailb;
+      }
+    in
+    drive_stream
+      ~what:(Printf.sprintf "heavy stream %d" k)
+      ~adaptive:(Some cfg) c.Difftest.hc_set.Difftest.sdoc
+      c.Difftest.hc_set.Difftest.sviews c.Difftest.hc_stmts
+  done
+
+(* [replace value] must give the new text node a fresh identifier: the
+   old text's stays reserved until the commit sweeps it. *)
+let test_replace_value_known_answer () =
+  let doc = Xml_parse.document "<r><a>x</a><b>p</b></r>" in
+  let store = Store.of_document doc in
+  let set = View_set.create store in
+  let mv =
+    View_set.add set
+      (Difftest.view_of_compact ~name:"v" "//a{id}[/#text{id,val}]")
+  in
+  ignore (View_set.update set (Update.parse {|replace value of /r/a with "y"|}));
+  let a = List.hd (Xml_tree.element_children doc) in
+  let text = List.hd a.Xml_tree.children in
+  Alcotest.(check string) "document" "<r><a>y</a><b>p</b></r>" (Xml_tree.serialize doc);
+  Alcotest.(check bool) "new text resolves" true
+    (match Store.node_of store (Store.id_of store text) with
+    | Some n -> n == text
+    | None -> false);
+  Alcotest.(check int) "#text relation" 2 (Array.length (Store.relation store "#text"));
+  Alcotest.(check int) "maintained view" 1 (Mview.cardinality mv);
+  Alcotest.(check int) "materialized view" 1
+    (Mview.cardinality (Mview.materialize store mv.Mview.pat));
+  Alcotest.(check (option string)) "store invariants" None (store_violation store)
+
 let () =
   Alcotest.run "store"
     [
@@ -197,8 +334,6 @@ let () =
           Alcotest.test_case "id/node inverse" `Quick test_id_node_inverse;
           Alcotest.test_case "ids are structural" `Quick test_ids_structural;
           Alcotest.test_case "shared dictionary" `Quick test_shared_dict;
-          Alcotest.test_case "relation span boundaries" `Quick
-            test_relation_span_boundaries;
         ] );
       ( "updates",
         [
@@ -206,6 +341,17 @@ let () =
           Alcotest.test_case "detach + commit" `Quick test_detach_commit;
           Alcotest.test_case "attach then detach" `Quick
             test_attach_then_detach_before_commit;
+          Alcotest.test_case "replace value re-mints no identifier" `Quick
+            test_replace_value_known_answer;
+          Alcotest.test_case "out-of-order runs sorted once" `Quick
+            test_runs_out_of_order;
+        ] );
+      ( "invariants",
+        [
+          Alcotest.test_case "reload-equal after every statement (recover streams)"
+            `Quick test_invariants_recover;
+          Alcotest.test_case "reload-equal after every statement (heavy streams)"
+            `Quick test_invariants_heavy;
         ] );
       ( "partition",
         [
