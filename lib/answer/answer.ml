@@ -1,29 +1,82 @@
-type row = {
-  count : int;
-  cells : (Dewey.t * string option * string option) array;
-}
+let obs = Obs.Scope.v "answer"
+let c_single = Obs.Scope.counter obs "plans_single"
+let c_join = Obs.Scope.counter obs "plans_join"
+let c_fallback = Obs.Scope.counter obs "plans_fallback"
+let c_base_fallbacks = Obs.Scope.counter obs "base_fallbacks"
+let c_rows_out = Obs.Scope.counter obs "rows_out"
 
-type source = { src_name : string; src_pat : Pattern.t; src_rows : unit -> row list }
+type cell = Dewey.t * string option * string option
+type row = { count : int; cells : cell array }
 
-let source ~name pat rows = { src_name = name; src_pat = pat; src_rows = rows }
+(* {1 Canonical order}
+
+   A row's ID key is the concatenated [Dewey.encode] of its cells' IDs —
+   the key [Mview] keeps per entry. Encodings are self-delimiting, so
+   ID-key order is the lexicographic order of the cells' IDs under
+   [Dewey.compare_encoded], which compares without building the key.
+   Ties are broken by payloads cell by cell ([val] before [cont], absent
+   before present); rows merge only when IDs and payloads are all equal.
+   No payload is copied into a key. The comparison loops are top-level
+   recursive functions, as in [Dewey]: a local [let rec] would be a
+   closure allocated on every comparison. *)
+
+let rec ids_compare_from (a : cell array) (b : cell array) la lb i =
+  if i = la || i = lb then Int.compare la lb
+  else
+    let ia, _, _ = a.(i) and ib, _, _ = b.(i) in
+    let c = Dewey.compare_encoded ia ib in
+    if c <> 0 then c else ids_compare_from a b la lb (i + 1)
+
+let compare_ids (a : row) (b : row) =
+  ids_compare_from a.cells b.cells (Array.length a.cells) (Array.length b.cells) 0
+
+let compare_payload a b =
+  match (a, b) with
+  | None, None -> 0
+  | None, Some _ -> -1
+  | Some _, None -> 1
+  | Some x, Some y -> String.compare x y
+
+let rec payloads_compare_from (a : cell array) (b : cell array) n i =
+  if i = n then 0
+  else
+    let _, va, ca = a.(i) and _, vb, cb = b.(i) in
+    let c = compare_payload va vb in
+    if c <> 0 then c
+    else
+      let c = compare_payload ca cb in
+      if c <> 0 then c else payloads_compare_from a b n (i + 1)
+
+let compare_payloads (a : row) (b : row) =
+  payloads_compare_from a.cells b.cells (Array.length a.cells) 0
+
+let compare_rows a b =
+  let c = compare_ids a b in
+  if c <> 0 then c else compare_payloads a b
+
+(* Sort, then merge equal neighbours. *)
+let canonical rows =
+  let rows = List.stable_sort compare_rows rows in
+  let rec go acc cur = function
+    | [] -> List.rev (cur :: acc)
+    | x :: rest ->
+      if compare_rows cur x = 0 then go acc { cur with count = cur.count + x.count } rest
+      else go (cur :: acc) x rest
+  in
+  match rows with [] -> [] | x :: rest -> go [] x rest
+
+(* {1 Sources} *)
+
+(* A view handed over live (its entries, in key order) or as plain rows
+   in any order (snapshot images, test oracles). *)
+type feed = View of Mview.t | Rows of (unit -> row list)
+
+type source = { src_name : string; src_pat : Pattern.t; src_feed : feed }
+
+let source ~name pat rows = { src_name = name; src_pat = pat; src_feed = Rows rows }
 
 let source_of_mview mv =
-  {
-    src_name = mv.Mview.pat.Pattern.name;
-    src_pat = mv.Mview.pat;
-    src_rows =
-      (fun () ->
-        Mview.dump mv
-        |> List.map (fun (_, count, cells) ->
-               {
-                 count;
-                 cells =
-                   Array.map
-                     (fun c ->
-                       (c.Mview.cell_id, c.Mview.cell_value, c.Mview.cell_content))
-                     cells;
-               }));
-  }
+  { src_name = mv.Mview.pat.Pattern.name; src_pat = mv.Mview.pat; src_feed = View mv }
 
 type comp =
   | Val_eq of int * string
@@ -37,6 +90,9 @@ type single = {
       (* per query stored node in preorder: the view stored position it
          comes from, and the query's annot (payloads the view stores but
          the query does not are stripped). *)
+  s_in_order : bool;
+      (* [s_project] keeps every stored position in the view's order, so
+         the view's key order is the rows' order *)
 }
 
 (* How each output cell of a join is built: a stored position in the top
@@ -160,54 +216,70 @@ let match_single ~(query : Pattern.t) ~(view : Pattern.t) =
 let single_of ~query src =
   match match_single ~query ~view:src.src_pat with
   | None -> None
-  | Some (comps, project, _) -> Some { s_src = src; s_comps = comps; s_project = project }
+  | Some (comps, project, _) ->
+    let width = List.length (Pattern.stored_nodes src.src_pat) in
+    Some
+      {
+        s_src = src;
+        s_comps = comps;
+        s_project = project;
+        s_in_order = Array.map fst project = Array.init width Fun.id;
+      }
 
-let comp_holds cells = function
-  | Val_eq (pos, c) ->
-    let _, v, _ = cells.(pos) in
-    v = Some c
+(* Compensations read a stored cell's ID and value through [id] and
+   [value], so that view entries are filtered before rows are built. *)
+let comp_holds ~id ~value = function
+  | Val_eq (pos, c) -> value pos = Some c
   | Child_of (cpos, ppos) -> (
-    let cid, _, _ = cells.(cpos) and pid, _, _ = cells.(ppos) in
-    match Dewey.parent cid with Some p -> Dewey.equal p pid | None -> false)
-  | Root_at pos ->
-    let id, _, _ = cells.(pos) in
-    Dewey.parent id = None
+    match Dewey.parent (id cpos) with
+    | Some p -> Dewey.equal p (id ppos)
+    | None -> false)
+  | Root_at pos -> Dewey.parent (id pos) = None
 
-let project_cell cells (pos, (a : Pattern.annot)) =
+(* A cell with the payloads [a] does not store dropped. *)
+let strip (a : Pattern.annot) id v c =
+  (id, (if a.Pattern.store_val then v else None), if a.Pattern.store_cont then c else None)
+
+let project_cell cells (pos, a) =
   let id, v, c = cells.(pos) in
-  ( id,
-    (if a.Pattern.store_val then v else None),
-    if a.Pattern.store_cont then c else None )
+  strip a id v c
 
+(* Rows of a single-view plan, canonical. *)
 let run_single s =
-  s.s_src.src_rows ()
-  |> List.filter_map (fun r ->
-         if List.for_all (comp_holds r.cells) s.s_comps then
-           Some { count = r.count; cells = Array.map (project_cell r.cells) s.s_project }
-         else None)
-
-(* {1 Canonical form} *)
-
-let cell_key (id, v, c) =
-  Dewey.encode id ^ "\x02"
-  ^ (match v with None -> "" | Some s -> "v" ^ s)
-  ^ "\x02"
-  ^ match c with None -> "" | Some s -> "c" ^ s
-
-let row_key r = String.concat "\x01" (Array.to_list (Array.map cell_key r.cells))
-
-let canonical rows =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun r ->
-      let k = row_key r in
-      match Hashtbl.find_opt tbl k with
-      | Some r' -> Hashtbl.replace tbl k { r' with count = r'.count + r.count }
-      | None -> Hashtbl.add tbl k r)
-    rows;
-  Hashtbl.fold (fun k r acc -> (k, r) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.map snd
+  match s.s_src.src_feed with
+  | View mv ->
+    let holds (cells : Mview.cell array) =
+      let id p = cells.(p).Mview.cell_id and value p = cells.(p).Mview.cell_value in
+      List.for_all (comp_holds ~id ~value) s.s_comps
+    in
+    let rows =
+      List.filter_map
+        (fun (_, (e : Mview.entry)) ->
+          if s.s_comps = [] || holds e.Mview.cells then
+            Some
+              {
+                count = e.Mview.count;
+                cells =
+                  Array.map
+                    (fun (pos, a) ->
+                      let c = e.Mview.cells.(pos) in
+                      strip a c.Mview.cell_id c.Mview.cell_value c.Mview.cell_content)
+                    s.s_project;
+              }
+          else None)
+        (Mview.entries_in_order mv)
+    in
+    (* Distinct view keys in order are already canonical. *)
+    if s.s_in_order then rows else canonical rows
+  | Rows rows ->
+    rows ()
+    |> List.filter_map (fun r ->
+           let id p = let i, _, _ = r.cells.(p) in i
+           and value p = let _, v, _ = r.cells.(p) in v in
+           if List.for_all (comp_holds ~id ~value) s.s_comps then
+             Some { count = r.count; cells = Array.map (project_cell r.cells) s.s_project }
+           else None)
+    |> canonical
 
 (* {1 Planning} *)
 
@@ -217,7 +289,9 @@ let plan ~sources (query : Pattern.t) =
     | x :: rest -> ( match f x with Some _ as r -> r | None -> first f rest)
   in
   match first (single_of ~query) sources with
-  | Some s -> Single s
+  | Some s ->
+    Obs.Counter.incr c_single;
+    Single s
   | None ->
     let nq = Pattern.node_count query in
     let try_split split =
@@ -246,6 +320,7 @@ let plan ~sources (query : Pattern.t) =
                      From_top (stored_pos top_pat top_i, a))
             |> Array.of_list
           in
+          Obs.Counter.incr c_join;
           Some
             (Join
                {
@@ -257,58 +332,98 @@ let plan ~sources (query : Pattern.t) =
                  j_emit = emit;
                }))
     in
-    let rec splits k = if k >= nq then Fallback else
-      match try_split k with Some p -> p | None -> splits (k + 1)
+    let rec splits k =
+      if k >= nq then begin
+        Obs.Counter.incr c_fallback;
+        Fallback
+      end
+      else match try_split k with Some p -> p | None -> splits (k + 1)
     in
     splits 1
 
+module Id_tbl = Hashtbl.Make (Dewey)
+
+(* The bottom leg indexed by the split node's ID (no encoded strings),
+   probed with each top-leg row; the joined rows are then sorted and
+   merged. *)
 let run_join j =
   let top_rows = run_single j.j_top and bottom_rows = run_single j.j_bottom in
-  let by_id = Hashtbl.create 64 in
+  let by_id = Id_tbl.create (List.length bottom_rows) in
   List.iter
-    (fun b ->
-      let id, _, _ = b.cells.(j.j_bottom_pos) in
-      let k = Dewey.encode id in
-      Hashtbl.replace by_id k
-        (b :: (match Hashtbl.find_opt by_id k with Some l -> l | None -> [])))
+    (fun b -> let id, _, _ = b.cells.(j.j_bottom_pos) in Id_tbl.add by_id id b)
     bottom_rows;
   List.concat_map
     (fun t ->
       let id, _, _ = t.cells.(j.j_top_pos) in
-      match Hashtbl.find_opt by_id (Dewey.encode id) with
-      | None -> []
-      | Some bs ->
-        List.map
-          (fun b ->
-            {
-              count = t.count * b.count;
-              cells =
-                Array.map
-                  (function
-                    | From_top (pos, a) -> project_cell t.cells (pos, a)
-                    | From_bottom (pos, a) -> project_cell b.cells (pos, a))
-                  j.j_emit;
-            })
-          bs)
+      List.map
+        (fun b ->
+          {
+            count = t.count * b.count;
+            cells =
+              Array.map
+                (function
+                  | From_top (pos, a) -> project_cell t.cells (pos, a)
+                  | From_bottom (pos, a) -> project_cell b.cells (pos, a))
+                j.j_emit;
+          })
+        (Id_tbl.find_all by_id id))
     top_rows
+  |> canonical
+
+let rows_out rows =
+  if Obs.enabled () then Obs.Counter.add c_rows_out (List.length rows);
+  rows
 
 let run = function
-  | Single s -> Some (canonical (run_single s))
-  | Join j -> Some (canonical (run_join j))
+  | Single s -> Some (rows_out (run_single s))
+  | Join j -> Some (rows_out (run_join j))
   | Fallback -> None
 
+(* Rows [r] and [r'] of [full] by ID key over the columns [positions]. *)
+let rec rows_compare_from full (positions : int array) r r' k =
+  if k = Array.length positions then 0
+  else
+    let col = Array.unsafe_get positions k in
+    let c =
+      Dewey.compare_encoded (Tuple_table.cell_id full r col) (Tuple_table.cell_id full r' col)
+    in
+    if c <> 0 then c else rows_compare_from full positions r r' (k + 1)
+
+(* The query's embedding table projected onto its stored nodes: rows
+   sorted by ID key and grouped, payloads resolved once per distinct
+   row. *)
 let base_rows store pat =
-  let mv = Mview.materialize ~policy:Mview.Leaves store pat in
-  Mview.dump mv
-  |> List.map (fun (_, count, cells) ->
-         {
-           count;
-           cells =
-             Array.map
-               (fun c -> (c.Mview.cell_id, c.Mview.cell_value, c.Mview.cell_content))
-               cells;
-         })
-  |> canonical
+  let full = Plan.eval store pat in
+  let stored = Array.of_list (Pattern.stored_nodes pat) in
+  let positions = Array.map (Tuple_table.col_pos full) stored in
+  let id r k = Tuple_table.cell_id full r positions.(k) in
+  let compare_at r r' = rows_compare_from full positions r r' 0 in
+  let order = Array.init (Tuple_table.length full) Fun.id in
+  Array.stable_sort compare_at order;
+  let row_of r count =
+    {
+      count;
+      cells =
+        Array.mapi
+          (fun k i ->
+            let id = id r k in
+            let { Pattern.store_val; store_cont; _ } = pat.Pattern.annots.(i) in
+            let node = if store_val || store_cont then Store.node_of store id else None in
+            ( id,
+              (if store_val then Option.map Xml_tree.string_value node else None),
+              if store_cont then Option.map Xml_tree.serialize node else None ))
+          stored;
+    }
+  in
+  let rec groups i acc =
+    if i < 0 then acc
+    else
+      let r = order.(i) in
+      let rec start j = if j > 0 && compare_at order.(j - 1) r = 0 then start (j - 1) else j in
+      let j = start i in
+      groups (j - 1) (row_of order.(j) (i - j + 1) :: acc)
+  in
+  rows_out (groups (Array.length order - 1) [])
 
 let answer ?store ~sources query =
   let p = plan ~sources query in
@@ -316,7 +431,9 @@ let answer ?store ~sources query =
   | Some rows -> Some (p, rows)
   | None -> (
     match store with
-    | Some st -> Some (Fallback, base_rows st query)
+    | Some st ->
+      Obs.Counter.incr c_base_fallbacks;
+      Some (Fallback, base_rows st query)
     | None -> None)
 
 let describe = function
@@ -329,33 +446,31 @@ let describe = function
       j.j_bottom.s_src.src_name j.j_split
   | Fallback -> "fallback(base recompute)"
 
-let diff ~expect ~got =
-  let keyed rows = List.map (fun r -> (row_key r, r.count)) rows in
-  let e = keyed expect and g = keyed got in
-  if e = g then None
-  else
-    let summarize rows = Printf.sprintf "%d rows" (List.length rows) in
-    let rec first_diff e g =
-      match (e, g) with
-      | [], [] -> "identical keys?"
-      | (k, c) :: _, [] -> Printf.sprintf "missing row %S (count %d)" k c
-      | [], (k, c) :: _ -> Printf.sprintf "extra row %S (count %d)" k c
-      | (ke, ce) :: e', (kg, cg) :: g' ->
-        if ke = kg then
-          if ce = cg then first_diff e' g'
-          else Printf.sprintf "row %S: count %d vs %d" ke ce cg
-        else if ke < kg then Printf.sprintf "missing row %S (count %d)" ke ce
-        else Printf.sprintf "extra row %S (count %d)" kg cg
-    in
-    Some
-      (Printf.sprintf "expect %s, got %s; %s" (summarize expect) (summarize got)
-         (first_diff e g))
-
-let row_to_string ?dict r =
+let cells_to_string ?dict cells =
   let cell (id, v, c) =
     Dewey.to_string ?dict id
     ^ (match v with None -> "" | Some s -> Printf.sprintf " val=%S" s)
     ^ match c with None -> "" | Some s -> Printf.sprintf " cont=%S" s
   in
-  Printf.sprintf "%dx [%s]" r.count
-    (String.concat "; " (Array.to_list (Array.map cell r.cells)))
+  Printf.sprintf "[%s]" (String.concat "; " (Array.to_list (Array.map cell cells)))
+
+let row_to_string ?dict r = Printf.sprintf "%dx %s" r.count (cells_to_string ?dict r.cells)
+
+let diff ~expect ~got =
+  let rec first_diff e g =
+    match (e, g) with
+    | [], [] -> None
+    | x :: _, [] -> Some ("missing row " ^ row_to_string x)
+    | [], y :: _ -> Some ("extra row " ^ row_to_string y)
+    | x :: e', y :: g' ->
+      let c = compare_rows x y in
+      if c < 0 then Some ("missing row " ^ row_to_string x)
+      else if c > 0 then Some ("extra row " ^ row_to_string y)
+      else if x.count <> y.count then
+        Some (Printf.sprintf "row %s: count %d vs %d" (cells_to_string x.cells) x.count y.count)
+      else first_diff e' g'
+  in
+  first_diff expect got
+  |> Option.map (fun d ->
+         Printf.sprintf "expect %d rows, got %d rows; %s" (List.length expect)
+           (List.length got) d)

@@ -23,7 +23,13 @@
 
     Exactness (not just soundness) of the single-view step requires the
     isomorphism: a mere homomorphism (see {!Containment}) would prove
-    containment of the result {e sets} but not preserve counts. *)
+    containment of the result {e sets} but not preserve counts.
+
+    Every plan returns {e canonical} rows (see {!canonical}), ordered and
+    merged by their ID keys; no payload is copied into a key. The
+    [answer] {!Obs} scope counts plans by shape ([plans_single],
+    [plans_join], [plans_fallback]), base fallbacks taken by {!answer}
+    ([base_fallbacks]) and rows returned ([rows_out]). *)
 
 (** One projected tuple: derivation count plus, per stored query node in
     preorder, [(id, val, cont)] — the same cell shape the serve layer's
@@ -33,14 +39,18 @@ type row = {
   cells : (Dewey.t * string option * string option) array;
 }
 
-(** A queryable view: its pattern plus a function producing the current
-    tuples (cells in the pattern's stored-node preorder). Re-read at every
-    execution, so a plan stays valid across maintenance. *)
-type source = { src_name : string; src_pat : Pattern.t; src_rows : unit -> row list }
+(** A queryable view: its pattern plus its current tuples (cells in the
+    pattern's stored-node preorder), re-read at every execution, so a
+    plan stays valid across maintenance. *)
+type source
 
+(** [source ~name pat rows]: a view given as a function producing its
+    tuples, in any order (e.g. a snapshot image). *)
 val source : name:string -> Pattern.t -> (unit -> row list) -> source
 
-(** Adapt a live materialized view. *)
+(** Adapt a live materialized view: its entries are read in key order
+    with their stored keys, and compensations filter entries before rows
+    are built. *)
 val source_of_mview : Mview.t -> source
 
 (** Residual filters over a view's stored cells (positions index the
@@ -75,11 +85,17 @@ val base_rows : Store.t -> Pattern.t -> row list
     [Fallback]. *)
 val answer : ?store:Store.t -> sources:source list -> Pattern.t -> (plan * row list) option
 
-(** Merge rows with identical cells (summing counts) and sort
-    deterministically. *)
+(** Canonical form: rows sorted by ID key — the concatenated
+    {!Dewey.encode} of the cells' IDs, the key {!Mview} keeps per entry —
+    then by payloads cell by cell ([val] before [cont], absent before
+    present), and merged (counts summed) only when IDs and payloads are
+    all equal. Encodings are self-delimiting, so for rows whose payloads
+    are a function of their IDs this is the order of the per-cell
+    encodings, compared lexicographically. *)
 val canonical : row list -> row list
 
-(** First discrepancy between two canonical row lists, if any. *)
+(** First discrepancy between two canonical row lists, if any, walking
+    both in the canonical order. *)
 val diff : expect:row list -> got:row list -> string option
 
 val row_to_string : ?dict:Label_dict.t -> row -> string

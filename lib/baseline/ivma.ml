@@ -111,6 +111,7 @@ let propagate mv u =
     let added = ref 0 in
     let (), elapsed =
       Timing.duration (fun () ->
+          Mview.sharing_payloads mv @@ fun () ->
           let seen = Hashtbl.create 64 in
           let processed = ref [] in
           List.iter
@@ -161,6 +162,7 @@ let propagate mv u =
     let removed_count = ref 0 in
     let (), elapsed =
       Timing.duration (fun () ->
+          Mview.sharing_payloads mv @@ fun () ->
           let seen = Hashtbl.create 64 in
           let removed = Hashtbl.create 64 in
           List.iter

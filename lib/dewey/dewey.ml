@@ -174,6 +174,50 @@ let encode t =
     t;
   Buffer.contents buf
 
+(* Order of two varints' byte strings: the first byte that differs
+   decides, bytes read low group first, continuation bit set on all but
+   the last. *)
+let rec varint_bytes_compare x y =
+  if x = y then 0
+  else
+    let cx = x lsr 7 and cy = y lsr 7 in
+    let bx = if cx = 0 then x land 0x7f else x land 0x7f lor 0x80
+    and by = if cy = 0 then y land 0x7f else y land 0x7f lor 0x80 in
+    if bx <> by then Int.compare bx by else varint_bytes_compare cx cy
+
+(* The encoding of a step is its label, its digit count, then its
+   zigzagged digits, each a varint. Top-level loops, as in [compare]. *)
+let rec ords_encoded_compare (oa : int array) (ob : int array) n j =
+  if j = n then 0
+  else
+    let c =
+      varint_bytes_compare (zigzag (Array.unsafe_get oa j)) (zigzag (Array.unsafe_get ob j))
+    in
+    if c <> 0 then c else ords_encoded_compare oa ob n (j + 1)
+
+let step_encoded_compare sa sb =
+  let c = varint_bytes_compare sa.lab sb.lab in
+  if c <> 0 then c
+  else
+    let oa = sa.ord and ob = sb.ord in
+    let n = Array.length oa in
+    let c = varint_bytes_compare n (Array.length ob) in
+    if c <> 0 then c else ords_encoded_compare oa ob n 0
+
+let rec steps_encoded_compare (a : t) (b : t) n i =
+  if i = n then 0
+  else
+    let sa = Array.unsafe_get a i and sb = Array.unsafe_get b i in
+    let c = if sa == sb then 0 else step_encoded_compare sa sb in
+    if c <> 0 then c else steps_encoded_compare a b n (i + 1)
+
+let compare_encoded (a : t) (b : t) =
+  if a == b then 0
+  else
+    let la = Array.length a in
+    let c = varint_bytes_compare la (Array.length b) in
+    if c <> 0 then c else steps_encoded_compare a b la 0
+
 let decode s =
   let pos = ref 0 in
   (* Bounded at 9 bytes: 8 × 7 payload bits plus a final byte limited to

@@ -102,8 +102,17 @@ val is_ancestor_or_self : t -> t -> bool
 
 (** {1 Codec} *)
 
-(** Compact binary encoding; injective, so usable as a hash key. *)
+(** Compact binary encoding; injective, so usable as a hash key. It is
+    self-delimiting (length-prefixed): no encoding is a proper prefix of
+    another. *)
 val encode : t -> string
+
+(** [compare_encoded a b] orders [a] and [b] as [String.compare] orders
+    [encode a] and [encode b], without encoding. Since encodings are
+    self-delimiting, comparing tuples of identifiers lexicographically
+    with it orders them as their concatenated encodings (a view's
+    projection key) sort. *)
+val compare_encoded : t -> t -> int
 
 (** Inverse of {!encode}.
     @raise Invalid_argument on malformed input. *)

@@ -492,7 +492,8 @@ let propagate_applied ?(commit = true) ?(watches = []) ?(prune = true) ?shared
          is created or destroyed — only val/cont payloads of the targets
          and their ancestors need refreshing. *)
       let modified = ref 0 in
-      Timing.timed b set_exec (fun () -> modified := refresh ());
+      Timing.timed b set_exec (fun () ->
+          Mview.sharing_payloads mv (fun () -> modified := refresh ()));
       Timing.timed b set_aux (fun () -> if commit then Store.commit store);
       emit {
         timing = b;
@@ -522,6 +523,7 @@ let propagate_applied ?(commit = true) ?(watches = []) ?(prune = true) ?shared
     in
     let added = ref 0 and modified = ref 0 in
     Timing.timed b set_exec (fun () ->
+        Mview.sharing_payloads mv @@ fun () ->
         List.iter
           (fun s ->
             let t = eval_term mv delta ~scope ~s_set:s ~survivors_only:false in
@@ -564,6 +566,7 @@ let propagate_applied ?(commit = true) ?(watches = []) ?(prune = true) ?shared
     in
     let removed = ref 0 and modified = ref 0 in
     Timing.timed b set_exec (fun () ->
+        Mview.sharing_payloads mv @@ fun () ->
         List.iter
           (fun s ->
             let t = eval_term mv delta ~scope ~s_set:s ~survivors_only:true in

@@ -12,6 +12,15 @@ type entry = { mutable count : int; cells : cell array }
    engine's relevance pre-filter is a pure lookup per update. *)
 type footprint = { fp_star : bool; fp_tags : string array }
 
+module Dewey_tbl = Hashtbl.Make (Dewey)
+
+(* Payloads resolved so far in one pass, per node: [None] when the node
+   is gone from the store. *)
+type payloads = {
+  p_val : string option Dewey_tbl.t;
+  p_cont : string option Dewey_tbl.t;
+}
+
 type t = {
   pat : Pattern.t;
   store : Store.t;
@@ -22,6 +31,7 @@ type t = {
   footprint : footprint;
   mutable mats : (Lattice.nset * Tuple_table.t) list;
   entries : (string, entry) Hashtbl.t;
+  mutable shared : payloads option;
 }
 
 let footprint_of pat =
@@ -39,15 +49,41 @@ let key_of mv get =
   Array.iter (fun i -> Buffer.add_string buf (Dewey.encode (get i))) mv.stored;
   Buffer.contents buf
 
+let sharing_payloads mv f =
+  match mv.shared with
+  | Some _ -> f ()
+  | None ->
+    mv.shared <- Some { p_val = Dewey_tbl.create 64; p_cont = Dewey_tbl.create 64 };
+    Fun.protect ~finally:(fun () -> mv.shared <- None) f
+
+(* [f] of node [id], or [None] when the node is gone. Inside
+   [sharing_payloads] it is computed once per node, and every entry
+   binding the node holds the same string. *)
+let resolve mv field f id =
+  let compute () = Option.map f (Store.node_of mv.store id) in
+  match mv.shared with
+  | None -> compute ()
+  | Some sh -> (
+    let tbl = field sh in
+    match Dewey_tbl.find_opt tbl id with
+    | Some p -> p
+    | None ->
+      let p = compute () in
+      Dewey_tbl.add tbl id p;
+      p)
+
+let value_of mv id = resolve mv (fun sh -> sh.p_val) Xml_tree.string_value id
+let content_of mv id = resolve mv (fun sh -> sh.p_cont) Xml_tree.serialize id
+
 let make_cell mv i id =
-  let annot = mv.pat.Pattern.annots.(i) in
-  let { Pattern.store_val; store_cont; _ } = annot in
+  let { Pattern.store_val; store_cont; _ } = mv.pat.Pattern.annots.(i) in
   (* Most stored cells hold the identifier alone: resolve the node only
      for a payload. *)
-  let node = if store_val || store_cont then Store.node_of mv.store id else None in
-  let value = if store_val then Option.map Xml_tree.string_value node else None in
-  let content = if store_cont then Option.map Xml_tree.serialize node else None in
-  { cell_id = id; cell_value = value; cell_content = content }
+  {
+    cell_id = id;
+    cell_value = (if store_val then value_of mv id else None);
+    cell_content = (if store_cont then content_of mv id else None);
+  }
 
 let add_binding mv get =
   let key = key_of mv get in
@@ -73,13 +109,17 @@ let mat_for mv s =
 let set_mats mv mats = mv.mats <- mats
 
 let refresh_cell mv ~stored_node cell =
-  match Store.node_of mv.store cell.cell_id with
-  | None -> false
-  | Some node ->
-    let annot = mv.pat.Pattern.annots.(stored_node) in
-    if annot.Pattern.store_val then cell.cell_value <- Some (Xml_tree.string_value node);
-    if annot.Pattern.store_cont then cell.cell_content <- Some (Xml_tree.serialize node);
-    annot.Pattern.store_val || annot.Pattern.store_cont
+  let { Pattern.store_val; store_cont; _ } = mv.pat.Pattern.annots.(stored_node) in
+  let id = cell.cell_id in
+  let value = if store_val then value_of mv id else None in
+  let content = if store_cont then content_of mv id else None in
+  (* A gone node keeps its old payloads. *)
+  if (store_val && value = None) || (store_cont && content = None) then false
+  else begin
+    if store_val then cell.cell_value <- value;
+    if store_cont then cell.cell_content <- content;
+    store_val || store_cont
+  end
 
 let populate_mats mv =
   let pat = mv.pat and store = mv.store in
@@ -108,6 +148,7 @@ let populate_mats mv =
     materialize_sets sets
 
 let populate mv =
+  sharing_payloads mv @@ fun () ->
   let pat = mv.pat and store = mv.store in
   let full = Plan.eval store pat in
   let positions = Array.map (fun i -> Tuple_table.col_pos full i) mv.stored in
@@ -137,6 +178,7 @@ let materialize ?(policy = Snowcaps) store pat =
       footprint = footprint_of pat;
       mats = [];
       entries = Hashtbl.create 1024;
+      shared = None;
     }
   in
   populate mv;
@@ -159,6 +201,7 @@ let empty_shell ?(policy = Snowcaps) store pat =
       footprint = footprint_of pat;
       mats = [];
       entries = Hashtbl.create 1024;
+      shared = None;
     }
   in
   populate_mats mv;
@@ -177,8 +220,8 @@ let total_count mv = Hashtbl.fold (fun _ e acc -> acc + e.count) mv.entries 0
 
 let iter_entries mv f = Hashtbl.iter (fun _ e -> f e) mv.entries
 
-let dump mv =
-  let items =
-    Hashtbl.fold (fun key e acc -> (key, e.count, e.cells) :: acc) mv.entries []
-  in
-  List.sort (fun (a, _, _) (b, _, _) -> Stdlib.compare a b) items
+let entries_in_order mv =
+  Hashtbl.fold (fun key e acc -> (key, e) :: acc) mv.entries []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let dump mv = List.map (fun (key, e) -> (key, e.count, e.cells)) (entries_in_order mv)

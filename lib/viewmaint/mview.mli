@@ -33,6 +33,9 @@ type entry = { mutable count : int; cells : cell array }
     set (see [Batch]). *)
 type footprint = { fp_star : bool; fp_tags : string array }
 
+(** Payloads resolved during one pass (see {!sharing_payloads}). *)
+type payloads
+
 type t = private {
   pat : Pattern.t;
   store : Store.t;
@@ -43,6 +46,7 @@ type t = private {
   footprint : footprint;  (** cached label footprint of [pat] *)
   mutable mats : (Lattice.nset * Tuple_table.t) list;
   entries : (string, entry) Hashtbl.t;
+  mutable shared : payloads option;  (** set inside {!sharing_payloads} *)
 }
 
 (** [materialize ?policy store pat] evaluates the pattern algebraically
@@ -70,6 +74,10 @@ val iter_entries : t -> (entry -> unit) -> unit
     display; the key is the concatenated encoding of the stored IDs. *)
 val dump : t -> (string * int * cell array) list
 
+(** The live entries with their keys, sorted by key — the read path of
+    answering from views ({!dump} copies out of it). Do not mutate. *)
+val entries_in_order : t -> (string * entry) list
+
 (** {1 Maintenance primitives} (used by [Maint]) *)
 
 (** Projection key of a full binding. *)
@@ -94,6 +102,15 @@ val set_mats : t -> (Lattice.nset * Tuple_table.t) list -> unit
 (** Recompute the [val] / [cont] payload of [cell] from the current
     document; returns [true] if it was present and refreshed. *)
 val refresh_cell : t -> stored_node:int -> cell -> bool
+
+(** [sharing_payloads mv f] runs [f] as one pass over an unchanging
+    document: every [val] / [cont] payload that {!add_binding} and
+    {!refresh_cell} compute is resolved once per node, and all entries
+    binding that node share one string (a node under many entries is
+    otherwise serialized, and held, once per entry). [materialize] and
+    [rebuild] are such passes; a maintenance pass wraps its view
+    updates in one. Nested calls join the outer pass. *)
+val sharing_payloads : t -> (unit -> 'a) -> 'a
 
 (** {1 Restoration primitives} (used by [Mview_codec])
 

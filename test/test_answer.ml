@@ -161,8 +161,8 @@ let tdoc = "<r><a><b>x</b></a><a><b>y</b><c>w</c></a><b>z</b></r>"
 (* Each case: one store, the listed views materialized, the query
    answered, the plan's describe-prefix asserted, and the rows compared
    tuple-for-tuple against base recomputation. *)
-let check_plan ~views ~query ~expect () =
-  let store = Store.of_document (doc_of tdoc) in
+let check_plan ?(doc = tdoc) ~views ~query ~expect () =
+  let store = Store.of_document (doc_of doc) in
   let set = View_set.create store in
   List.iteri
     (fun i s ->
@@ -232,6 +232,19 @@ let test_join () =
     | Some msg -> Alcotest.failf "views vs base: %s" msg)
 
 let test_fallback = check_plan ~views:[ "//c{id}" ] ~query:"//b{id,val}" ~expect:"fallback("
+
+let test_permuted_view =
+  (* The view stores [a]'s children in the other order: the projection
+     permutes the view's stored positions, so the view's (c, b) order
+     must be re-sorted into the query's (b, c) order. *)
+  check_plan ~doc:"<r><a><b>1</b><b>2</b><c>3</c><c>4</c></a><a><b>5</b><c>6</c></a></r>"
+    ~views:[ "//a{id}[/c{id,val}][/b{id,val}]" ]
+    ~query:"//a{id}[/b{id,val}][/c{id,val}]" ~expect:"single("
+
+let test_permuted_projection_merges =
+  (* Permuted and narrowed: the dropped [b] IDs make rows merge. *)
+  check_plan ~views:[ "//r{id}[//b{id}][//a{id}]" ] ~query:"//r{id}[//a{id}][//b]"
+    ~expect:"single("
 
 (* [Root_at] rests on the document root having no Dewey parent. *)
 let test_root_parent_none () =
@@ -310,6 +323,250 @@ let prop_degenerate_splits =
           | Some (_, rows) ->
             Answer.diff ~expect:(Answer.base_rows store q) ~got:rows = None)
         (degenerate_splits q))
+
+(* {1 Canonical order vs the string-keyed reference}
+
+   The former canonical form, kept here as the reference only: one key
+   string per row holding every cell's encoded ID and its payloads,
+   hashed to merge and sorted. *)
+
+let ref_cell_key (id, v, c) =
+  Dewey.encode id ^ "\x02"
+  ^ (match v with None -> "" | Some s -> "v" ^ s)
+  ^ "\x02"
+  ^ match c with None -> "" | Some s -> "c" ^ s
+
+let ref_row_key (r : Answer.row) =
+  String.concat "\x01" (Array.to_list (Array.map ref_cell_key r.Answer.cells))
+
+let ref_canonical rows =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun (r : Answer.row) ->
+      let k = ref_row_key r in
+      match Hashtbl.find_opt tbl k with
+      | Some (r' : Answer.row) ->
+        Hashtbl.replace tbl k { r' with Answer.count = r'.Answer.count + r.Answer.count }
+      | None -> Hashtbl.add tbl k r)
+    rows;
+  Hashtbl.fold (fun k r acc -> (k, r) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map snd
+
+(* Random row lists over a small pool of identifiers (so rows repeat),
+   with ordinals past 63 (two-byte varints, whose byte order is not
+   numeric order). The cells of every row are permuted alike, as a
+   projection that reorders a view's stored positions would. Payloads
+   are a function of the ID and the column, except for variants: copies
+   of a row whose last cell carries a different payload, which must not
+   merge with it. *)
+let gen_rows =
+  let open QCheck.Gen in
+  let gen_id =
+    let* depth = int_range 1 3 in
+    let* steps =
+      list_repeat depth
+        (pair (int_range 0 3) (list_size (int_range 1 2) (int_range 0 200)))
+    in
+    pure
+      (Dewey.of_steps
+         (Array.of_list
+            (List.map (fun (lab, ord) -> { Dewey.lab; ord = Array.of_list ord }) steps)))
+  in
+  let* pool = array_size (int_range 1 6) gen_id in
+  let* width = int_range 1 3 in
+  let* flags = array_repeat width (pair bool bool) in
+  let* perm = map Array.of_list (shuffle_l (List.init width Fun.id)) in
+  let payload tag on id = if on then Some (tag ^ Dewey.to_string id) else None in
+  let gen_row =
+    let* ids = array_repeat width (oneofa pool) in
+    let* count = int_range 1 3 in
+    let cells =
+      Array.mapi
+        (fun k id ->
+          let v, c = flags.(k) in
+          (id, payload "v" v id, payload "c" c id))
+        ids
+    in
+    pure { Answer.count; cells = Array.map (fun p -> cells.(p)) perm }
+  in
+  let variant (r : Answer.row) =
+    let cells = Array.copy r.Answer.cells in
+    let last = width - 1 in
+    let id, v, c = cells.(last) in
+    let bump = Option.map (fun s -> s ^ "*") in
+    cells.(last) <- (if v <> None then (id, bump v, c) else (id, v, bump c));
+    { r with Answer.cells }
+  in
+  let* rows = list_size (int_range 0 25) gen_row in
+  let some_of rows n =
+    if rows = [] then pure [] else list_size (int_range 0 n) (oneofl rows)
+  in
+  let* dups = some_of rows 4 in
+  let last_val, last_cont = flags.(perm.(width - 1)) in
+  let* variants = if last_val || last_cont then some_of rows 4 else pure [] in
+  shuffle_l (rows @ dups @ List.map variant variants)
+
+let prop_canonical_vs_reference =
+  Tutil.qtest ~count:500 "canonical = string-keyed reference (order and counts)"
+    (QCheck.make gen_rows ~print:(fun rows ->
+         String.concat "\n" (List.map (fun r -> Answer.row_to_string r) rows)))
+    (fun rows ->
+      let got = Answer.canonical rows and want = ref_canonical rows in
+      got = want && Answer.diff ~expect:want ~got = None)
+
+(* Rows that differ only in a payload stay apart, and merging sums. *)
+let test_canonical_ties () =
+  let id = Dewey.root ~lab:1 in
+  let row count v = { Answer.count; cells = [| (id, Some v, None) |] } in
+  let got = Answer.canonical [ row 1 "b"; row 2 "a"; row 3 "b" ] in
+  Alcotest.(check (list (pair int string)))
+    "one row per payload, counts summed"
+    [ (2, "a"); (4, "b") ]
+    (List.map
+       (fun (r : Answer.row) ->
+         let _, v, _ = r.Answer.cells.(0) in
+         (r.Answer.count, Option.get v))
+       got)
+
+(* {1 The four plan shapes on an XMark document}
+
+   The view set and queries of the benchmark's bulk-uniform reads (a
+   single view, a single view with a value compensation, a two-view
+   join, a base fallback) on a 256 KB document, answered before and
+   after Appendix-A insert/undo pairs. *)
+
+let item_name_query =
+  Pattern.compile ~name:"Qjoin"
+    Pattern.(
+      n ~axis:Child ~id:true "site"
+        [ n ~axis:Child ~id:true "regions"
+            [ n ~id:true ~content:true "item" [ n ~axis:Child ~value:true "name" [] ] ] ])
+
+let xmark_case () =
+  let store = Store.of_document (Xmark_gen.document ~seed:3 ~target_kb:256) in
+  let set = View_set.create store in
+  List.iter
+    (fun n -> ignore (View_set.add set (Xmark_views.find n)))
+    [ "Q1"; "Q2"; "Q3"; "Q4"; "Q6"; "Q13"; "Q17" ];
+  ignore (View_set.add set (Pattern.subpattern item_name_query 2 ~name:"Qitem_name"));
+  let first_name =
+    match View_set.find set "Q1" with
+    | Some mv -> (
+      match Mview.dump mv with
+      | (_, _, cells) :: _ -> Option.get cells.(4).Mview.cell_value
+      | [] -> Alcotest.fail "empty Q1")
+    | None -> Alcotest.fail "no Q1"
+  in
+  let queries =
+    [
+      ("single(Q2)", Pattern.rename Xmark_views.q2 "Q2x");
+      ( "single(Q1), 1 compensation",
+        compact ~name:"Q1v"
+          (Printf.sprintf
+             "/site{id}[/people{id}[/person{id}[/@id{id}][/name[val='%s']{id,val}]]]"
+             first_name) );
+      ("join(Q6 * Qitem_name", item_name_query);
+      ("fallback(", compact ~name:"Qfb" "//bidder{id}[//date{id}]");
+    ]
+  in
+  (store, set, queries)
+
+let answers store set queries =
+  let sources = List.map Answer.source_of_mview (View_set.views set) in
+  List.map
+    (fun (shape, q) ->
+      let plan = Answer.plan ~sources q in
+      let d = Answer.describe plan in
+      if not (String.starts_with ~prefix:shape d) then
+        Alcotest.failf "%s: expected a %s… plan, got %s" q.Pattern.name shape d;
+      let base = Answer.base_rows store q in
+      let rows = Option.value (Answer.run plan) ~default:base in
+      (match Answer.diff ~expect:base ~got:rows with
+      | None -> ()
+      | Some msg -> Alcotest.failf "%s: views vs base: %s" q.Pattern.name msg);
+      if rows = [] then Alcotest.failf "%s: no rows" q.Pattern.name;
+      rows)
+    queries
+
+let test_xmark_shapes () =
+  let store, set, queries = xmark_case () in
+  let before = answers store set queries in
+  let changed = ref 0 in
+  List.iter
+    (fun name ->
+      let u = Xmark_updates.find name in
+      ignore (View_set.update set (Xmark_updates.insert u));
+      if answers store set queries <> before then incr changed;
+      (* The undo deletes exactly the fragment roots: generated
+         documents have no name under a name, no increase under an
+         increase and no item under an item. *)
+      let starts prefix = String.starts_with ~prefix u.Xmark_updates.fragment in
+      let suffix =
+        if starts "<name>" then "/name[name]"
+        else if starts "<increase>" then "/increase[increase]"
+        else "/item"
+      in
+      ignore (View_set.update set (Update.parse ("delete " ^ u.Xmark_updates.path ^ suffix)));
+      let after = answers store set queries in
+      List.iter2
+        (fun (_, q) (b, a) ->
+          match Answer.diff ~expect:b ~got:a with
+          | None -> ()
+          | Some msg -> Alcotest.failf "%s after %s and its undo: %s" q.Pattern.name name msg)
+        queries (List.combine before after))
+    [ "X1_L"; "X2_L"; "X17_L" ];
+  (* X2_L adds increases (Q2x), X17_L items (Qjoin); X1_L's names
+     miss Q1v's value. *)
+  Alcotest.(check int) "insertions that changed an answer" 2 !changed
+
+let test_diff_names_rows () =
+  let store, set, queries = xmark_case () in
+  let rows = List.nth (answers store set queries) 2 in
+  let dropped = List.nth rows 1 in
+  let missing = List.filteri (fun i _ -> i <> 1) rows in
+  let contains msg sub =
+    let n = String.length sub in
+    let rec at i = i + n <= String.length msg && (String.sub msg i n = sub || at (i + 1)) in
+    at 0
+  in
+  (match Answer.diff ~expect:rows ~got:missing with
+  | Some msg when contains msg ("missing row " ^ Answer.row_to_string dropped) -> ()
+  | r -> Alcotest.failf "planted missing row: %s" (Option.value r ~default:"no diff"));
+  (* An extra row: the first row re-rooted under an identifier no
+     document node has. *)
+  let first = List.hd rows in
+  let stray = Dewey.child (Dewey.root ~lab:0) ~lab:0 ~ord:[| 999 |] in
+  let extra = { first with Answer.cells = Array.map (fun (_, v, c) -> (stray, v, c)) first.Answer.cells } in
+  (match Answer.diff ~expect:rows ~got:(Answer.canonical (extra :: rows)) with
+  | Some msg when contains msg ("extra row " ^ Answer.row_to_string extra) -> ()
+  | r -> Alcotest.failf "planted extra row: %s" (Option.value r ~default:"no diff"));
+  match Answer.diff ~expect:rows ~got:rows with
+  | None -> ()
+  | Some msg -> Alcotest.failf "identical lists differ: %s" msg
+
+(* No silent fallback: the [answer] scope counts each plan shape, the
+   fallbacks [Answer.answer] takes to base evaluation, and rows out. *)
+let test_answer_counters () =
+  let store, set, queries = xmark_case () in
+  let sources = List.map Answer.source_of_mview (View_set.views set) in
+  let rows, snap =
+    Obs.with_scope (fun () ->
+        List.concat_map
+          (fun (_, q) ->
+            match Answer.answer ~store ~sources q with
+            | Some (_, rows) -> rows
+            | None -> Alcotest.fail "no answer despite a store")
+          queries)
+  in
+  let cv = Obs.counter_value snap in
+  Alcotest.(check (list int))
+    "single, join, fallback plans; base fallbacks; rows out"
+    [ 2; 1; 1; 1; List.length rows ]
+    [
+      cv "answer.plans_single"; cv "answer.plans_join"; cv "answer.plans_fallback";
+      cv "answer.base_fallbacks"; cv "answer.rows_out";
+    ]
 
 (* {1 Seeded differential oracles} *)
 
@@ -416,9 +673,23 @@ let () =
           Alcotest.test_case "no //-from-/ weakening" `Quick test_no_weakening_match;
           Alcotest.test_case "two-view join" `Quick test_join;
           Alcotest.test_case "base fallback" `Quick test_fallback;
+          Alcotest.test_case "permuted view" `Quick test_permuted_view;
+          Alcotest.test_case "permuted projection merges" `Quick
+            test_permuted_projection_merges;
           Alcotest.test_case "root parent is None" `Quick test_root_parent_none;
           Alcotest.test_case "prune/subpattern shapes" `Quick test_prune_subpattern;
           prop_degenerate_splits;
+        ] );
+      ( "canonical",
+        [
+          prop_canonical_vs_reference;
+          Alcotest.test_case "payload ties" `Quick test_canonical_ties;
+        ] );
+      ( "xmark plan shapes",
+        [
+          Alcotest.test_case "four shapes across insert/undo" `Quick test_xmark_shapes;
+          Alcotest.test_case "diff names planted rows" `Quick test_diff_names_rows;
+          Alcotest.test_case "answer scope counts" `Quick test_answer_counters;
         ] );
       ( "oracles",
         [

@@ -142,6 +142,49 @@ let arb_id_any =
     QCheck.Gen.(oneof [ gen_id; gen_id_deep ])
     ~print:(fun id -> Dewey.to_string id)
 
+(* Identifiers with multi-byte varints everywhere (labels past 127,
+   ordinals of either sign up to the extremes), and pairs that often
+   share a prefix of steps, physically or not. *)
+let gen_id_wide =
+  QCheck.Gen.(
+    let num =
+      oneof
+        [ int_range (-70) 70; int_range (-20000) 20000; oneofl [ max_int; min_int; 63; 64; -64; -65 ] ]
+    in
+    let* depth = int_range 1 4 in
+    let rec build i acc =
+      if i >= depth then pure acc
+      else
+        let* lab = oneof [ int_range 0 5; int_range 120 20000 ] in
+        let* o = map Array.of_list (list_size (int_range 1 3) num) in
+        build (i + 1) (Dewey.child acc ~lab ~ord:o)
+    in
+    let* root_lab = oneof [ int_range 0 3; int_range 126 130 ] in
+    build 1 (Dewey.root ~lab:root_lab))
+
+let gen_id_pair_wide =
+  QCheck.Gen.(
+    let* a = gen_id_wide in
+    let* b = gen_id_wide in
+    let* mode = int_range 0 2 in
+    match mode with
+    | 0 -> pure (a, b)
+    | 1 ->
+      (* [b] re-rooted under an ancestor-or-self of [a] *)
+      let* k = int_range 1 (Dewey.depth a) in
+      let prefix = Array.sub (a :> Dewey.step array) 0 k in
+      pure (a, Dewey.of_steps (Array.append prefix (Array.sub (b :> Dewey.step array) 0 (Dewey.depth b - 1))))
+    | _ -> pure (a, Dewey.of_steps (Array.copy (a :> Dewey.step array))))
+
+let test_compare_encoded =
+  Tutil.qtest ~count:2000 "compare_encoded = String.compare of encodings"
+    (QCheck.make gen_id_pair_wide ~print:(fun (a, b) ->
+         Dewey.to_string a ^ " vs " ^ Dewey.to_string b))
+    (fun (a, b) ->
+      let sign x = compare x 0 in
+      sign (Dewey.compare_encoded a b) = sign (String.compare (Dewey.encode a) (Dewey.encode b))
+      && sign (Dewey.compare_encoded b a) = sign (String.compare (Dewey.encode b) (Dewey.encode a)))
+
 let test_ord_between_deep =
   Tutil.qtest "Ord.between is strictly between (deep ordinals)"
     (QCheck.pair arb_ord_deep arb_ord_deep) (fun (a, b) ->
@@ -286,6 +329,7 @@ let () =
           test_codec_injective;
           test_codec_deep;
           Alcotest.test_case "varint known answers" `Quick test_codec_known;
+          test_compare_encoded;
           Alcotest.test_case "decode errors" `Quick test_decode_errors;
         ] );
       ( "arena",
