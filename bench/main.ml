@@ -553,7 +553,7 @@ let fig33_35 () =
     (store, mv)
   in
   let ops_for rule store pct =
-    let persons = Xpath.eval (Store.root store) (Xpath.parse "/site/people/person") in
+    let persons = Update.select store (Xpath.parse "/site/people/person") in
     let subset = take_pct persons pct in
     let did n = Store.id_of store n in
     match rule with
@@ -570,9 +570,8 @@ let fig33_35 () =
          themselves: rule O3 erases the descendants' deletions. *)
       List.filter_map
         (fun p ->
-          match Xpath.matches_from p (Xpath.parse "/name") with
-          | n :: _ -> Some (Pul_optim.Del { target = did n })
-          | [] -> None)
+          List.find_opt (fun c -> Xml_tree.label c = "name") p.Xml_tree.children
+          |> Option.map (fun n -> Pul_optim.Del { target = did n }))
         subset
       @ List.map (fun p -> Pul_optim.Del { target = did p }) persons
     | `I5 ->
@@ -789,7 +788,7 @@ let micro () =
   let tests =
     [
       Test.make ~name:"fig18:xpath-find-targets(A8_AO)"
-        (Staged.stage (fun () -> Xpath.eval (Store.root store) a8));
+        (Staged.stage (fun () -> Update.select store a8));
       Test.make ~name:"fig18:structural-join(person,name)"
         (Staged.stage (fun () ->
              Struct_join.join persons names ~parent:2 ~child:4 ~axis:Pattern.Child));

@@ -178,7 +178,7 @@ let eval_cmd =
     with_metrics metrics @@ fun () ->
     if check_roundtrip then check_roundtrip_text (read_file doc);
     let store = load_store doc in
-    let hits = Xpath.eval (Store.root store) (Xpath.parse path) in
+    let hits = Update.select store (Xpath.parse path) in
     Printf.printf "%d nodes match %s\n" (List.length hits) path;
     List.iteri
       (fun i n ->

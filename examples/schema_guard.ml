@@ -35,7 +35,7 @@ let () =
   print_newline ();
 
   let store = Store.of_document (Xml_parse.document "<d1><a><b><c/></b></a></d1>") in
-  let a_node = List.hd (Xpath.eval (Store.root store) (Xpath.parse "//a")) in
+  let a_node = List.hd (Update.select store (Xpath.parse "//a")) in
 
   let attempt label parent fragment =
     match guard d1 ~parent ~fragment with

@@ -177,3 +177,19 @@ let compare t a b =
 let is_prefix t a d = t.dep.(a) <= t.dep.(d) && ancestor_at t d t.dep.(a) = a
 let is_ancestor t a d = t.dep.(a) < t.dep.(d) && ancestor_at t d t.dep.(a) = a
 let is_parent t p c = t.par.(c) = p
+
+let gallop t (hs : int array) lo n h =
+  if lo >= n || compare t hs.(lo) h >= 0 then lo
+  else begin
+    let prev = ref lo and step = ref 1 in
+    while !prev + !step < n && compare t hs.(!prev + !step) h < 0 do
+      prev := !prev + !step;
+      step := 2 * !step
+    done;
+    let lo = ref (!prev + 1) and hi = ref (min n (!prev + !step)) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if compare t hs.(mid) h < 0 then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  end

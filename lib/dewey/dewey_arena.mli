@@ -68,3 +68,10 @@ val is_prefix : t -> handle -> handle -> bool
 
 val is_ancestor : t -> handle -> handle -> bool
 val is_parent : t -> handle -> handle -> bool
+
+(** [gallop a hs lo n h] is the index of the first handle in
+    [hs.(lo .. n-1)] not before [h] in document order ([n] if none), for
+    [hs] sorted in document order. Exponential probing from [lo], then a
+    binary search: O(log gap) comparisons, so walking a sorted batch
+    through a sorted run costs O(batch × log(|run| / batch)). *)
+val gallop : t -> handle array -> int -> int -> handle -> int

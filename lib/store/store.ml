@@ -22,27 +22,6 @@ end)
 let vacant = Xml_tree.text ""
 let vacant_entry = { id = Dewey.root ~lab:0; node = vacant }
 
-(* Index of the first handle in [hs.(lo .. n-1)] not before [h] in
-   document order, for a run sorted in document order. Exponential
-   probing from [lo] then binary search: O(log gap) comparisons, so
-   walking a sorted batch through a sorted relation costs
-   O(batch × log(|R| / batch)) rather than O(|R|) comparisons. *)
-let gallop arena (hs : int array) lo n h =
-  if lo >= n || Dewey_arena.compare arena hs.(lo) h >= 0 then lo
-  else begin
-    let prev = ref lo and step = ref 1 in
-    while !prev + !step < n && Dewey_arena.compare arena hs.(!prev + !step) h < 0 do
-      prev := !prev + !step;
-      step := 2 * !step
-    done;
-    let lo = ref (!prev + 1) and hi = ref (min n (!prev + !step)) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) lsr 1 in
-      if Dewey_arena.compare arena hs.(mid) h < 0 then lo := mid + 1 else hi := mid
-    done;
-    !lo
-  end
-
 (* Reorder aligned (entry, handle) arrays into document order. *)
 let sort_pairs arena (es : entry array) (hs : int array) =
   let idx = Array.init (Array.length hs) Fun.id in
@@ -216,7 +195,7 @@ let merge_runs arena (a, ah) (b, bh) =
     let mergedh = Array.make (na + nb) 0 in
     let i = ref 0 and k = ref 0 in
     for j = 0 to nb - 1 do
-      let p = gallop arena ah !i na bh.(j) in
+      let p = Dewey_arena.gallop arena ah !i na bh.(j) in
       let len = p - !i in
       Array.blit a !i merged !k len;
       Array.blit ah !i mergedh !k len;
@@ -388,6 +367,15 @@ let relation_handles t label =
     Obs.Counter.add c_scan_rows (Array.length sorted);
     v
 
+let relation_runs t label =
+  match find_rel t label with
+  | None -> []
+  | Some r ->
+    if Array.length r.tail = 0 then [ (r.sorted, r.handles) ]
+    else [ (r.sorted, r.handles); (r.tail, r.tail_h) ]
+
+let settled t = t.staged_n = 0 && Itbl.length t.detached = 0
+
 let relation_labels t =
   Hashtbl.fold
     (fun code r acc ->
@@ -535,7 +523,7 @@ let purge t r dead =
   let missed = Itbl.create 0 in
   Array.iter
     (fun d ->
-      let p = gallop t.arena hs !pos n d in
+      let p = Dewey_arena.gallop t.arena hs !pos n d in
       if p < n && hs.(p) = d then begin
         hits.(!nh) <- p;
         incr nh;

@@ -96,6 +96,17 @@ val relation : t -> string -> entry array
     mutate either array. *)
 val relation_handles : t -> string -> entry array * int array
 
+(** [relation_runs store label] is the committed relation as its sorted
+    runs: the main part, then the pending tail when it is non-empty (see
+    heavy-light partitioning below). Each run pairs entries with their
+    arena handles, in document order. Nothing is copied or merged and no
+    [store.scan] row is counted. Do not mutate the arrays. *)
+val relation_runs : t -> string -> (entry array * int array) list
+
+(** [settled store]: no node was attached or detached since the last
+    {!commit}, so the committed relations hold exactly the live tree. *)
+val settled : t -> bool
+
 (** Labels having a non-empty committed relation. *)
 val relation_labels : t -> string list
 

@@ -137,15 +137,146 @@ let journalable = function
   | Delete _ | Replace_value _ -> true
   | Insert { template; _ } -> template <> None
 
-let targets store u =
-  let path =
-    match u with
-    | Delete p -> p
-    | Insert { target; _ } | Replace_value { target; _ } -> target
+(* {1 Finding targets}
+
+   A path is evaluated over the store's label relations, step by step,
+   each step's result a duplicate-free sequence in document order. The
+   leading run of [/] steps expands tree children from the root: the
+   children of an antichain in document order are in document order.
+   From the first [//] step on, a step is a semi-join of its label's
+   relation with the context (see [semijoin]), so its output is in
+   relation order. Predicates are checked on each surviving node. *)
+
+let obs = Obs.Scope.v "xpath"
+let c_relation_steps = Obs.Scope.counter obs "relation_steps"
+let c_relation_rows = Obs.Scope.counter obs "relation_rows"
+let c_tree_fallbacks = Obs.Scope.counter obs "tree_fallbacks"
+
+(* The context of a relation step: every node below the virtual root
+   above the document (a path starting with [//]), or the nodes of the
+   previous step with their arena handles, in document order. *)
+type context = Below_root | Nodes of (int * Xml_tree.node) array
+
+(* [parent] is among [ctx.(lo .. hi-1)], a run in document order. *)
+let rec mem_run arena ctx lo hi parent =
+  lo < hi
+  &&
+  let mid = (lo + hi) lsr 1 in
+  let c = Dewey_arena.compare arena parent (fst ctx.(mid)) in
+  c = 0
+  || if c < 0 then mem_run arena ctx lo mid parent
+     else mem_run arena ctx (mid + 1) hi parent
+
+(* The rows of one sorted run that [step] keeps, in run order. Context
+   nodes are taken by {e top}: a context node no earlier one contains,
+   together with the context nodes inside it, [ctx.(i .. j-1)]. A
+   galloping search finds the top's subtree interval in the run and only
+   that interval is read. A [//] row below a top has a context ancestor;
+   a [/] row needs its arena parent among the top's context run. *)
+let semijoin arena step ctx (es, hs) =
+  let out = ref [] and read = ref 0 in
+  let keep k =
+    let node = es.(k).Store.node in
+    if Xpath.accepts step node then out := (hs.(k), node) :: !out
   in
-  (* After a root deletion the store's tree handle dangles; only live
-     (still indexed) nodes are valid targets. *)
-  List.filter (Store.mem store) (Xpath.eval (Store.root store) path)
+  let n = Array.length hs in
+  (match ctx with
+  | Below_root ->
+    read := n;
+    for k = 0 to n - 1 do keep k done
+  | Nodes ctx ->
+    let m = Array.length ctx in
+    let pos = ref 0 and i = ref 0 in
+    while !i < m && !pos < n do
+      let top = fst ctx.(!i) in
+      let j = ref (!i + 1) in
+      while !j < m && Dewey_arena.is_ancestor arena top (fst ctx.(!j)) do incr j done;
+      let k = ref (Dewey_arena.gallop arena hs !pos n top) in
+      let start = !k in
+      while !k < n && Dewey_arena.is_prefix arena top hs.(!k) do
+        let h = hs.(!k) in
+        if
+          h <> top
+          &&
+          match step.Xpath.axis with
+          | Xpath.Descendant -> true
+          | Xpath.Child ->
+            let p = Dewey_arena.parent arena h in
+            if !j = !i + 1 then p = top else mem_run arena ctx !i !j p
+        then keep !k;
+        incr k
+      done;
+      read := !read + (!k - start);
+      pos := !k;
+      i := !j
+    done);
+  Obs.Counter.add c_relation_rows !read;
+  List.rev !out
+
+let relation_step store step ctx =
+  Obs.Counter.incr c_relation_steps;
+  let arena = Store.arena store in
+  let label =
+    match step.Xpath.test with
+    | Xpath.Name n -> n
+    | Xpath.Attr a -> "@" ^ a
+    | Xpath.Star -> invalid_arg "Update.relation_step: * test"
+  in
+  let rows =
+    match Store.relation_runs store label with
+    | [] -> []
+    | [ run ] -> semijoin arena step ctx run
+    | runs ->
+      List.fold_left
+        (fun acc run ->
+          List.merge
+            (fun (a, _) (b, _) -> Dewey_arena.compare arena a b)
+            acc (semijoin arena step ctx run))
+        [] runs
+  in
+  Nodes (Array.of_list rows)
+
+let select store path =
+  let root = Store.root store in
+  (* The leading [/] steps, and the steps from the first [//] on. *)
+  let rec split prefix = function
+    | ({ Xpath.axis = Xpath.Child; _ } as s) :: rest -> split (s :: prefix) rest
+    | rest -> (List.rev prefix, rest)
+  in
+  let prefix, rest = split [] path in
+  let relations ctx =
+    match List.fold_left (fun ctx step -> relation_step store step ctx) ctx rest with
+    | Below_root -> [ root ] (* the empty path *)
+    | Nodes rows -> Array.to_list (Array.map snd rows)
+  in
+  if (not (Store.settled store)) || List.exists (fun s -> s.Xpath.test = Xpath.Star) rest
+  then begin
+    Obs.Counter.incr c_tree_fallbacks;
+    List.filter (Store.mem store) (Xpath.eval root path)
+  end
+  else if not (Store.mem store root) then []
+  else
+    match prefix with
+    | [] -> relations Below_root
+    | first :: steps ->
+      (* The first step's axis is taken from a virtual root above [root]. *)
+      let children ctx step =
+        List.concat_map
+          (fun n -> List.filter (Xpath.accepts step) n.Xml_tree.children)
+          ctx
+      in
+      let tops =
+        List.fold_left children (if Xpath.accepts first root then [ root ] else []) steps
+      in
+      if rest = [] || tops = [] then tops
+      else
+        let handle n = (Store.handle_of_node store n, n) in
+        relations (Nodes (Array.of_list (List.map handle tops)))
+
+let targets store u =
+  match u with
+  | Delete p -> select store p
+  | Insert { target; _ } | Replace_value { target; _ } -> select store target
 
 type applied_insert = {
   pairs : (Dewey.t * Xml_tree.node list) list;

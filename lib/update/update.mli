@@ -80,8 +80,20 @@ val journalable : t -> bool
 
 (** {1 Phased application} *)
 
-(** [targets store u] evaluates the update's target path — the "find
-    target nodes" phase. *)
+(** [select store path] is the live nodes [path] selects in the store's
+    document, distinct and in document order. The leading [/] steps
+    expand tree children from the root; every step from the first [//]
+    on is a semi-join of its label's committed relation with the
+    previous step's nodes; predicates are checked on each candidate.
+    Where the relations cannot stand in for the tree — the store holds
+    nodes attached or detached since its last commit, or a [*] test
+    follows a [//] step — it falls back to the tree-walking
+    [Xpath.eval], keeping live nodes only. The [xpath] Obs scope counts
+    relation steps, relation rows read and tree fallbacks. *)
+val select : Store.t -> Xpath.path -> Xml_tree.node list
+
+(** [targets store u] is [select] on the update's target path — the
+    "find target nodes" phase. *)
 val targets : Store.t -> t -> Xml_tree.node list
 
 (** Result of applying an insertion: for every target, the identifier of

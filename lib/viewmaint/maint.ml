@@ -306,6 +306,12 @@ let eval_term mv (delta : Delta.t) ~scope ~s_set ~survivors_only =
       (fun j ->
         if not (Tuple_table.is_empty !result) then begin
           let d = Plan.eval_subtree pat ~atom:datom ~within:(Lattice.mem d_set) ~root:j in
+          (* Sort both sides on the join columns, as [Plan.eval_subtree]
+             does, so the join merges. The running result is a join
+             output, or the snowcap table itself: a bag private to this
+             view's propagation, which may be reordered in place. *)
+          Tuple_table.sort_by_node !result pat.Pattern.parents.(j);
+          Tuple_table.sort_by_node d j;
           result :=
             Struct_join.join !result d ~parent:pat.Pattern.parents.(j) ~child:j
               ~axis:pat.Pattern.axes.(j)

@@ -203,18 +203,33 @@ let test_matches test (n : Xml_tree.node) =
   | (Name _ | Star), (Xml_tree.Attribute | Xml_tree.Text) -> false
   | Attr _, (Xml_tree.Element | Xml_tree.Text) -> false
 
-let rec holds node pred =
+(* Predicates stop at the first witness: [exists_from node path ok] is a
+   depth-first search for a node reached from [node] along [path] that
+   satisfies [ok], building no match list. *)
+let rec exists_from node path ok =
+  match path with
+  | [] -> ok node
+  | step :: rest -> (
+    let hit c = accepts step c && exists_from c rest ok in
+    match step.axis with
+    | Child -> List.exists hit node.Xml_tree.children
+    | Descendant ->
+      let rec below n = List.exists (fun c -> hit c || below c) n.Xml_tree.children in
+      below node)
+
+and holds node pred =
   match pred with
-  | Exists p -> matches_from node p <> []
+  | Exists p -> exists_from node p (fun _ -> true)
   | Eq ([], lit) -> Xml_tree.string_value node = lit
-  | Eq (p, lit) ->
-    List.exists (fun n -> Xml_tree.string_value n = lit) (matches_from node p)
+  | Eq (p, lit) -> exists_from node p (fun n -> Xml_tree.string_value n = lit)
   | And (a, b) -> holds node a && holds node b
   | Or (a, b) -> holds node a || holds node b
 
+and accepts step n = test_matches step.test n && List.for_all (holds n) step.preds
+
 (* One evaluation step from a single context node; result order follows the
    traversal, i.e. document order for that context. *)
-and step_from node step =
+let step_from node step =
   let candidates =
     match step.axis with
     | Child -> node.Xml_tree.children
@@ -230,11 +245,9 @@ and step_from node step =
       walk node;
       List.rev !acc
   in
-  List.filter
-    (fun c -> test_matches step.test c && List.for_all (holds c) step.preds)
-    candidates
+  List.filter (accepts step) candidates
 
-and matches_from node path =
+let matches_from node path =
   match path with
   | [] -> [ node ]
   | step :: rest ->
@@ -292,17 +305,8 @@ let eval root path =
     | first :: rest ->
       let ctx0 =
         match first.axis with
-        | Child ->
-          if
-            test_matches first.test root
-            && List.for_all (holds root) first.preds
-          then [ root ]
-          else []
-        | Descendant ->
-          List.filter
-            (fun n ->
-              test_matches first.test n && List.for_all (holds n) first.preds)
-            (Xml_tree.descendants_or_self root)
+        | Child -> if accepts first root then [ root ] else []
+        | Descendant -> List.filter (accepts first) (Xml_tree.descendants_or_self root)
       in
       let seen = Hashtbl.create 64 in
       let out = ref [] in

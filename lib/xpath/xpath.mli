@@ -39,14 +39,17 @@ val parse : string -> path
 (** [to_string p] renders a parsed path back to XPath syntax. *)
 val to_string : path -> string
 
-(** [eval root p] evaluates [p] against the document rooted at [root];
-    the first step's axis is taken relative to a virtual root above
-    [root]. Results are distinct nodes in document order. *)
+(** [eval root p] evaluates [p] against the document rooted at [root] by
+    walking the tree; the first step's axis is taken relative to a
+    virtual root above [root]. Results are distinct nodes in document
+    order. This is the store-less evaluator; callers holding a store use
+    [Update.select], which reads the store's label relations. *)
 val eval : Xml_tree.node -> path -> Xml_tree.node list
 
-(** [matches_from node p] evaluates the relative path [p] with [node] as
-    context (first step axis relative to [node]). *)
-val matches_from : Xml_tree.node -> path -> Xml_tree.node list
-
-(** [holds node pred] evaluates a predicate with [node] as context. *)
+(** [holds node pred] evaluates a predicate with [node] as context. The
+    search is depth-first and stops at the first witness. *)
 val holds : Xml_tree.node -> pred -> bool
+
+(** [accepts step n]: [n] passes [step]'s node test and all its
+    predicates (the step's axis is not consulted). *)
+val accepts : step -> Xml_tree.node -> bool
