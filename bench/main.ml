@@ -26,7 +26,7 @@ let skip_micro = Array.exists (( = ) "--no-micro") Sys.argv
 let skip_counters = Array.exists (( = ) "--no-counters") Sys.argv
 
 (* [--only figNN] restricts the run to the named section(s);
-   comma-separated, e.g. [--only fig22,joinab]. *)
+   comma-separated, e.g. [--only fig22,prims]. *)
 let only =
   let rec find i =
     if i >= Array.length Sys.argv - 1 then None
@@ -817,21 +817,10 @@ let micro () =
       record "micro" [ ("name", Json.Str name); ("ns_per_run", Json.num est) ])
     (List.sort compare rows)
 
-(* {1 Structural-join A/B: sort-merge vs hash-prefix}
-
-   Both operators run on the same Dewey-sorted relation pairs pulled
-   straight from the store, so this isolates the join algorithm itself:
-   the stack-based merge walk against the prefix-hash build-and-probe
-   baseline it replaced. Median of direct timings rather than OLS —
-   the two sides must be compared on identical inputs and iteration
-   counts. *)
-
 (* A synthetic deep-nesting document: [chains] independent chains, each a
    [section] wrapping a [depth]-deep spine of [wrap] elements with one
-   [para] leaf. XMark is shallow (max depth ~6); deep recursion is where
-   the hash baseline's per-row probe cost — one prefix hash per ancestor
-   depth, quadratic in depth overall — departs from the merge join's
-   constant per-row work. *)
+   [para] leaf. XMark is shallow (max depth ~6); deep identifiers are
+   where per-step work on boxed Dewey steps shows. *)
 let deep_doc ~chains ~depth =
   let buf = Buffer.create (chains * depth * 16) in
   Buffer.add_string buf "<deep>";
@@ -849,112 +838,16 @@ let deep_doc ~chains ~depth =
   Buffer.add_string buf "</deep>";
   Xml_parse.document (Buffer.contents buf)
 
-let join_ab () =
-  header "Structural-join A/B: sort-merge (stack) vs hash-prefix baseline";
-  let kb = if full then 2048 else 512 in
-  let xmark_store = Store.of_document (doc kb) in
-  let deep_store = Store.of_document (deep_doc ~chains:2000 ~depth:10) in
-  Printf.printf
-    "(xmark ~%d KB; deep = 2000 chains of depth 12; inputs are Dewey-sorted store relations)\n"
-    kb;
-  Printf.printf "  %-28s %-10s %8s %8s %8s %10s %10s %10s %8s %8s\n" "pair"
-    "axis" "left" "right" "out" "cols(ns)" "boxed(ns)" "hash(ns)" "vs-box"
-    "vs-hash";
-  let atom store node label =
-    Tuple_table.of_ids ~sorted:true ~node
-      (Array.map (fun e -> e.Store.id) (Store.relation store label))
-  in
-  (* Same relation as [atom], columnar layout: arena-handle column pulled
-     straight from the store, so the dispatcher takes the int fast path. *)
-  let atom_cols store node label =
-    let _, handles = Store.relation_handles store label in
-    Tuple_table.of_handles ~sorted:true ~arena:(Store.arena store) ~node
-      (Array.copy handles)
-  in
-  List.iter
-    (fun (doc_name, store, lname, rname, axis, axis_name) ->
-      let left = atom store 0 lname and right = atom store 1 rname in
-      let cleft = atom_cols store 0 lname
-      and cright = atom_cols store 1 rname in
-      let merged, snap_merge =
-        Obs.with_scope (fun () ->
-            Struct_join.merge_join cleft cright ~parent:0 ~child:1 ~axis)
-      in
-      let boxed_merged, snap_boxed =
-        Obs.with_scope (fun () ->
-            Struct_join.merge_join left right ~parent:0 ~child:1 ~axis)
-      in
-      let hashed, snap_hash =
-        Obs.with_scope (fun () ->
-            Struct_join.hash_join left right ~parent:0 ~child:1 ~axis)
-      in
-      if Tuple_table.length merged <> Tuple_table.length hashed then
-        failwith "join A/B: merge and hash outputs disagree";
-      if Tuple_table.length merged <> Tuple_table.length boxed_merged then
-        failwith "join A/B: columnar and boxed merge outputs disagree";
-      let cmps snap = Obs.counter_value snap "algebra.join.comparisons" in
-      if cmps snap_merge <> cmps snap_boxed then
-        failwith "join A/B: columnar and boxed merge comparison counts differ";
-      let t_merge =
-        time_median (fun () ->
-            Struct_join.merge_join cleft cright ~parent:0 ~child:1 ~axis)
-      in
-      let t_boxed =
-        time_median (fun () ->
-            Struct_join.merge_join left right ~parent:0 ~child:1 ~axis)
-      in
-      let t_hash =
-        time_median (fun () ->
-            Struct_join.hash_join left right ~parent:0 ~child:1 ~axis)
-      in
-      let ns t = t *. 1e9 in
-      let speedup = t_hash /. t_merge in
-      let speedup_columnar = t_boxed /. t_merge in
-      Printf.printf
-        "  %-28s %-10s %8d %8d %8d %10.0f %10.0f %10.0f %7.2fx %7.2fx\n%!"
-        (Printf.sprintf "%s:%s//%s" doc_name lname rname)
-        axis_name (Tuple_table.length left) (Tuple_table.length right)
-        (Tuple_table.length merged) (ns t_merge) (ns t_boxed) (ns t_hash)
-        speedup_columnar speedup;
-      record "micro_join_ab"
-        [
-          ("doc", Json.Str doc_name);
-          ("pair", Json.Str (Printf.sprintf "%s/%s" lname rname));
-          ("axis", Json.Str axis_name);
-          ("rows_left", Json.int (Tuple_table.length left));
-          ("rows_right", Json.int (Tuple_table.length right));
-          ("rows_out", Json.int (Tuple_table.length merged));
-          ("merge_ns", Json.num (ns t_merge));
-          ("merge_boxed_ns", Json.num (ns t_boxed));
-          ("hash_ns", Json.num (ns t_hash));
-          ("speedup", Json.num speedup);
-          ("speedup_columnar", Json.num speedup_columnar);
-          ("merge_comparisons", Json.int (cmps snap_merge));
-          ("hash_comparisons", Json.int (cmps snap_hash));
-        ])
-    [
-      ("deep", deep_store, "section", "para", Pattern.Descendant, "descendant");
-      ("deep", deep_store, "wrap", "para", Pattern.Descendant, "descendant");
-      ("xmark", xmark_store, "open_auction", "increase", Pattern.Descendant,
-       "descendant");
-      ("xmark", xmark_store, "person", "name", Pattern.Descendant, "descendant");
-      ("xmark", xmark_store, "site", "increase", Pattern.Descendant, "descendant");
-      ("xmark", xmark_store, "person", "name", Pattern.Child, "child");
-      ("xmark", xmark_store, "bidder", "increase", Pattern.Child, "child");
-    ]
+(* {1 prims: Dewey vs arena primitives}
 
-(* {1 prims: per-primitive columnar A/B}
-
-   The columnar refactor justified primitive by primitive: interning,
-   document-order compare, the ancestor test and the merge-join inner
-   loop, each timed on both layouts over identical inputs (the deep
-   document's [wrap] relation — depth ~12, where per-step work shows).
-   Then the safety net: a tuple-for-tuple columnar = boxed equivalence
-   sweep over the Figure-20 view/update pairs, at materialization and
-   after one propagated insert and delete each. *)
+   The arena-handle representation justified primitive by primitive:
+   interning, document-order compare and the ancestor test, each timed
+   on boxed Dewey identifiers and on their arena handles over identical
+   inputs (the deep document's [wrap] relation — depth ~12, where
+   per-step work shows). *)
 
 let prims () =
-  header "prims: Dewey arena & columnar primitives (boxed vs columnar)";
+  header "prims: Dewey arena primitives (Dewey vs arena handles)";
   let store = Store.of_document (deep_doc ~chains:2000 ~depth:10) in
   let arena = Store.arena store in
   let entries, handles = Store.relation_handles store "wrap" in
@@ -986,20 +879,20 @@ let prims () =
   done;
   let sink = ref 0 in
   let per_op ops f = time_median f *. 1e9 /. float_of_int ops in
-  Printf.printf "  %-24s %10s %10s %8s\n" "primitive" "boxed(ns)" "cols(ns)"
+  Printf.printf "  %-24s %10s %10s %8s\n" "primitive" "dewey(ns)" "arena(ns)"
     "speedup";
-  let report name ops boxed cols =
-    let b = per_op ops boxed and c = per_op ops cols in
-    Printf.printf "  %-24s %10.1f %10.1f %7.2fx\n%!" name b c (b /. c);
+  let report name ops dewey handles =
+    let d = per_op ops dewey and a = per_op ops handles in
+    Printf.printf "  %-24s %10.1f %10.1f %7.2fx\n%!" name d a (d /. a);
     record "prims"
       [
         ("name", Json.Str name);
-        ("boxed_ns", Json.num b);
-        ("columnar_ns", Json.num c);
-        ("speedup", Json.num (b /. c));
+        ("dewey_ns", Json.num d);
+        ("arena_ns", Json.num a);
+        ("speedup", Json.num (d /. a));
       ]
   in
-  (* intern has no boxed counterpart: report cold (fresh arena, closure
+  (* intern has no Dewey counterpart: report cold (fresh arena, closure
      built as it goes) and hit (every id already present) medians. *)
   let t_cold =
     per_op n (fun () ->
@@ -1012,8 +905,8 @@ let prims () =
   in
   Printf.printf "  %-24s %10s %10.1f\n" "intern (cold)" "-" t_cold;
   Printf.printf "  %-24s %10s %10.1f\n%!" "intern (hit)" "-" t_hit;
-  record "prims" [ ("name", Json.Str "intern_cold"); ("columnar_ns", Json.num t_cold) ];
-  record "prims" [ ("name", Json.Str "intern_hit"); ("columnar_ns", Json.num t_hit) ];
+  record "prims" [ ("name", Json.Str "intern_cold"); ("arena_ns", Json.num t_cold) ];
+  record "prims" [ ("name", Json.Str "intern_hit"); ("arena_ns", Json.num t_hit) ];
   report "compare" npairs
     (fun () ->
       for i = 0 to npairs - 1 do
@@ -1041,77 +934,7 @@ let prims () =
             handles.(idx.((2 * i) + 1))
         then incr sink
       done);
-  (* Merge-join inner loop, per output row: section//para on the deep
-     store, boxed rows vs arena-handle columns through the dispatcher. *)
-  let boxed_atom node label =
-    Tuple_table.of_ids ~sorted:true ~node
-      (Array.map (fun e -> e.Store.id) (Store.relation store label))
-  in
-  let cols_atom node label =
-    let _, h = Store.relation_handles store label in
-    Tuple_table.of_handles ~sorted:true ~arena ~node (Array.copy h)
-  in
-  let bl = boxed_atom 0 "section" and br = boxed_atom 1 "para" in
-  let cl = cols_atom 0 "section" and cr = cols_atom 1 "para" in
-  let out =
-    Struct_join.merge_join cl cr ~parent:0 ~child:1 ~axis:Pattern.Descendant
-  in
-  report "merge_join (per row)" (Tuple_table.length out)
-    (fun () ->
-      ignore
-        (Struct_join.merge_join bl br ~parent:0 ~child:1
-           ~axis:Pattern.Descendant))
-    (fun () ->
-      ignore
-        (Struct_join.merge_join cl cr ~parent:0 ~child:1
-           ~axis:Pattern.Descendant));
-  ignore !sink;
-  (* Figure-20 equivalence: the two layouts must agree tuple for tuple —
-     same keys, same counts — at materialization and after propagating
-     every figure-20 insert and delete. *)
-  let prev = Tuple_table.columnar_enabled () in
-  let kb = if full then 256 else 96 in
-  let base = doc kb in
-  let dumps_with columnar vname op u =
-    Tuple_table.set_columnar columnar;
-    let st = Store.of_document (Xml_tree.copy base) in
-    let mv = Mview.materialize st (Xmark_views.find vname) in
-    let snapshot () =
-      List.sort compare (List.map (fun (k, c, _) -> (k, c)) (Mview.dump mv))
-    in
-    let d0 = snapshot () in
-    ignore (Maint.propagate mv (stmt_of op u));
-    (d0, snapshot ())
-  in
-  let checked = ref 0 in
-  List.iter
-    (fun (vname, uname) ->
-      let u = Xmark_updates.find uname in
-      List.iter
-        (fun op ->
-          let dc = dumps_with true vname op u in
-          let db = dumps_with false vname op u in
-          if dc <> db then begin
-            Tuple_table.set_columnar prev;
-            write_results ();
-            failwith
-              (Printf.sprintf
-                 "prims: columnar and boxed view contents differ for %s / %s"
-                 vname uname)
-          end;
-          incr checked)
-        [ Insert; Delete ])
-    Xmark_updates.figure20_pairs;
-  Tuple_table.set_columnar prev;
-  Printf.printf
-    "  fig20 equivalence: %d view/update propagations, columnar = boxed\n%!"
-    !checked;
-  record "prims"
-    [
-      ("name", Json.Str "fig20_equiv");
-      ("runs", Json.int !checked);
-      ("ok", Json.int 1);
-    ]
+  ignore !sink
 
 (* {1 figMV: multi-view batch maintenance}
 
@@ -1932,7 +1755,6 @@ let () =
           ablation_pruning ();
           ablation_advisor ();
           ablation_deferred () );
-      ("joinab", join_ab);
       ("prims", prims);
       ("figMV", figmv);
       ("figHL", fighl);

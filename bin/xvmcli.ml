@@ -31,17 +31,15 @@ let resolve_view ~name ~query =
   | None, Some q -> View_parser.parse ~name:"cli" q
   | _ -> invalid_arg "give exactly one of --name or --query"
 
-(* {1 --metrics / --boxed}
+(* {1 --metrics}
 
    Shared by every subcommand. [--metrics] enables the process-wide
    [Obs] registry for the whole run and dumps it afterwards — flat
    [key=value] lines by default, or a single JSON line with
    [--metrics=json] (always the last line of stdout, so pipelines can
-   [tail -n 1] it). [--boxed] is the columnar-layout escape hatch:
-   tuple tables are built row-major over boxed identifiers instead of
-   as arena-handle columns, with identical results. *)
+   [tail -n 1] it). *)
 
-let metrics_fmt_term =
+let metrics_term =
   let fmt = Arg.enum [ ("flat", `Flat); ("json", `Json) ] in
   Arg.(
     value
@@ -51,21 +49,7 @@ let metrics_fmt_term =
           "Collect operator-level metrics during the run and print the \
            registry afterwards; $(docv) is $(b,flat) (default) or $(b,json).")
 
-let boxed_term =
-  Arg.(
-    value & flag
-    & info [ "boxed" ]
-        ~doc:
-          "Build tuple tables in the boxed row-major layout instead of the \
-           default columnar arena-handle layout (same effect as setting \
-           XVM_BOXED_TABLES=1); results are identical, only the physical \
-           representation changes.")
-
-let metrics_term =
-  Term.(const (fun metrics boxed -> (metrics, boxed)) $ metrics_fmt_term $ boxed_term)
-
-let with_metrics (metrics, boxed) f =
-  if boxed then Tuple_table.set_columnar false;
+let with_metrics metrics f =
   match metrics with
   | None -> f ()
   | Some fmt ->
@@ -316,16 +300,17 @@ let maintain_cmd =
         Printf.printf "final view %s: %d tuples\n" mv.Mview.pat.Pattern.name
           (Mview.cardinality mv))
       mvs;
-    if check then
-      List.iter
-        (fun mv ->
-          let fresh =
-            Mview.materialize ~policy:Mview.Leaves store mv.Mview.pat
-          in
-          Printf.printf "view %s consistent with recomputation: %b\n"
-            mv.Mview.pat.Pattern.name
-            (Recompute.equal mv fresh))
-        mvs
+    if check then begin
+      let consistent mv =
+        let fresh = Mview.materialize ~policy:Mview.Leaves store mv.Mview.pat in
+        let ok = Recompute.equal mv fresh in
+        Printf.printf "view %s consistent with recomputation: %b\n"
+          mv.Mview.pat.Pattern.name ok;
+        ok
+      in
+      (* Check every view before failing, so the output names them all. *)
+      if not (List.for_all Fun.id (List.map consistent mvs)) then exit 1
+    end
   in
   let doc = Arg.(required & pos 0 (some file) None & info [] ~docv:"DOC") in
   let vnames =
@@ -352,7 +337,12 @@ let maintain_cmd =
           ~doc:"Update statement: 'delete PATH' or 'insert into PATH FRAGMENT'.")
   in
   let check =
-    Arg.(value & flag & info [ "check" ] ~doc:"Verify against recomputation.")
+    Arg.(
+      value & flag
+      & info [ "check" ]
+          ~doc:
+            "Verify every view against recomputation; exit 1 if any view \
+             differs.")
   in
   Cmd.v
     (Cmd.info "maintain"

@@ -1,23 +1,5 @@
-let entries_matching store pat i =
-  let tag = pat.Pattern.tags.(i) in
-  if tag = "*" then begin
-    (* Union of all element relations, re-sorted into document order. *)
-    let all =
-      List.concat_map
-        (fun label ->
-          if String.length label > 0 && (label.[0] = '@' || label.[0] = '#') then []
-          else Array.to_list (Store.relation store label))
-        (Store.relation_labels store)
-    in
-    let arr = Array.of_list all in
-    Array.sort (fun a b -> Dewey.compare a.Store.id b.Store.id) arr;
-    arr
-  end
-  else Store.relation store tag
-
-(* Handle-paired variant of the scan helper, for the columnar layout:
-   the matching entries alongside the parallel array of arena handles,
-   both in document order. *)
+(* The matching entries alongside the parallel array of arena handles,
+   both in document order ([*] merges every element relation). *)
 let entries_matching_handles store pat i =
   let tag = pat.Pattern.tags.(i) in
   if tag = "*" then begin
@@ -37,47 +19,31 @@ let entries_matching_handles store pat i =
 let root_anchor_ok pat i id =
   i <> 0 || pat.Pattern.axes.(0) = Pattern.Descendant || Dewey.depth id = 1
 
-let atom_keep pat i e =
-  root_anchor_ok pat i e.Store.id
-  &&
-  match pat.Pattern.vpreds.(i) with
-  | None -> true
-  | Some c -> Xml_tree.string_value e.Store.node = c
+let selected_handles pat i (entries, handles) =
+  if
+    pat.Pattern.vpreds.(i) = None
+    && (i <> 0 || pat.Pattern.axes.(0) = Pattern.Descendant)
+  then
+    (* No selection: the handle column verbatim (copied — tables own
+       their columns). *)
+    Array.copy handles
+  else begin
+    let buf = Array.make (Array.length handles) 0 in
+    let k = ref 0 in
+    Array.iteri
+      (fun idx e ->
+        if Pattern.vpred_holds pat i e.Store.node && root_anchor_ok pat i e.Store.id
+        then begin
+          buf.(!k) <- handles.(idx);
+          incr k
+        end)
+      entries;
+    Array.sub buf 0 !k
+  end
 
 let atom_of_store store pat i =
-  if Tuple_table.columnar_enabled () then begin
-    let entries, handles = entries_matching_handles store pat i in
-    let n = Array.length handles in
-    if
-      pat.Pattern.vpreds.(i) = None
-      && (i <> 0 || pat.Pattern.axes.(0) = Pattern.Descendant)
-    then
-      (* No selection: the relation's handle column verbatim (copied —
-         tables own their columns). *)
-      Tuple_table.of_handles ~sorted:true ~arena:(Store.arena store) ~node:i
-        (Array.copy handles)
-    else begin
-      let buf = Array.make n 0 in
-      let k = ref 0 in
-      Array.iteri
-        (fun idx e ->
-          if atom_keep pat i e then begin
-            buf.(!k) <- handles.(idx);
-            incr k
-          end)
-        entries;
-      Tuple_table.of_handles ~sorted:true ~arena:(Store.arena store) ~node:i
-        (Array.sub buf 0 !k)
-    end
-  end
-  else begin
-    let entries = entries_matching store pat i in
-    let selected =
-      Array.of_seq (Seq.filter (atom_keep pat i) (Array.to_seq entries))
-    in
-    (* Canonical relations are in document order; selection preserves it. *)
-    Tuple_table.of_ids ~sorted:true ~node:i (Array.map (fun e -> e.Store.id) selected)
-  end
+  Tuple_table.of_handles ~sorted:true ~arena:(Store.arena store) ~node:i
+    (selected_handles pat i (entries_matching_handles store pat i))
 
 (* Columns an evaluation of the subtree at [j] would produce. *)
 let rec subtree_cols pat ~within j =
@@ -95,7 +61,7 @@ let rec eval_subtree pat ~atom ~within ~root =
           (* Short-circuit, but keep the column set complete so that
              consumers can still address every pattern node. *)
           table :=
-            Tuple_table.create
+            Tuple_table.empty ~arena:(Tuple_table.arena !table)
               ~cols:
                 (Array.append
                    (Tuple_table.cols !table)
@@ -103,12 +69,9 @@ let rec eval_subtree pat ~atom ~within ~root =
         else begin
           let sub = eval_subtree pat ~atom ~within ~root:j in
           (* Both operands are owned by this evaluation (atoms are fresh
-             single-column tables, sub-results fresh join outputs), so
-             in-place sorting is safe; the sorts are no-ops whenever the
-             metadata already proves document order — atoms and the first
-             join per subtree take the merge path with no sort at all. *)
-          Tuple_table.sort_by_node !table root;
-          Tuple_table.sort_by_node sub j;
+             single-column tables, sub-results fresh join outputs), so the
+             join may sort them in place; atoms and the first join per
+             subtree are already in order and need no sort at all. *)
           table :=
             Struct_join.join !table sub ~parent:root ~child:j
               ~axis:pat.Pattern.axes.(j)

@@ -3,15 +3,11 @@
     selection applied, combined bottom-up with structural joins along the
     pattern edges. *)
 
-(** [entries_matching store pat i] is the raw canonical relation for
-    pattern node [i]'s tag (a merge of every element relation for [*]),
-    before value selection. *)
-val entries_matching : Store.t -> Pattern.t -> int -> Store.entry array
-
-(** Handle-paired variant for the columnar layout: the same entries as
-    {!entries_matching}, paired with the parallel array of
-    {!Store.arena} handles. Do not mutate the returned arrays. *)
-
+(** [entries_matching_handles store pat i] is the raw canonical relation
+    for pattern node [i]'s tag (a merge of every element relation for
+    [*]), before value selection, paired with the parallel array of
+    {!Store.arena} handles; both in document order. Do not mutate the
+    returned arrays. *)
 val entries_matching_handles :
   Store.t -> Pattern.t -> int -> Store.entry array * int array
 
@@ -19,6 +15,12 @@ val entries_matching_handles :
     axis, only the document root (depth 1) may bind to node [0]; always
     true for other nodes. Used when building atoms and delta tables. *)
 val root_anchor_ok : Pattern.t -> int -> Dewey.t -> bool
+
+(** [selected_handles pat i (entries, handles)] keeps the handles of the
+    entries that satisfy pattern node [i]'s value predicate and root
+    anchor; [entries] and [handles] are parallel and the result keeps
+    their order. Always a fresh array. *)
+val selected_handles : Pattern.t -> int -> Store.entry array * int array -> int array
 
 (** [atom_of_store store pat i] is the selected canonical relation
     [σ_i(R_i)] of pattern node [i]: all store nodes matching the node's

@@ -1,31 +1,12 @@
-(* {1 Hash-prefix join (fallback for unsorted inputs)}
-
-   The ancestor side is hashed by join column; each descendant-side
-   binding probes with its identifier's step-prefixes. Keys are (id,
-   prefix-length) pairs hashed structurally, so no intermediate prefix or
-   string is ever materialized. *)
-
-module Prefix_key = struct
-  type t = Dewey.t * int
-
-  let equal (a, ka) (b, kb) = Dewey.prefix_equal a ka b kb
-  let hash (id, k) = Dewey.prefix_hash id k
-end
-
-module Prefix_tbl = Hashtbl.Make (Prefix_key)
-
-(* Metrics: [comparisons] counts identifier comparisons in the merge path
-   and table probes in the hash path, so complexity bounds expressed over
-   it hold whichever implementation a plan ends up in. *)
+(* Metrics: [comparisons] counts identifier comparisons (document
+   order, prefix tests and the [Child] axis's parent search), so
+   complexity bounds expressed over it hold for every join. *)
 let obs = Obs.Scope.v "algebra.join"
 let c_rows_left = Obs.Scope.counter obs "rows_left"
 let c_rows_right = Obs.Scope.counter obs "rows_right"
 let c_rows_out = Obs.Scope.counter obs "rows_out"
 let c_comparisons = Obs.Scope.counter obs "comparisons"
-let c_hash_probes = Obs.Scope.counter obs "hash_probes"
 let c_merge_calls = Obs.Scope.counter obs "merge_calls"
-let c_hash_calls = Obs.Scope.counter obs "hash_calls"
-let c_hash_fallbacks = Obs.Scope.counter obs "hash_fallbacks"
 
 let flush_tables left right out =
   Obs.Counter.add c_rows_left (Tuple_table.length left);
@@ -35,191 +16,24 @@ let flush_tables left right out =
 let out_cols left right =
   Array.append (Tuple_table.cols left) (Tuple_table.cols right)
 
-(* Output rows are [left ++ right]; the single-column case (joining two
-   atoms) is by far the most common, so build it without the generic
-   [Array.append] machinery. *)
-let combine lrow rrow =
-  if Array.length lrow = 1 && Array.length rrow = 1 then [| lrow.(0); rrow.(0) |]
-  else Array.append lrow rrow
-
-let hash_join left right ~parent ~child ~axis =
-  let track = Obs.enabled () in
-  let probes = ref 0 in
-  let ppos = Tuple_table.col_pos left parent in
-  let cpos = Tuple_table.col_pos right child in
-  let out = Tuple_table.create ~cols:(out_cols left right) in
-  let by_parent : Dewey.t array list Prefix_tbl.t =
-    Prefix_tbl.create (max 16 (Tuple_table.length left))
-  in
-  Tuple_table.iter
-    (fun row ->
-      let id = row.(ppos) in
-      let key = (id, Dewey.depth id) in
-      let prev = try Prefix_tbl.find by_parent key with Not_found -> [] in
-      Prefix_tbl.replace by_parent key (row :: prev))
-    left;
-  let probe rrow cid k =
-    if track then incr probes;
-    match Prefix_tbl.find_opt by_parent (cid, k) with
-    | None -> ()
-    | Some lrows ->
-      List.iter (fun lrow -> Tuple_table.append_row out (combine lrow rrow)) lrows
-  in
-  Tuple_table.iter
-    (fun rrow ->
-      let cid = rrow.(cpos) in
-      let depth = Dewey.depth cid in
-      match axis with
-      | Pattern.Child -> if depth > 1 then probe rrow cid (depth - 1)
-      | Pattern.Descendant ->
-        for k = depth - 1 downto 1 do
-          probe rrow cid k
-        done)
-    right;
-  (* Rows are emitted in right-input order, so the output inherits the
-     right side's document order on the child column. *)
-  if Tuple_table.sorted_on right child then Tuple_table.mark_sorted_by out child;
-  if track then begin
-    Obs.Counter.incr c_hash_calls;
-    Obs.Counter.add c_hash_probes !probes;
-    Obs.Counter.add c_comparisons !probes;
-    flush_tables left right out
-  end;
-  out
-
 (* {1 Sort-merge join}
 
-   Stack-Tree on Dewey identifiers. Both inputs are sorted in document
-   order of their join columns; equal ancestor-side identifiers form
+   Stack-Tree on arena handles. Both inputs are sorted in document order
+   of their join columns; equal ancestor-side identifiers form
    consecutive runs. The stack holds (id, run-start, run-stop) frames
    whose identifiers are nested prefixes of one another — exactly the
    ancestor-side nodes lying on the root path of the current descendant.
    Document order guarantees a frame popped once can never match again
    (a subtree is a contiguous document-order interval), so every frame is
-   pushed and popped exactly once: O(|L| + |R| + |out|) overall. *)
+   pushed and popped exactly once: O(|L| + |R| + |out|) overall.
 
-let merge_join_boxed left right ~parent ~child ~axis =
-  let track = Obs.enabled () in
-  let cmps = ref 0 in
-  let cmp a b =
-    if track then incr cmps;
-    Dewey.compare a b
-  in
-  let anc a b =
-    if track then incr cmps;
-    Dewey.is_ancestor_or_self a b
-  in
-  let ppos = Tuple_table.col_pos left parent in
-  let cpos = Tuple_table.col_pos right child in
-  let lrows = Tuple_table.rows left and rrows = Tuple_table.rows right in
-  let nl = Array.length lrows and nr = Array.length rrows in
-  let out = Tuple_table.create ~cols:(out_cols left right) in
-  if nl = 0 || nr = 0 then begin
-    Tuple_table.mark_sorted_by out child;
-    if track then begin
-      Obs.Counter.incr c_merge_calls;
-      flush_tables left right out
-    end;
-    out
-  end
-  else begin
-  (* Stack frames, parallel arrays; depths are strictly increasing. *)
-  let cap = ref 16 in
-  let st_id = ref (Array.make !cap lrows.(0).(ppos)) in
-  let st_lo = ref (Array.make !cap 0) in
-  let st_hi = ref (Array.make !cap 0) in
-  let sp = ref 0 in
-  let push id lo hi =
-    if !sp >= !cap then begin
-      let cap' = 2 * !cap in
-      let id' = Array.make cap' id and lo' = Array.make cap' 0 and hi' = Array.make cap' 0 in
-      Array.blit !st_id 0 id' 0 !sp;
-      Array.blit !st_lo 0 lo' 0 !sp;
-      Array.blit !st_hi 0 hi' 0 !sp;
-      st_id := id';
-      st_lo := lo';
-      st_hi := hi';
-      cap := cap'
-    end;
-    !st_id.(!sp) <- id;
-    !st_lo.(!sp) <- lo;
-    !st_hi.(!sp) <- hi;
-    incr sp
-  in
-  let top_id () = !st_id.(!sp - 1) in
-  let emit s rrow =
-    for r = !st_lo.(s) to !st_hi.(s) - 1 do
-      Tuple_table.append_row out (combine lrows.(r) rrow)
-    done
-  in
-  let i = ref 0 in
-  for j = 0 to nr - 1 do
-    let rrow = rrows.(j) in
-    let d = rrow.(cpos) in
-    (* Shift every ancestor-side run at or before [d] onto the stack. *)
-    while !i < nl && cmp lrows.(!i).(ppos) d <= 0 do
-      let gid = lrows.(!i).(ppos) in
-      let lo = !i in
-      incr i;
-      while !i < nl && cmp lrows.(!i).(ppos) gid = 0 do
-        incr i
-      done;
-      while !sp > 0 && not (anc (top_id ()) gid) do
-        decr sp
-      done;
-      push gid lo !i
-    done;
-    (* Drop frames whose subtrees we have left for good. *)
-    while !sp > 0 && not (anc (top_id ()) d) do
-      decr sp
-    done;
-    (* Every remaining frame is a prefix of [d]; only a depth-equal top
-       frame (d itself) is not a strict ancestor. *)
-    (match axis with
-    | Pattern.Descendant ->
-      let dd = Dewey.depth d in
-      let stop =
-        if !sp > 0 && Dewey.depth (top_id ()) = dd then !sp - 1 else !sp
-      in
-      for s = 0 to stop - 1 do
-        emit s rrow
-      done
-    | Pattern.Child ->
-      (* Frame depths are strictly increasing: binary-search the parent. *)
-      let target = Dewey.depth d - 1 in
-      if target >= 1 && !sp > 0 then begin
-        let lo = ref 0 and hi = ref (!sp - 1) and found = ref (-1) in
-        while !lo <= !hi do
-          if track then incr cmps;
-          let mid = (!lo + !hi) / 2 in
-          let md = Dewey.depth !st_id.(mid) in
-          if md = target then begin
-            found := mid;
-            lo := !hi + 1
-          end
-          else if md < target then lo := mid + 1
-          else hi := mid - 1
-        done;
-        if !found >= 0 then emit !found rrow
-      end)
-  done;
-  Tuple_table.mark_sorted_by out child;
-  if track then begin
-    Obs.Counter.incr c_merge_calls;
-    Obs.Counter.add c_comparisons !cmps;
-    flush_tables left right out
-  end;
-  out
-  end
+   The join columns are unboxed handle arrays, compare/is_prefix are flat
+   int arithmetic, and output rows are emitted as column-slice batches:
+   one [Array.blit] per left column and one [Array.fill] per right column
+   per stack frame. *)
 
-(* Columnar Stack-Tree merge: the same loop as {!merge_join_boxed}, but
-   the join columns are unboxed arena-handle arrays, compare/is_prefix
-   are flat int arithmetic, and output rows are emitted as column-slice
-   batches — one [Array.blit] per left column and one [Array.fill] per
-   right column per stack frame, instead of a boxed row per output
-   tuple. The comparison counter is charged identically to the boxed
-   path, so complexity bounds expressed over it are layout-independent. *)
-let merge_join_cols arena lcols rcols left right ~parent ~child ~axis =
+let merge arena left right ~parent ~child ~axis =
+  let lcols = Tuple_table.columns left and rcols = Tuple_table.columns right in
   let track = Obs.enabled () in
   let cmps = ref 0 in
   let cmp a b =
@@ -356,16 +170,10 @@ let merge_join_cols arena lcols rcols left right ~parent ~child ~axis =
     finish ()
   end
 
-let merge_join left right ~parent ~child ~axis =
-  match (Tuple_table.columns left, Tuple_table.columns right) with
-  | Some (a, lcols), Some (a', rcols) when a == a' ->
-    merge_join_cols a lcols rcols left right ~parent ~child ~axis
-  | _ -> merge_join_boxed left right ~parent ~child ~axis
-
 let join left right ~parent ~child ~axis =
-  if Tuple_table.sorted_on left parent && Tuple_table.sorted_on right child then
-    merge_join left right ~parent ~child ~axis
-  else begin
-    Obs.Counter.incr c_hash_fallbacks;
-    hash_join left right ~parent ~child ~axis
-  end
+  let arena = Tuple_table.arena left in
+  if Tuple_table.arena right != arena then
+    invalid_arg "Struct_join.join: tables over different arenas";
+  Tuple_table.sort_by_node left parent;
+  Tuple_table.sort_by_node right child;
+  merge arena left right ~parent ~child ~axis

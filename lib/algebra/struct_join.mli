@@ -1,50 +1,23 @@
 (** Structural joins over tuple tables.
 
-    Two physical implementations are provided:
-
-    - {!merge_join}: a stack-based sort-merge structural join (the
-      Stack-Tree algorithm recast on Dewey identifiers). Both inputs are
-      walked once in document order; a stack holds the ancestor-side
-      groups lying on the current root path, so both [Child] and
-      [Descendant] axes complete in O(|left| + |right| + |output|)
-      comparisons. Requires both inputs sorted on their join columns.
-    - {!hash_join}: the ancestor side is hashed by join column; each
-      descendant-side binding probes with its identifier's step-prefixes
-      ((id, prefix-length) keys hashed structurally, so no intermediate
-      prefix is materialized). Needs no sort, but the [Descendant] axis
-      costs O(rows × depth) probes.
-
-    {!join} dispatches on the inputs' sortedness metadata: merge when both
-    sides are known sorted on the join columns, hash otherwise. *)
+    One physical implementation: a stack-based sort-merge structural
+    join (the Stack-Tree algorithm recast on {!Dewey_arena} handles).
+    Both inputs are walked once in document order; a stack holds the
+    ancestor-side groups lying on the current root path, so both [Child]
+    and [Descendant] axes complete in O(|left| + |right| + |output|)
+    comparisons once the inputs are sorted. *)
 
 (** [join left right ~parent ~child ~axis] joins on the structural
     predicate [left.parent ≺ right.child] (axis [Child]) or
-    [left.parent ≺≺ right.child] (axis [Descendant]). Output columns are
-    [left.cols @ right.cols]; when [right] is sorted on [child], the
-    output is sorted on [child] too (and marked so).
+    [left.parent ≺≺ right.child] (axis [Descendant]). An input whose
+    sortedness metadata does not prove document order on its join column
+    is first sorted {e in place} ({!Tuple_table.sort_by_node}), so both
+    inputs must be owned by the caller. Output columns are
+    [left.cols @ right.cols], sorted (and marked sorted) on [child].
     @raise Not_found if [parent] (resp. [child]) is not a column of
-    [left] (resp. [right]). *)
+    [left] (resp. [right]).
+    @raise Invalid_argument if the inputs carry different arenas. *)
 val join :
-  Tuple_table.t ->
-  Tuple_table.t ->
-  parent:int ->
-  child:int ->
-  axis:Pattern.axis ->
-  Tuple_table.t
-
-(** Sort-merge implementation. The caller must guarantee both inputs are
-    sorted on their join columns ({!Tuple_table.sorted_on}); the result is
-    unspecified otherwise. *)
-val merge_join :
-  Tuple_table.t ->
-  Tuple_table.t ->
-  parent:int ->
-  child:int ->
-  axis:Pattern.axis ->
-  Tuple_table.t
-
-(** Hash-prefix implementation; correct for any row order. *)
-val hash_join :
   Tuple_table.t ->
   Tuple_table.t ->
   parent:int ->

@@ -27,42 +27,41 @@ let node_matches pat i id node =
   && Pattern.vpred_holds pat i node
   && Plan.root_anchor_ok pat i id
 
-(* Evaluate the view with pattern position [fixed] bound to exactly [id],
-   and every other position bound to its canonical relation amended by
-   [extra] (nodes already processed in this node-at-a-time run) minus
-   [excluded]. *)
-let eval_with_fixed mv ~fixed ~id ~extra ~excluded =
+(* Evaluate the view with pattern position [fixed] bound to exactly the
+   node of handle [h], and every other position bound to its canonical
+   relation amended by [extra] (nodes already processed in this
+   node-at-a-time run, as handle/identifier/node triples) minus the
+   handles in [excluded]. An amended atom is out of document order, so
+   the join sorts it. *)
+let eval_with_fixed mv ~fixed ~h ~extra ~excluded =
   let pat = mv.Mview.pat in
   let store = mv.Mview.store in
+  let arena = Store.arena store in
   let atom j =
-    if j = fixed then Tuple_table.of_ids ~node:j [| id |]
+    if j = fixed then Tuple_table.of_handles ~arena ~node:j [| h |]
     else begin
-      let base = Plan.atom_of_store store pat j in
-      let rows =
-        Array.of_seq
-          (Seq.filter
-             (fun row -> not (Hashtbl.mem excluded (Dewey.encode row.(0))))
-             (Array.to_seq (Tuple_table.rows base)))
-      in
-      let extra_rows =
+      let base = (Tuple_table.columns (Plan.atom_of_store store pat j)).(0) in
+      let extra =
         List.filter_map
-          (fun (xid, xnode) ->
-            if node_matches pat j xid xnode then Some [| xid |] else None)
+          (fun (xh, xid, xnode) -> if node_matches pat j xid xnode then Some xh else None)
           extra
       in
-      Tuple_table.of_rows ~cols:[| j |] (Array.append rows (Array.of_list extra_rows))
+      Tuple_table.of_handles ~sorted:(extra = []) ~arena ~node:j
+        (Array.of_seq
+           (Seq.append
+              (Seq.filter (fun h -> not (Hashtbl.mem excluded h)) (Array.to_seq base))
+              (List.to_seq extra)))
     end
   in
   Plan.eval_subtree pat ~atom ~within:(fun _ -> true) ~root:0
 
-let binding_key pat t row =
-  let buf = Buffer.create 32 in
-  for i = 0 to Pattern.node_count pat - 1 do
-    Buffer.add_string buf (Dewey.encode row.(Tuple_table.col_pos t i))
-  done;
-  Buffer.contents buf
+(* Row [r] of [t] as its handles in pattern-node order: the binding's
+   identity, and its cells for {!Mview.add_binding}. *)
+let binding pat t r =
+  let cols = Tuple_table.columns t in
+  Array.init (Pattern.node_count pat) (fun i -> cols.(Tuple_table.col_pos t i).(r))
 
-let no_excluded : (string, unit) Hashtbl.t = Hashtbl.create 1
+let no_excluded : (int, unit) Hashtbl.t = Hashtbl.create 1
 
 (* The exact fallback shared by both branches: a value predicate flipped
    on a node that stays in the document, which the node-at-a-time delta
@@ -85,6 +84,7 @@ let rebuild_fallback mv ~invocations =
 let propagate mv u =
   let pat = mv.Mview.pat in
   let store = mv.Mview.store in
+  let arena = Store.arena store in
   let targets = Update.targets store u in
   let watches = Maint.vpred_watches mv targets in
   match u with
@@ -100,13 +100,13 @@ let propagate mv u =
           List.concat_map
             (fun tree ->
               List.map
-                (fun n -> (Store.id_of store n, n))
+                (fun n -> (Store.handle_of_node store n, Store.id_of store n, n))
                 (Xml_tree.descendants_or_self tree))
             forest)
         app.Update.pairs
     in
     let new_nodes =
-      List.sort (fun (a, _) (b, _) -> Dewey.compare a b) new_nodes
+      List.sort (fun (_, a, _) (_, b, _) -> Dewey.compare a b) new_nodes
     in
     let added = ref 0 in
     let (), elapsed =
@@ -115,7 +115,7 @@ let propagate mv u =
           let seen = Hashtbl.create 64 in
           let processed = ref [] in
           List.iter
-            (fun (id, node) ->
+            (fun ((h, id, node) as x) ->
               for i = 0 to Pattern.node_count pat - 1 do
                 if node_matches pat i id node then begin
                   (* The node being propagated must be visible at every
@@ -123,23 +123,20 @@ let propagate mv u =
                      bound at several positions of the same embedding
                      (e.g. [/d[//d][//d]] gaining a single [<d/>]). *)
                   let t =
-                    eval_with_fixed mv ~fixed:i ~id
-                      ~extra:((id, node) :: !processed)
+                    eval_with_fixed mv ~fixed:i ~h ~extra:(x :: !processed)
                       ~excluded:no_excluded
                   in
-                  Tuple_table.iter
-                    (fun row ->
-                      let key = binding_key pat t row in
-                      if not (Hashtbl.mem seen key) then begin
-                        Hashtbl.add seen key ();
-                        Mview.add_binding mv (fun j ->
-                            row.(Tuple_table.col_pos t j));
-                        incr added
-                      end)
-                    t
+                  for r = 0 to Tuple_table.length t - 1 do
+                    let key = binding pat t r in
+                    if not (Hashtbl.mem seen key) then begin
+                      Hashtbl.add seen key ();
+                      Mview.add_binding mv (fun j -> Dewey_arena.to_dewey arena key.(j));
+                      incr added
+                    end
+                  done
                 end
               done;
-              processed := (id, node) :: !processed)
+              processed := x :: !processed)
             new_nodes;
           ignore (Maint.refresh_payloads mv (Maint.Ins app));
           Store.commit store)
@@ -167,24 +164,21 @@ let propagate mv u =
           let removed = Hashtbl.create 64 in
           List.iter
             (fun (id, node) ->
+              let h = Store.handle_of_node store node in
               for i = 0 to Pattern.node_count pat - 1 do
                 if node_matches pat i id node then begin
-                  let t =
-                    eval_with_fixed mv ~fixed:i ~id ~extra:[] ~excluded:removed
-                  in
-                  Tuple_table.iter
-                    (fun row ->
-                      let key = binding_key pat t row in
-                      if not (Hashtbl.mem seen key) then begin
-                        Hashtbl.add seen key ();
-                        Mview.remove_binding mv (fun j ->
-                            row.(Tuple_table.col_pos t j));
-                        incr removed_count
-                      end)
-                    t
+                  let t = eval_with_fixed mv ~fixed:i ~h ~extra:[] ~excluded:removed in
+                  for r = 0 to Tuple_table.length t - 1 do
+                    let key = binding pat t r in
+                    if not (Hashtbl.mem seen key) then begin
+                      Hashtbl.add seen key ();
+                      Mview.remove_binding mv (fun j -> Dewey_arena.to_dewey arena key.(j));
+                      incr removed_count
+                    end
+                  done
                 end
               done;
-              Hashtbl.replace removed (Dewey.encode id) ())
+              Hashtbl.replace removed h ())
             doomed;
           ignore (Maint.refresh_payloads mv (Maint.Del app));
           Store.commit store)

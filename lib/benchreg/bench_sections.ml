@@ -19,8 +19,7 @@ let all =
     ("fig29", "auxiliary-structure sizes (Figures 29-32)");
     ("fig33", "pattern-matching throughput (Figures 33-35)");
     ("ablations", "pruning / advisor / deferred-maintenance ablations");
-    ("joinab", "structural-join A/B: sort-merge vs stack-tree");
-    ("prims", "store primitive micro-operations");
+    ("prims", "Dewey vs arena-handle primitives");
     ("figMV", "batch maintenance of a view set (shared delta, domains)");
     ("figHL", "heavy-light adaptive maintenance under skew");
     ("fuzz", "ingestion & persistence fuzz oracle (bounded smoke)");

@@ -117,9 +117,9 @@ let compare (a : t) (b : t) =
 
 let equal a b = Array.length a = Array.length b && Array.for_all2 step_equal a b
 
-let prefix_hash t k =
+let hash t =
   let h = ref 17 in
-  for i = 0 to k - 1 do
+  for i = 0 to Array.length t - 1 do
     let s = t.(i) in
     h := (!h * 31) + s.lab;
     for j = 0 to Array.length s.ord - 1 do
@@ -128,12 +128,8 @@ let prefix_hash t k =
   done;
   !h
 
-let hash t = prefix_hash t (Array.length t)
-
 let rec steps_equal (a : t) (b : t) k i =
   i >= k || (step_equal a.(i) b.(i) && steps_equal a b k (i + 1))
-
-let prefix_equal a ka b kb = ka = kb && steps_equal a b ka 0
 
 let is_prefix a d =
   a == d

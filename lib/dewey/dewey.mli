@@ -84,14 +84,6 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
 
-(** [prefix_hash id k] hashes the first [k] steps of [id]; agrees with
-    {!hash} on full length. Used for allocation-free ancestor probing. *)
-val prefix_hash : t -> int -> int
-
-(** [prefix_equal a ka b kb]: the first [ka] steps of [a] equal the first
-    [kb] steps of [b] (hence [ka = kb]). *)
-val prefix_equal : t -> int -> t -> int -> bool
-
 (** [is_parent p c]: [p] is the parent of [c]. *)
 val is_parent : t -> t -> bool
 

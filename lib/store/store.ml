@@ -103,7 +103,8 @@ end
 
 (* [handles] is parallel to [sorted]: the arena handle of each entry's
    identifier, maintained through the same merge/purge passes so that
-   columnar scans ({!relation_handles}) never re-intern. A relation is
+   scans ({!relation_handles}) hand tuple tables their handle column
+   without re-interning. A relation is
    physically two sorted runs: the [sorted]/[handles] main part plus a
    (normally empty) [tail]/[tail_h] pending part holding committed rows
    of heavy-partitioned labels that have not yet been merged into the
@@ -118,7 +119,7 @@ type rel = {
 
 (* One node index: [hids] maps a node's serial to its arena handle and
    [nodes] maps a handle back to the node holding it ([vacant] when
-   none does); the identifier is the arena's boxed id of the handle.
+   none does); the identifier is the arena's [to_dewey] of the handle.
    Nodes of detached-but-uncommitted subtrees stay in both until the
    commit sweeps them, so no identifier can be minted twice within one
    commit. *)

@@ -27,9 +27,9 @@ let flush_rows tables =
    view-specific vpred/anchor filter — no re-walk of the update region
    per view. *)
 module Shared = struct
-  (* Entries are stored alongside the parallel array of arena handles
-     so that columnar Δ extraction never re-interns; the boxed view
-     simply ignores the handle halves. *)
+  (* Entries are stored alongside the parallel array of arena handles,
+     so Δ extraction never re-interns: the entries feed the value and
+     anchor filters, the handles become the Δ tables. *)
   type nonrec t = {
     sh_region : Id_region.t;
     sh_targets : Dewey.t list;
@@ -162,41 +162,13 @@ end
    already in document order, so no per-table sort is needed. *)
 let of_shared (sh : Shared.t) pat =
   let k = Pattern.node_count pat in
-  let columnar = Tuple_table.columnar_enabled () in
   let tables =
     Array.init k (fun i ->
-        let entries, handles = Shared.lookup sh pat.Pattern.tags.(i) in
-        if columnar then begin
-          (* Handles come pre-interned from the shared index, so this
-             per-view extraction is allocation-lean and safe to run from
-             child domains: a filter over an int column. *)
-          let buf = Array.make (Array.length handles) 0 in
-          let kept = ref 0 in
-          Array.iteri
-            (fun idx e ->
-              if
-                Pattern.vpred_holds pat i e.Store.node
-                && Plan.root_anchor_ok pat i e.Store.id
-              then begin
-                buf.(!kept) <- handles.(idx);
-                incr kept
-              end)
-            entries;
-          Tuple_table.of_handles ~sorted:true ~arena:(Shared.arena sh) ~node:i
-            (Array.sub buf 0 !kept)
-        end
-        else begin
-          let matching = ref [] in
-          Array.iter
-            (fun e ->
-              if
-                Pattern.vpred_holds pat i e.Store.node
-                && Plan.root_anchor_ok pat i e.Store.id
-              then matching := e.Store.id :: !matching)
-            entries;
-          Tuple_table.of_ids ~sorted:true ~node:i
-            (Array.of_list (List.rev !matching))
-        end)
+        (* Handles come pre-interned from the shared index, so this
+           per-view extraction is allocation-lean and safe to run from
+           child domains: a filter over an int column. *)
+        Tuple_table.of_handles ~sorted:true ~arena:(Shared.arena sh) ~node:i
+          (Plan.selected_handles pat i (Shared.lookup sh pat.Pattern.tags.(i))))
   in
   flush_rows tables;
   {

@@ -222,29 +222,34 @@ let term_survives mv (delta : Delta.t) ~scope ~kind s =
                    survives iff it is a strict ancestor of the node's
                    deletion root. *)
                 let region = delta.Delta.region in
-                let rows = Tuple_table.rows delta.Delta.tables.(j) in
+                let dj = delta.Delta.tables.(j) in
+                let arena = Tuple_table.arena dj in
+                let deleted = (Tuple_table.columns dj).(0) in
                 match pat.Pattern.axes.(j) with
                 | Pattern.Descendant ->
                   Array.exists
-                    (fun row ->
+                    (fun h ->
+                      let id = Dewey_arena.to_dewey arena h in
                       let anchor =
-                        match Id_region.root_of region row.(0) with
+                        match Id_region.root_of region id with
                         | Some r -> r
-                        | None -> row.(0)
+                        | None -> id
                       in
                       Path_ops.has_label_ancestor ~self:false dict ~label:ptag anchor)
-                    rows
+                    deleted
                 | Pattern.Child -> (
                   match Label_dict.find dict ptag with
                   | None -> false
                   | Some code ->
+                    (* The arena is parent-closed: a deleted node's parent
+                       has a handle too. *)
                     Array.exists
-                      (fun row ->
-                        match Dewey.parent row.(0) with
-                        | None -> false
-                        | Some pid ->
-                          Dewey.label pid = code && not (Id_region.mem region pid))
-                      rows))
+                      (fun h ->
+                        let ph = Dewey_arena.parent arena h in
+                        ph >= 0
+                        && Dewey_arena.label arena ph = code
+                        && not (Id_region.mem region (Dewey_arena.to_dewey arena ph)))
+                      deleted))
             in
             if not survives then ok := false
           end
@@ -306,12 +311,10 @@ let eval_term mv (delta : Delta.t) ~scope ~s_set ~survivors_only =
       (fun j ->
         if not (Tuple_table.is_empty !result) then begin
           let d = Plan.eval_subtree pat ~atom:datom ~within:(Lattice.mem d_set) ~root:j in
-          (* Sort both sides on the join columns, as [Plan.eval_subtree]
-             does, so the join merges. The running result is a join
-             output, or the snowcap table itself: a bag private to this
-             view's propagation, which may be reordered in place. *)
-          Tuple_table.sort_by_node !result pat.Pattern.parents.(j);
-          Tuple_table.sort_by_node d j;
+          (* The join sorts both sides on the join columns in place. The
+             running result is a join output, or the snowcap table itself:
+             a bag private to this view's propagation, which may be
+             reordered in place. *)
           result :=
             Struct_join.join !result d ~parent:pat.Pattern.parents.(j) ~child:j
               ~axis:pat.Pattern.axes.(j)
@@ -402,18 +405,13 @@ let refresh_payloads mv applied = refresh_affected mv (affected_of applied)
 
 (* {1 Snowcap (auxiliary structure) maintenance} *)
 
-let align_rows table ~to_cols =
-  if Tuple_table.is_empty table then [||]
-  else begin
-    let positions = Array.map (fun c -> Tuple_table.col_pos table c) to_cols in
-    Array.map
-      (fun row -> Array.map (fun p -> row.(p)) positions)
-      (Tuple_table.rows table)
-  end
-
 (* Prop 3.13: each materialized snowcap is maintained from smaller
    snowcaps, lattice leaves and Δ⁺ tables. All additions are computed
-   against the pre-update state before any table is touched. *)
+   against the pre-update state before any table is touched. A term
+   output is a fresh table, a Δ table, or — when no join ran — a snowcap
+   table, which is then empty; dropping empty outputs keeps a later
+   append to that snowcap out of this one. Each output is appended
+   column by column, lined up by pattern node. *)
 let maintain_mats_insert mv delta =
   let additions =
     List.map
@@ -423,18 +421,18 @@ let maintain_mats_insert mv delta =
             (term_survives mv delta ~scope ~kind:KInsert)
             (candidate_terms mv ~scope)
         in
-        let rows =
-          List.concat_map
+        let outputs =
+          List.filter_map
             (fun s ->
               let t = eval_term mv delta ~scope ~s_set:s ~survivors_only:false in
-              Array.to_list (align_rows t ~to_cols:(Tuple_table.cols table)))
+              if Tuple_table.is_empty t then None else Some t)
             terms
         in
-        (table, rows))
+        (table, outputs))
       mv.Mview.mats
   in
   List.iter
-    (fun (table, rows) -> Tuple_table.append_rows table (Array.of_list rows))
+    (fun (table, outputs) -> List.iter (Tuple_table.append_table table) outputs)
     additions
 
 let maintain_mats_delete mv delta =
@@ -533,8 +531,6 @@ let propagate_applied ?(commit = true) ?(watches = []) ?(prune = true) ?shared
         List.iter
           (fun s ->
             let t = eval_term mv delta ~scope ~s_set:s ~survivors_only:false in
-            (* Cell-wise access: on columnar tables this reads handle
-               columns directly, with no boxed row materialization. *)
             for r = 0 to Tuple_table.length t - 1 do
               Mview.add_binding mv (fun i ->
                   Tuple_table.cell_id t r (Tuple_table.col_pos t i));

@@ -153,8 +153,8 @@ let populate mv =
   let full = Plan.eval store pat in
   let positions = Array.map (fun i -> Tuple_table.col_pos full i) mv.stored in
   for r = 0 to Tuple_table.length full - 1 do
-    (* [get] is only consulted on stored nodes; cell-wise access skips
-       boxed row materialization on columnar tables. *)
+    (* [get] is only consulted on stored nodes, so only their cells are
+       boxed. *)
     let get i =
       let rec find p =
         if mv.stored.(p) = i then Tuple_table.cell_id full r positions.(p)

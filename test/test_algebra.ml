@@ -68,10 +68,34 @@ let test_join_random =
       = naive_join (Tuple_table.rows left) (Tuple_table.rows right) ~ppos:0 ~cpos:0
           ~axis)
 
-(* Both physical implementations against the oracle on the same inputs,
-   including the hash join on shuffled (unsorted) inputs. *)
-let test_join_impls_random =
-  Tutil.qtest ~count:200 "merge join = hash join = nested loop"
+(* [shuffle t] is [t]'s rows in a fixed pseudo-random order, rebuilt
+   with [of_cols] from the permuted handles and no order metadata. *)
+let shuffle t =
+  let n = Tuple_table.length t in
+  let perm = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = ((i * 7919) + 13) mod (i + 1) in
+    let tmp = perm.(i) in
+    perm.(i) <- perm.(j);
+    perm.(j) <- tmp
+  done;
+  Tuple_table.of_cols ~arena:(Tuple_table.arena t) ~cols:(Tuple_table.cols t) ~len:n
+    (Array.map (fun col -> Array.map (fun i -> col.(i)) perm) (Tuple_table.columns t))
+
+let sorted_on_column t node =
+  let arena = Tuple_table.arena t in
+  let col = (Tuple_table.columns t).(Tuple_table.col_pos t node) in
+  let ok = ref true in
+  for i = 1 to Array.length col - 1 do
+    if Dewey_arena.compare arena col.(i - 1) col.(i) > 0 then ok := false
+  done;
+  !ok
+
+(* The join against the nested loop on sorted store atoms and on the
+   same atoms shuffled, which it must sort before merging: either way one
+   merge per join, and an output in document order of the child column. *)
+let test_join_shuffled_random =
+  Tutil.qtest ~count:200 "join on shuffled inputs = nested loop"
     (QCheck.triple Tutil.arb_doc
        (QCheck.oneofl [ Pattern.Child; Pattern.Descendant ])
        (QCheck.pair (QCheck.oneofa Tutil.labels) (QCheck.oneofa Tutil.labels)))
@@ -85,26 +109,19 @@ let test_join_impls_random =
         naive_join (Tuple_table.rows left) (Tuple_table.rows right) ~ppos:0 ~cpos:0
           ~axis
       in
-      let merged = Struct_join.merge_join left right ~parent:0 ~child:1 ~axis in
-      let shuffle t =
-        let rows = Array.copy (Tuple_table.rows t) in
-        let n = Array.length rows in
-        for i = n - 1 downto 1 do
-          let j = (i * 7919 + 13) mod (i + 1) in
-          let tmp = rows.(i) in
-          rows.(i) <- rows.(j);
-          rows.(j) <- tmp
-        done;
-        Tuple_table.of_rows ~cols:(Tuple_table.cols t) rows
+      let check l r =
+        let out, snap =
+          Obs.with_scope (fun () -> Struct_join.join l r ~parent:0 ~child:1 ~axis)
+        in
+        join_result out = oracle
+        && Tuple_table.sorted_by out = Some 1
+        && sorted_on_column out 1
+        && Obs.counter_value snap "algebra.join.merge_calls" = 1
       in
-      let sl = shuffle left and sr = shuffle right in
-      let hashed = Struct_join.hash_join sl sr ~parent:0 ~child:1 ~axis in
-      (* The dispatcher must not take the merge path on unsorted inputs of
-         more than one row (their metadata is unknown). *)
-      let dispatched = Struct_join.join sl sr ~parent:0 ~child:1 ~axis in
-      join_result merged = oracle
-      && join_result hashed = oracle
-      && join_result dispatched = oracle)
+      check left right
+      && check (shuffle left) (shuffle right)
+      && check left (shuffle right)
+      && check (shuffle left) right)
 
 (* Regression: output column order is left-columns-then-right-columns and
    the merge output is sorted on the child column. *)
@@ -129,87 +146,148 @@ let test_join_column_order () =
     (Tuple_table.sorted_by ac = Some 1);
   (* Rows bind each column to a node of the matching label. *)
   let dict = Store.dict s in
-  Tuple_table.iter
+  Array.iter
     (fun row ->
       let lab p = Label_dict.label dict (Dewey.label row.(p)) in
       Alcotest.(check (list string)) "row labels follow cols" [ "a"; "c"; "b" ]
         [ lab 0; lab 1; lab 2 ])
-    acb
+    (Tuple_table.rows acb)
 
-(* XVM_BOXED_TABLES: only the explicit truthy spellings request the
-   boxed layout; everything else — unset, empty, "0", "no", garbage —
-   keeps the columnar default. *)
-let test_boxed_env_parse () =
-  List.iter
-    (fun v ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%S requests boxed"
-           (Option.value ~default:"<unset>" v))
-        true
-        (Tuple_table.boxed_requested v))
-    [ Some "1"; Some "true"; Some "TRUE"; Some "True"; Some " 1 "; Some "\ttrue\n" ];
-  List.iter
-    (fun v ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%S stays columnar"
-           (Option.value ~default:"<unset>" v))
-        false
-        (Tuple_table.boxed_requested v))
-    [ None; Some ""; Some "0"; Some "false"; Some "no"; Some "yes"; Some "2"; Some "on"; Some "boxed" ]
+(* Tables over a fresh arena: [ids] interned in order. *)
+let table_of_ids ?sorted arena ~node ids =
+  Tuple_table.of_handles ?sorted ~arena ~node (Array.map (Dewey_arena.intern arena) ids)
+
+let ids_of t = Array.map (fun row -> row.(0)) (Tuple_table.rows t)
 
 let test_tuple_table () =
-  let t = Tuple_table.of_ids ~node:7 [| Dewey.root ~lab:1 |] in
+  let arena = Dewey_arena.create () in
+  let t = table_of_ids arena ~node:7 [| Dewey.root ~lab:1 |] in
   Alcotest.(check int) "col_pos" 0 (Tuple_table.col_pos t 7);
   Alcotest.(check bool) "missing col raises" true
     (match Tuple_table.col_pos t 3 with exception Not_found -> true | _ -> false);
   Alcotest.(check int) "length" 1 (Tuple_table.length t);
-  Tuple_table.filter t (fun _ -> false);
-  Alcotest.(check bool) "filter empties" true (Tuple_table.is_empty t)
+  Tuple_table.remove_ids t [ (7, Tuple_table.copy t) ];
+  Alcotest.(check bool) "remove_ids empties" true (Tuple_table.is_empty t)
 
 let test_append_growth () =
+  let arena = Dewey_arena.create () in
   let a = Dewey.root ~lab:0 in
   let kids = Array.init 100 (fun i -> Dewey.child a ~lab:1 ~ord:[| i + 1 |]) in
-  let t = Tuple_table.create ~cols:[| 3 |] in
-  Array.iter (fun id -> Tuple_table.append_row t [| id |]) kids;
+  let t = Tuple_table.empty ~arena ~cols:[| 3 |] in
+  Array.iter (fun id -> Tuple_table.append_table t (table_of_ids arena ~node:3 [| id |])) kids;
   Alcotest.(check int) "appended length" 100 (Tuple_table.length t);
-  Alcotest.(check bool) "rows snapshot exact" true
-    (Array.length (Tuple_table.rows t) = 100);
-  Tuple_table.append_rows t (Array.map (fun id -> [| id |]) kids);
+  Alcotest.(check bool) "columns compacted exactly" true
+    (Array.length (Tuple_table.columns t).(0) = 100);
+  Tuple_table.append_table t (table_of_ids arena ~node:3 kids);
   Alcotest.(check int) "bulk appended" 200 (Tuple_table.length t);
+  let ids = ids_of t in
   Alcotest.(check bool) "row content survives growth" true
-    (Dewey.equal (Tuple_table.get t 0).(0) kids.(0)
-    && Dewey.equal (Tuple_table.get t 99).(0) kids.(99)
-    && Dewey.equal (Tuple_table.get t 100).(0) kids.(0))
+    (Dewey.equal ids.(0) kids.(0)
+    && Dewey.equal ids.(99) kids.(99)
+    && Dewey.equal ids.(100) kids.(0))
 
 let test_sortedness_metadata () =
+  let arena = Dewey_arena.create () in
   let a = Dewey.root ~lab:0 in
   let k i = Dewey.child a ~lab:1 ~ord:[| i |] in
-  let t = Tuple_table.of_ids ~sorted:true ~node:0 [| k 1; k 2 |] in
+  let t = table_of_ids ~sorted:true arena ~node:0 [| k 1; k 2 |] in
   Alcotest.(check bool) "declared sorted" true (Tuple_table.sorted_on t 0);
-  Tuple_table.append_row t [| k 5 |];
+  Tuple_table.append_table t (table_of_ids arena ~node:0 [| k 5 |]);
   Alcotest.(check bool) "in-order append keeps metadata" true
     (Tuple_table.sorted_by t = Some 0);
-  Tuple_table.append_row t [| k 3 |];
+  Tuple_table.append_table t (table_of_ids arena ~node:0 [| k 3 |]);
   Alcotest.(check bool) "out-of-order append drops metadata" true
     (Tuple_table.sorted_by t = None);
   Tuple_table.sort_by_node t 0;
   Alcotest.(check bool) "sort restores metadata" true
     (Tuple_table.sorted_by t = Some 0);
-  Tuple_table.filter t (fun row -> not (Dewey.equal row.(0) (k 2)));
-  Alcotest.(check bool) "filter keeps metadata" true
+  Tuple_table.remove_ids t [ (0, table_of_ids arena ~node:0 [| k 2 |]) ];
+  Alcotest.(check bool) "remove_ids keeps metadata" true
     (Tuple_table.sorted_by t = Some 0);
-  Alcotest.(check int) "filter in place" 3 (Tuple_table.length t)
+  Alcotest.(check int) "remove_ids in place" 3 (Tuple_table.length t)
 
 let test_sort_by_node () =
+  let arena = Dewey_arena.create () in
   let a = Dewey.root ~lab:0 in
   let b = Dewey.child a ~lab:1 ~ord:[| 1 |] in
   let c = Dewey.child a ~lab:1 ~ord:[| 2 |] in
-  let t = Tuple_table.of_ids ~node:0 [| c; a; b |] in
+  let t = table_of_ids arena ~node:0 [| c; a; b |] in
   Tuple_table.sort_by_node t 0;
+  let ids = ids_of t in
   Alcotest.(check bool) "sorted" true
-    (Dewey.equal (Tuple_table.get t 0).(0) a
-    && Dewey.equal (Tuple_table.get t 1).(0) b
-    && Dewey.equal (Tuple_table.get t 2).(0) c)
+    (Dewey.equal ids.(0) a && Dewey.equal ids.(1) b && Dewey.equal ids.(2) c)
+
+(* {1 Table operations against a plain-array model}
+
+   A two-column table over pattern nodes 3 and 5 is modelled as an
+   array of [| h3; h5 |] handle rows. [append_table] from a source whose
+   columns are listed the other way round ([| 5; 3 |]) must line the
+   columns up by pattern node, not by position; [remove_ids] is a filter,
+   [sort_by_node] a sort on one column, and [copy] shares nothing. After
+   every operation the order metadata must be sound: a column it names
+   is in document order. *)
+
+let model_of t =
+  let cols = Tuple_table.columns t in
+  let p3 = Tuple_table.col_pos t 3 and p5 = Tuple_table.col_pos t 5 in
+  Array.init (Tuple_table.length t) (fun r -> [| cols.(p3).(r); cols.(p5).(r) |])
+
+let table_of_model arena ~cols rows =
+  (* [cols] is [| 3; 5 |] or [| 5; 3 |]; model rows are always h3, h5. *)
+  let at node = if node = 3 then 0 else 1 in
+  Tuple_table.of_cols ~arena ~cols ~len:(Array.length rows)
+    (Array.map (fun node -> Array.map (fun r -> r.(at node)) rows) cols)
+
+let metadata_sound t =
+  match Tuple_table.sorted_by t with None -> true | Some n -> sorted_on_column t n
+
+let test_table_ops_model =
+  Tutil.qtest ~count:300 "table ops = array model"
+    QCheck.(
+      triple Tutil.arb_doc
+        (pair (small_list (pair small_nat small_nat)) (small_list (pair small_nat small_nat)))
+        (small_list small_nat))
+    (fun (d, (picks, picks'), dead) ->
+      let store = Store.of_document d in
+      let arena = Store.arena store in
+      let pool =
+        Array.concat
+          (List.map
+             (fun l -> snd (Store.relation_handles store l))
+             (Store.relation_labels store))
+      in
+      let h k = pool.(k mod Array.length pool) in
+      let rows ps = Array.of_list (List.map (fun (a, b) -> [| h a; h b |]) ps) in
+      let m = rows picks and m' = rows picks' in
+      let cmp3 a b = Dewey_arena.compare arena a.(0) b.(0) in
+      let sorted_m = Array.copy m in
+      Array.stable_sort cmp3 sorted_m;
+      (* append_table, permuted source, onto a table sorted on node 3 *)
+      let t = table_of_model arena ~cols:[| 3; 5 |] sorted_m in
+      Tuple_table.mark_sorted_by t 3;
+      Tuple_table.append_table t (table_of_model arena ~cols:[| 5; 3 |] m');
+      let m1 = Array.append sorted_m m' in
+      let appended = model_of t = m1 && metadata_sound t in
+      (* copy is independent of its source *)
+      let c = Tuple_table.copy t in
+      let dead_h = Array.of_list (List.map h dead) in
+      Tuple_table.remove_ids c [ (5, Tuple_table.of_handles ~arena ~node:5 dead_h) ];
+      let m2 =
+        Array.of_list
+          (List.filter (fun r -> not (Array.mem r.(1) dead_h)) (Array.to_list m1))
+      in
+      let removed = model_of c = m2 && model_of t = m1 && metadata_sound c in
+      (* sort_by_node: a permutation of the rows, in order on node 3 *)
+      Tuple_table.sort_by_node c 3;
+      let sorted = model_of c in
+      let m3 = Array.copy m2 in
+      Array.stable_sort cmp3 m3;
+      let bag a = List.sort compare (Array.to_list a) in
+      appended && removed
+      && bag sorted = bag m2
+      && Array.for_all2 (fun a b -> cmp3 a b = 0) sorted m3
+      && Tuple_table.sorted_by c = Some 3
+      && metadata_sound c)
 
 let test_id_region () =
   let a = Dewey.root ~lab:0 in
@@ -250,7 +328,7 @@ let test_region_scan_random =
         Pattern.compile ~name:"r"
           (Pattern.n ~axis:Pattern.Descendant target ~id:true [])
       in
-      let all = Plan.entries_matching store pat 0 in
+      let all = fst (Plan.entries_matching_handles store pat 0) in
       (* Region: a pseudo-random subset of the document's element nodes,
          nested roots included, in no particular order. *)
       let every = max 1 ((pick mod 3) + 1) in
@@ -275,11 +353,11 @@ let test_entries_in_region_boundaries () =
   let enc e = Dewey.encode e.Store.id in
   let scan pick =
     let s = fixture () in
-    let all = Plan.entries_matching s pat_b 0 in
+    let all = fst (Plan.entries_matching_handles s pat_b 0) in
     let app = Update.apply_delete s ~targets:(pick s all) in
     delta_ids s pat_b app
   in
-  let all = Plan.entries_matching (fixture ()) pat_b 0 in
+  let all = fst (Plan.entries_matching_handles (fixture ()) pat_b 0) in
   let last = Array.length all - 1 in
   Alcotest.(check (list string)) "whole-document region = full relation"
     (Array.to_list (Array.map enc all))
@@ -339,14 +417,10 @@ let test_plan_scope () =
 (* {1 Counter-based complexity regression tests}
 
    The observability counters turn the join's complexity contract into
-   an executable assertion. [algebra.join.comparisons] counts Dewey
-   comparisons on the merge path and prefix probes on the hash path, so
-   the budget below constrains whichever implementation actually ran:
-   on this adversarial deep-descendant input the stack-based merge join
-   measures ~1.7*(|L|+|R|+|out|) comparisons, the hash-prefix baseline
-   ~12800 and a nested loop 160000 against a budget of 7200 -- swapping
-   the dispatched join for either blows the bound by an order of
-   magnitude. *)
+   an executable assertion. [algebra.join.comparisons] counts identifier
+   comparisons: on this adversarial deep-descendant input the stack-based
+   merge join measures ~1.7*(|L|+|R|+|out|) comparisons against a budget
+   of 7200, where a nested loop would need 160000. *)
 
 (* [chains] root-level sections, each a [depth]-deep chain of wrap
    elements ending in a para: maximal ancestor-stack churn per output
@@ -396,28 +470,11 @@ let test_merge_join_comparison_bound () =
        linear budget %d: not a sort-merge join any more?"
       c (Tuple_table.length left) (Tuple_table.length right)
       (Tuple_table.length joined) budget;
-  Alcotest.(check int) "no hash fallback on sorted inputs" 0
-    (Obs.counter_value snap "algebra.join.hash_fallbacks");
-  Alcotest.(check bool) "merge path taken" true
-    (Obs.counter_value snap "algebra.join.merge_calls" >= 1)
+  Alcotest.(check int) "one merge" 1
+    (Obs.counter_value snap "algebra.join.merge_calls")
 
-(* The same budget rejects the hash-prefix baseline on the same input:
-   it probes one hash entry per ancestor prefix of every right row, so
-   deep documents cost depth*|R| probes. This keeps the bound above
-   honest -- it genuinely discriminates between the implementations. *)
-let test_hash_join_exceeds_linear_budget () =
-  let left, right = deep_atoms () in
-  let joined, snap =
-    Obs.with_scope (fun () ->
-        Struct_join.hash_join left right ~parent:0 ~child:1
-          ~axis:Pattern.Descendant)
-  in
-  let budget = linear_budget ~left ~right ~out:joined in
-  Alcotest.(check bool) "hash-prefix join exceeds the merge budget" true
-    (comparisons snap > budget)
-
-(* Dispatcher counters across both axes on sorted store atoms: every
-   call must take the merge path, never the fallback. *)
+(* Join counters across both axes on sorted store atoms: one merge per
+   call, with the input sizes flushed. *)
 let test_sorted_inputs_never_fall_back () =
   let s = fixture () in
   let c = atom s pat_cb 0 and b = atom s pat_cb 1 in
@@ -428,98 +485,10 @@ let test_sorted_inputs_never_fall_back () =
             ignore (Struct_join.join c b ~parent:0 ~child:1 ~axis))
           [ Pattern.Child; Pattern.Descendant ])
   in
-  Alcotest.(check int) "zero fallbacks" 0
-    (Obs.counter_value snap "algebra.join.hash_fallbacks");
   Alcotest.(check int) "two merge calls" 2
     (Obs.counter_value snap "algebra.join.merge_calls");
   Alcotest.(check int) "row counters flushed" (2 * Tuple_table.length c)
     (Obs.counter_value snap "algebra.join.rows_left")
-
-(* {1 Columnar layout equivalence}
-
-   The arena-handle columnar layout must be observationally identical to
-   the boxed row layout: same rows through the compatibility API, same
-   join outputs and sortedness metadata, same table-op results. *)
-
-let boxed_atom store node label =
-  Tuple_table.of_ids ~sorted:true ~node
-    (Array.map (fun e -> e.Store.id) (Store.relation store label))
-
-let cols_atom store node label =
-  let _, handles = Store.relation_handles store label in
-  Tuple_table.of_handles ~sorted:true ~arena:(Store.arena store) ~node
-    (Array.copy handles)
-
-let arb_doc_label =
-  QCheck.pair Tutil.arb_doc (QCheck.oneofa Tutil.labels)
-
-let test_columnar_join_equiv =
-  Tutil.qtest ~count:200 "columnar merge join = boxed merge join"
-    (QCheck.triple Tutil.arb_doc
-       (QCheck.oneofl [ Pattern.Child; Pattern.Descendant ])
-       (QCheck.pair (QCheck.oneofa Tutil.labels) (QCheck.oneofa Tutil.labels)))
-    (fun (d, axis, (l1, l2)) ->
-      let store = Store.of_document d in
-      let bl = boxed_atom store 0 l1 and br = boxed_atom store 1 l2 in
-      let cl = cols_atom store 0 l1 and cr = cols_atom store 1 l2 in
-      let boxed, snap_b =
-        Obs.with_scope (fun () ->
-            Struct_join.merge_join bl br ~parent:0 ~child:1 ~axis)
-      in
-      let cols, snap_c =
-        Obs.with_scope (fun () ->
-            Struct_join.merge_join cl cr ~parent:0 ~child:1 ~axis)
-      in
-      join_result cols = join_result boxed
-      && Tuple_table.sorted_by cols = Tuple_table.sorted_by boxed
-      (* counter parity: the complexity regression tests must not depend
-         on the physical layout *)
-      && comparisons snap_c = comparisons snap_b)
-
-let test_columnar_table_ops =
-  Tutil.qtest ~count:200 "columnar table ops mirror boxed" arb_doc_label
-    (fun (d, lab) ->
-      let store = Store.of_document d in
-      let b = boxed_atom store 0 lab and c = cols_atom store 0 lab in
-      join_result b = join_result c
-      && (let n = Tuple_table.length b in
-          let ok = ref (Tuple_table.length c = n) in
-          for i = 0 to n - 1 do
-            if
-              not
-                (Dewey.equal (Tuple_table.cell_id b i 0)
-                   (Tuple_table.cell_id c i 0))
-            then ok := false
-          done;
-          !ok)
-      && (let b2 = Tuple_table.copy b and c2 = Tuple_table.copy c in
-          Tuple_table.append_table b2 b;
-          Tuple_table.append_table c2 c;
-          join_result b2 = join_result c2
-          && Tuple_table.sorted_by b2 = Tuple_table.sorted_by c2)
-      &&
-      let b3 = Tuple_table.copy b and c3 = Tuple_table.copy c in
-      let keep row = Dewey.depth row.(0) mod 2 = 0 in
-      Tuple_table.filter b3 keep;
-      Tuple_table.filter c3 keep;
-      join_result b3 = join_result c3)
-
-let test_columnar_sort =
-  Tutil.qtest ~count:100 "columnar sort_by_node = boxed order" arb_doc_label
-    (fun (d, lab) ->
-      let store = Store.of_document d in
-      let _, handles = Store.relation_handles store lab in
-      let shuf = Array.copy handles in
-      let n = Array.length shuf in
-      for i = n - 1 downto 1 do
-        let j = ((i * 7919) + 13) mod (i + 1) in
-        let t = shuf.(i) in
-        shuf.(i) <- shuf.(j);
-        shuf.(j) <- t
-      done;
-      let c = Tuple_table.of_handles ~arena:(Store.arena store) ~node:0 shuf in
-      Tuple_table.sort_by_node c 0;
-      join_result c = join_result (boxed_atom store 0 lab))
 
 let () =
   Alcotest.run "algebra"
@@ -529,27 +498,19 @@ let () =
           Alcotest.test_case "fixture join" `Quick test_join_fixture;
           Alcotest.test_case "merge join comparison bound" `Quick
             test_merge_join_comparison_bound;
-          Alcotest.test_case "hash join exceeds linear budget" `Quick
-            test_hash_join_exceeds_linear_budget;
           Alcotest.test_case "sorted inputs never fall back" `Quick
             test_sorted_inputs_never_fall_back;
           Alcotest.test_case "column order" `Quick test_join_column_order;
           test_join_random;
-          test_join_impls_random;
+          test_join_shuffled_random;
         ] );
       ( "tables",
         [
-          Alcotest.test_case "boxed env parse" `Quick test_boxed_env_parse;
           Alcotest.test_case "tuple table" `Quick test_tuple_table;
           Alcotest.test_case "append growth" `Quick test_append_growth;
           Alcotest.test_case "sortedness metadata" `Quick test_sortedness_metadata;
           Alcotest.test_case "sort by node" `Quick test_sort_by_node;
-        ] );
-      ( "columnar",
-        [
-          test_columnar_join_equiv;
-          test_columnar_table_ops;
-          test_columnar_sort;
+          test_table_ops_model;
         ] );
       ( "id ops",
         [
