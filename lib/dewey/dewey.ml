@@ -159,15 +159,18 @@ let add_varint buf v =
 let zigzag v = (v lsl 1) lxor (v asr (Sys.int_size - 1))
 let unzigzag v = (v lsr 1) lxor (-(v land 1))
 
-let encode t =
-  let buf = Buffer.create (Array.length t * 4) in
+let add_encoded buf t =
   add_varint buf (Array.length t);
   Array.iter
     (fun s ->
       add_varint buf s.lab;
       add_varint buf (Array.length s.ord);
       Array.iter (fun o -> add_varint buf (zigzag o)) s.ord)
-    t;
+    t
+
+let encode t =
+  let buf = Buffer.create (Array.length t * 4) in
+  add_encoded buf t;
   Buffer.contents buf
 
 (* Order of two varints' byte strings: the first byte that differs

@@ -99,6 +99,9 @@ val is_ancestor_or_self : t -> t -> bool
     another. *)
 val encode : t -> string
 
+(** [add_encoded buf id] appends [encode id] to [buf]. *)
+val add_encoded : Buffer.t -> t -> unit
+
 (** [compare_encoded a b] orders [a] and [b] as [String.compare] orders
     [encode a] and [encode b], without encoding. Since encodings are
     self-delimiting, comparing tuples of identifiers lexicographically

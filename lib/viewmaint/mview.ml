@@ -43,11 +43,16 @@ let footprint_of pat =
   { fp_star = !star; fp_tags = Array.of_seq (Hashtbl.to_seq_keys tags) }
 
 (* Dewey encodings are self-delimiting, so their concatenation is an
-   injective key for the projected tuple. *)
-let key_of mv get =
+   injective key for the projected tuple: [id_at p] is the identifier of
+   the [p]-th stored node. *)
+let key_of_ids mv id_at =
   let buf = Buffer.create 32 in
-  Array.iter (fun i -> Buffer.add_string buf (Dewey.encode (get i))) mv.stored;
+  for p = 0 to Array.length mv.stored - 1 do
+    Dewey.add_encoded buf (id_at p)
+  done;
   Buffer.contents buf
+
+let key_of mv get = key_of_ids mv (fun p -> get mv.stored.(p))
 
 let sharing_payloads mv f =
   match mv.shared with
@@ -85,13 +90,16 @@ let make_cell mv i id =
     cell_content = (if store_cont then content_of mv id else None);
   }
 
-let add_binding mv get =
-  let key = key_of mv get in
+(* [ids] are the stored nodes' identifiers, in [mv.stored] order. *)
+let add_tuple mv ids ~count =
+  let key = key_of_ids mv (Array.get ids) in
   match Hashtbl.find_opt mv.entries key with
-  | Some e -> e.count <- e.count + 1
+  | Some e -> e.count <- e.count + count
   | None ->
-    let cells = Array.map (fun i -> make_cell mv i (get i)) mv.stored in
-    Hashtbl.add mv.entries key { count = 1; cells }
+    let cells = Array.mapi (fun p id -> make_cell mv mv.stored.(p) id) ids in
+    Hashtbl.add mv.entries key { count; cells }
+
+let add_binding mv get = add_tuple mv (Array.map get mv.stored) ~count:1
 
 let remove_binding mv get =
   let key = key_of mv get in
@@ -121,66 +129,118 @@ let refresh_cell mv ~stored_node cell =
     store_val || store_cont
   end
 
-let populate_mats mv =
+(* The snowcap chain in one left-deep pass: level [l] binds the
+   preorder prefix [0..l] and is level [l-1] joined with node [l]'s atom
+   along the edge to its parent, which precedes [l] in preorder. Returns
+   the first [n] levels; level [k-1] of a [k]-node view is the view
+   itself, after k-1 joins. The join sorts level [l-1] in place on the
+   parent column, keeping its metadata sound. *)
+let chain_levels store pat n =
+  let arena = Store.arena store in
+  let levels = Array.make n (Tuple_table.empty ~arena ~cols:[||]) in
+  for l = 0 to n - 1 do
+    levels.(l) <-
+      (if l = 0 then Plan.atom_of_store store pat 0
+       else if Tuple_table.is_empty levels.(l - 1) then
+         Tuple_table.empty ~arena ~cols:(Array.init (l + 1) Fun.id)
+       else
+         Struct_join.join levels.(l - 1) (Plan.atom_of_store store pat l)
+           ~parent:pat.Pattern.parents.(l) ~child:l ~axis:pat.Pattern.axes.(l))
+  done;
+  levels
+
+(* Sets the snowcap tables of [mv.policy] and returns the view's full
+   table when [view]. [Leaves] evaluates the view with [Plan.eval], the
+   reference the oracles compare against; [Chosen] sets need not be
+   prefixes, so each is evaluated on its own. *)
+let evaluate mv ~view =
   let pat = mv.pat and store = mv.store in
-  let materialize_sets sets =
+  let full () = if view then Some (Plan.eval store pat) else None in
+  match mv.policy with
+  | Leaves -> full ()
+  | Snowcaps ->
+    let k = Pattern.node_count pat in
+    let levels = chain_levels store pat (if view then k else k - 1) in
+    mv.mats <- List.mapi (fun l s -> (s, levels.(l))) (Lattice.chain pat);
+    if view then Some levels.(k - 1) else None
+  | Chosen sets ->
+    List.iter
+      (fun s ->
+        if not (List.exists (Lattice.equal s) mv.all_snowcaps) then
+          invalid_arg "Mview.materialize: Chosen set is not a snowcap of the view")
+      sets;
+    let full = full () in
     mv.mats <-
       List.map
         (fun s ->
-          let table =
+          ( s,
             Plan.eval_subtree pat
               ~atom:(fun i -> Plan.atom_of_store store pat i)
-              ~within:(Lattice.mem s) ~root:0
-          in
-          (s, table))
-        sets
-  in
-  match mv.policy with
-  | Leaves -> ()
-  | Snowcaps -> materialize_sets (Lattice.chain pat)
-  | Chosen sets ->
-    let all = mv.all_snowcaps in
-    List.iter
-      (fun s ->
-        if not (List.exists (Lattice.equal s) all) then
-          invalid_arg "Mview.materialize: Chosen set is not a snowcap of the view")
-      sets;
-    materialize_sets sets
+              ~within:(Lattice.mem s) ~root:0 ))
+        sets;
+    full
+
+(* Handle tuples of the stored columns. *)
+module Tuple_tbl = Hashtbl.Make (struct
+  type t = int array
+
+  (* Top-level, so that no closure is allocated per probe. *)
+  let rec equal_from (a : t) (b : t) i =
+    i >= Array.length a || (a.(i) = b.(i) && equal_from a b (i + 1))
+
+  let equal (a : t) (b : t) = Array.length a = Array.length b && equal_from a b 0
+
+  let hash (a : t) = Array.fold_left (fun h x -> (h * 65599) + x) 0 a land max_int
+end)
+
+(* Rows are folded by the handle tuple of the stored columns first, so
+   keys and cells are built once per distinct tuple, whose row count is
+   its derivation count. Entries are added in first-row order. *)
+let add_rows mv full =
+  let arena = Tuple_table.arena full in
+  let columns = Tuple_table.columns full in
+  let cols = Array.map (fun i -> columns.(Tuple_table.col_pos full i)) mv.stored in
+  let n = Array.length cols in
+  let counts = Tuple_tbl.create 1024 in
+  let order = ref [] in
+  let probe = Array.make n 0 in
+  for r = 0 to Tuple_table.length full - 1 do
+    for p = 0 to n - 1 do
+      probe.(p) <- cols.(p).(r)
+    done;
+    match Tuple_tbl.find_opt counts probe with
+    | Some c -> incr c
+    | None ->
+      let tuple = Array.copy probe in
+      let c = ref 1 in
+      Tuple_tbl.add counts tuple c;
+      order := (tuple, c) :: !order
+  done;
+  List.iter
+    (fun (tuple, c) ->
+      add_tuple mv (Array.map (Dewey_arena.to_dewey arena) tuple) ~count:!c)
+    (List.rev !order)
 
 let populate mv =
   sharing_payloads mv @@ fun () ->
-  let pat = mv.pat and store = mv.store in
-  let full = Plan.eval store pat in
-  let positions = Array.map (fun i -> Tuple_table.col_pos full i) mv.stored in
-  for r = 0 to Tuple_table.length full - 1 do
-    (* [get] is only consulted on stored nodes, so only their cells are
-       boxed. *)
-    let get i =
-      let rec find p =
-        if mv.stored.(p) = i then Tuple_table.cell_id full r positions.(p)
-        else find (p + 1)
-      in
-      find 0
-    in
-    add_binding mv get
-  done;
-  populate_mats mv
+  Option.iter (add_rows mv) (evaluate mv ~view:true)
+
+let shell policy store pat =
+  {
+    pat;
+    store;
+    policy;
+    stored = Array.of_list (Pattern.stored_nodes pat);
+    cvn = Array.of_list (Pattern.cvn pat);
+    all_snowcaps = Lattice.snowcaps pat;
+    footprint = footprint_of pat;
+    mats = [];
+    entries = Hashtbl.create 1024;
+    shared = None;
+  }
 
 let materialize ?(policy = Snowcaps) store pat =
-  let mv =
-    {
-      pat;
-      store;
-      policy;
-      stored = Array.of_list (Pattern.stored_nodes pat);
-      cvn = Array.of_list (Pattern.cvn pat);
-      all_snowcaps = Lattice.snowcaps pat;
-      footprint = footprint_of pat;
-      mats = [];
-      entries = Hashtbl.create 1024;
-      shared = None;
-    }
-  in
+  let mv = shell policy store pat in
   populate mv;
   mv
 
@@ -190,29 +250,14 @@ let rebuild mv =
   populate mv
 
 let empty_shell ?(policy = Snowcaps) store pat =
-  let mv =
-    {
-      pat;
-      store;
-      policy;
-      stored = Array.of_list (Pattern.stored_nodes pat);
-      cvn = Array.of_list (Pattern.cvn pat);
-      all_snowcaps = Lattice.snowcaps pat;
-      footprint = footprint_of pat;
-      mats = [];
-      entries = Hashtbl.create 1024;
-      shared = None;
-    }
-  in
-  populate_mats mv;
+  let mv = shell policy store pat in
+  ignore (evaluate mv ~view:false);
   mv
 
 let restore_entry mv ~count ~cells =
   if Array.length cells <> Array.length mv.stored then
     invalid_arg "Mview.restore_entry: cell arity mismatch";
-  let buf = Buffer.create 32 in
-  Array.iter (fun c -> Buffer.add_string buf (Dewey.encode c.cell_id)) cells;
-  Hashtbl.replace mv.entries (Buffer.contents buf) { count; cells }
+  Hashtbl.replace mv.entries (key_of_ids mv (fun p -> cells.(p).cell_id)) { count; cells }
 
 let cardinality mv = Hashtbl.length mv.entries
 

@@ -51,7 +51,13 @@ type t = private {
 
 (** [materialize ?policy store pat] evaluates the pattern algebraically
     over the committed relations and materializes the view and (under
-    [Snowcaps], the default) its auxiliary snowcap tables. *)
+    [Snowcaps], the default) its auxiliary snowcap tables. Under
+    [Snowcaps] one left-deep pass builds both: each level of the chain is
+    the one below joined with the next preorder node's atom, and the last
+    level is the view, so a k-node view costs k-1 joins. [Leaves]
+    evaluates the view with {!Plan.eval}; [Chosen] evaluates each set on
+    its own. Rows are folded by their stored identifiers before keys and
+    payloads are built, once per distinct tuple. *)
 val materialize : ?policy:policy -> Store.t -> Pattern.t -> t
 
 (** [rebuild mv] discards the view contents and snowcap tables and
@@ -80,7 +86,8 @@ val entries_in_order : t -> (string * entry) list
 
 (** {1 Maintenance primitives} (used by [Maint]) *)
 
-(** Projection key of a full binding. *)
+(** Projection key of a full binding: the stored identifiers'
+    encodings ({!Dewey.add_encoded}), concatenated in one buffer. *)
 val key_of : t -> (int -> Dewey.t) -> string
 
 (** [add_binding mv get] registers one new embedding; [get] maps pattern

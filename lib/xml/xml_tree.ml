@@ -116,16 +116,23 @@ let is_ancestor a d =
   in
   up d
 
+(* The runs between special characters are appended whole. *)
 let escape buf s ~attr =
-  String.iter
-    (fun c ->
-      match c with
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '"' when attr -> Buffer.add_string buf "&quot;"
-      | c -> Buffer.add_char buf c)
-    s
+  let start = ref 0 in
+  let special i rep =
+    Buffer.add_substring buf s !start (i - !start);
+    Buffer.add_string buf rep;
+    start := i + 1
+  in
+  for i = 0 to String.length s - 1 do
+    match String.unsafe_get s i with
+    | '<' -> special i "&lt;"
+    | '>' -> special i "&gt;"
+    | '&' -> special i "&amp;"
+    | '"' when attr -> special i "&quot;"
+    | _ -> ()
+  done;
+  Buffer.add_substring buf s !start (String.length s - !start)
 
 let rec add_to_buffer buf n =
   match n.kind with
@@ -137,18 +144,32 @@ let rec add_to_buffer buf n =
     escape buf n.text ~attr:true;
     Buffer.add_char buf '"'
   | Element ->
-    let attrs, content = List.partition (fun c -> c.kind = Attribute) n.children in
     Buffer.add_char buf '<';
     Buffer.add_string buf n.name;
-    List.iter (add_to_buffer buf) attrs;
-    if content = [] then Buffer.add_string buf "/>"
-    else begin
+    if add_attributes buf false n.children then begin
       Buffer.add_char buf '>';
-      List.iter (add_to_buffer buf) content;
+      add_content buf n.children;
       Buffer.add_string buf "</";
       Buffer.add_string buf n.name;
       Buffer.add_char buf '>'
     end
+    else Buffer.add_string buf "/>"
+
+(* Appends the attribute children; true when some child is content. *)
+and add_attributes buf has_content = function
+  | [] -> has_content
+  | c :: rest ->
+    if c.kind = Attribute then begin
+      add_to_buffer buf c;
+      add_attributes buf has_content rest
+    end
+    else add_attributes buf true rest
+
+and add_content buf = function
+  | [] -> ()
+  | c :: rest ->
+    if c.kind <> Attribute then add_to_buffer buf c;
+    add_content buf rest
 
 let serialize ?(decl = false) n =
   let buf = Buffer.create 1024 in

@@ -361,6 +361,21 @@ let golden_sequence =
       | None -> true
       | Some d -> QCheck.Test.fail_reportf "diverged after sequence: %s" d)
 
+(* A table's rows as a multiset, each row keyed by pattern node. *)
+let table_bag (t : Tuple_table.t) =
+  let cols = Tuple_table.cols t in
+  Array.to_list (Tuple_table.rows t)
+  |> List.map (fun row ->
+         List.sort compare
+           (Array.to_list (Array.mapi (fun p id -> (cols.(p), Dewey.encode id)) row)))
+  |> List.sort compare
+
+(* A fresh evaluation of snowcap [s] over the committed relations. *)
+let eval_snowcap store pat s =
+  Plan.eval_subtree pat
+    ~atom:(fun i -> Plan.atom_of_store store pat i)
+    ~within:(Lattice.mem s) ~root:0
+
 let mats_integrity =
   (* Invariant: after any propagation, every materialized snowcap table
      equals a fresh evaluation of its sub-pattern over the committed
@@ -372,23 +387,79 @@ let mats_integrity =
       let mv = Mview.materialize ~policy:Mview.Snowcaps store pat in
       let _ = Maint.propagate mv stmt in
       List.for_all
-        (fun (s, table) ->
-          let fresh =
-            Plan.eval_subtree pat
-              ~atom:(fun i -> Plan.atom_of_store store pat i)
-              ~within:(Lattice.mem s) ~root:0
-          in
-          let dump (t : Tuple_table.t) =
-            let cols = Tuple_table.cols t in
-            Array.to_list (Tuple_table.rows t)
-            |> List.map (fun row ->
-                   List.sort compare
-                     (Array.to_list
-                        (Array.mapi (fun p id -> (cols.(p), Dewey.encode id)) row)))
-            |> List.sort compare
-          in
-          dump table = dump fresh)
+        (fun (s, table) -> table_bag table = table_bag (eval_snowcap store pat s))
         mv.Mview.mats)
+
+(* {1 One-pass materialization}
+
+   Under [Snowcaps] the snowcap chain and the view come from one
+   left-deep pass, each level joined from the one below. Every level
+   must equal its own evaluation, the view must equal the [Plan.eval]
+   materialization of [Leaves], every level's sortedness metadata must
+   hold (the next level's join sorts it in place), and a k-node view
+   whose levels are all non-empty costs exactly k-1 merge joins. *)
+
+let sorted_sound (t : Tuple_table.t) =
+  match Tuple_table.sorted_by t with
+  | None -> true
+  | Some node ->
+    let col = (Tuple_table.columns t).(Tuple_table.col_pos t node) in
+    let arena = Tuple_table.arena t in
+    let ok = ref true in
+    for i = 1 to Array.length col - 1 do
+      if Dewey_arena.compare arena col.(i - 1) col.(i) > 0 then ok := false
+    done;
+    !ok
+
+let check_one_pass what store pat =
+  let fail fmt = Alcotest.failf ("%s: " ^^ fmt) what in
+  let k = Pattern.node_count pat in
+  let mv, snap =
+    Obs.with_scope (fun () -> Mview.materialize ~policy:Mview.Snowcaps store pat)
+  in
+  let mats = mv.Mview.mats in
+  if List.map fst mats <> Lattice.chain pat then fail "mats are not the prefix chain";
+  List.iter
+    (fun (s, table) ->
+      let set = Lattice.to_string pat s in
+      if table_bag table <> table_bag (eval_snowcap store pat s) then
+        fail "snowcap %s differs from its own evaluation" set;
+      if not (sorted_sound table) then fail "snowcap %s: sortedness metadata is wrong" set)
+    mats;
+  if Mview.dump mv <> Mview.dump (Mview.materialize ~policy:Mview.Leaves store pat) then
+    fail "Snowcaps dump differs from the Leaves dump";
+  let joins = Obs.counter_value snap "algebra.join.merge_calls" in
+  let full_levels = List.for_all (fun (_, t) -> not (Tuple_table.is_empty t)) mats in
+  if (full_levels && joins <> k - 1) || joins > k - 1 then
+    fail "%d merge joins for a %d-node view" joins k;
+  full_levels
+
+(* On the XMark documents every level is non-empty, so the join count
+   is pinned exactly. *)
+let check_full_one_pass what store pat =
+  if not (check_one_pass what store pat) then
+    Alcotest.failf "%s: an empty level; the join count is not pinned" what
+
+let test_one_pass_figure20 () =
+  let store = Store.of_document (Xmark_gen.document ~seed:7 ~target_kb:32) in
+  List.sort_uniq compare (List.map fst Xmark_updates.figure20_pairs)
+  |> List.iter (fun name -> check_full_one_pass name store (Xmark_views.find name))
+
+let test_one_pass_skewed () =
+  let store = Store.of_document (Xmark_gen.document_skewed ~seed:7 ~target_kb:64 ()) in
+  List.iter
+    (fun name -> check_full_one_pass (name ^ " skewed") store (Xmark_views.find name))
+    [ "Q1"; "Q2"; "Q3"; "Q4" ]
+
+let test_one_pass_random () =
+  let rnd = Random.State.make [| 25 |] in
+  for i = 1 to 300 do
+    let t = Difftest.gen_triple rnd in
+    ignore
+      (check_one_pass
+         (Printf.sprintf "triple %d %s" i (Difftest.repro_of_triple t))
+         (Store.of_document t.Difftest.doc) t.Difftest.view)
+  done
 
 (* {1 Maintenance work bounds}
 
@@ -511,6 +582,12 @@ let () =
           Alcotest.test_case "vpred flip fallback" `Quick test_vpred_flip_fallback;
           Alcotest.test_case "no fallback on plain updates" `Quick
             test_no_fallback_on_plain_updates;
+        ] );
+      ( "one-pass materialization",
+        [
+          Alcotest.test_case "figure-20 views" `Quick test_one_pass_figure20;
+          Alcotest.test_case "Q1-Q4 skewed" `Quick test_one_pass_skewed;
+          Alcotest.test_case "random difftest patterns" `Quick test_one_pass_random;
         ] );
       ( "golden properties",
         [ golden_snowcaps; golden_leaves; golden_sequence; golden_no_pruning;

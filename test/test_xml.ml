@@ -187,6 +187,68 @@ let test_roundtrip_rich =
     (QCheck.make Fuzz_oracle.random_document ~print:Xml_tree.serialize)
     (fun t -> Xml_tree.equal t (Xml_parse.document (Xml_tree.serialize t)))
 
+(* The serializer as it was before escaping appended whole runs and
+   before elements walked their children twice: one [add_char] per byte
+   and a [List.partition] of every child list. Kept as the reference
+   the current serializer must match byte for byte. *)
+let reference_serialize n =
+  let open Xml_tree in
+  let buf = Buffer.create 1024 in
+  let escape s ~attr =
+    String.iter
+      (fun c ->
+        match c with
+        | '<' -> Buffer.add_string buf "&lt;"
+        | '>' -> Buffer.add_string buf "&gt;"
+        | '&' -> Buffer.add_string buf "&amp;"
+        | '"' when attr -> Buffer.add_string buf "&quot;"
+        | c -> Buffer.add_char buf c)
+      s
+  in
+  let rec go n =
+    match n.kind with
+    | Text -> escape n.text ~attr:false
+    | Attribute ->
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf n.name;
+      Buffer.add_string buf "=\"";
+      escape n.text ~attr:true;
+      Buffer.add_char buf '"'
+    | Element ->
+      let attrs, content = List.partition (fun c -> c.kind = Attribute) n.children in
+      Buffer.add_char buf '<';
+      Buffer.add_string buf n.name;
+      List.iter go attrs;
+      if content = [] then Buffer.add_string buf "/>"
+      else begin
+        Buffer.add_char buf '>';
+        List.iter go content;
+        Buffer.add_string buf "</";
+        Buffer.add_string buf n.name;
+        Buffer.add_char buf '>'
+      end
+  in
+  go n;
+  Buffer.contents buf
+
+(* A copy with every child list rotated by one, so attributes also
+   follow content. *)
+let rec rotated (n : Xml_tree.node) =
+  match n.Xml_tree.kind with
+  | Xml_tree.Text -> Xml_tree.text n.Xml_tree.text
+  | Xml_tree.Attribute -> Xml_tree.attribute n.Xml_tree.name n.Xml_tree.text
+  | Xml_tree.Element ->
+    let kids = List.map rotated n.Xml_tree.children in
+    let kids = match kids with c :: rest -> rest @ [ c ] | [] -> [] in
+    Xml_tree.element ~children:kids n.Xml_tree.name
+
+let test_serialize_reference =
+  Tutil.qtest ~count:500 "serialize = reference serializer on rich trees"
+    (QCheck.make Fuzz_oracle.random_document ~print:Xml_tree.serialize)
+    (fun t ->
+      let same t = Xml_tree.serialize t = reference_serialize t in
+      same t && same (rotated t))
+
 let () =
   Alcotest.run "xml"
     [
@@ -203,6 +265,7 @@ let () =
           Alcotest.test_case "serialize" `Quick test_serialize;
           Alcotest.test_case "escaping" `Quick test_escaping;
           test_serialized_size;
+          test_serialize_reference;
         ] );
       ( "parser",
         [
