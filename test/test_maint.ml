@@ -583,7 +583,7 @@ let () =
           Alcotest.test_case "no fallback on plain updates" `Quick
             test_no_fallback_on_plain_updates;
         ] );
-      ( "one-pass materialization",
+      ( "one-pass chain",
         [
           Alcotest.test_case "figure-20 views" `Quick test_one_pass_figure20;
           Alcotest.test_case "Q1-Q4 skewed" `Quick test_one_pass_skewed;
