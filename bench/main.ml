@@ -1086,7 +1086,7 @@ let figmv () =
    snapshot access) are timed separately at a fixed cadence; after every
    read and at the end, each view must equal a fresh materialization of
    its pattern over the committed store — the in-harness safety oracle
-   (the adaptive≡eager lockstep oracle is `xvmcli difftest --heavy`).
+   (the adaptive≡eager lockstep oracle is `xvmcli difftest --property heavy`).
 
    The crossover the figure is after: at high skew the hot updates route
    heavy and defer, collapsing per-update latency; on the uniform
@@ -1366,7 +1366,7 @@ let fuzz_oracle () =
 let difftest_oracle () =
   header "Differential oracle: recompute vs maint vs ivma (bounded smoke)";
   let iters = if full then 5000 else 1000 in
-  let r, elapsed = Obs.duration (fun () -> Difftest.run ~seed ~iters ()) in
+  let r, elapsed = Obs.duration (fun () -> Difftest.run Difftest.Engines ~seed ~iters ()) in
   let per_iter_ns = elapsed *. 1e9 /. float_of_int r.Qgen.iterations in
   Printf.printf "  %s  (%.0f ns/iter)\n%!"
     (Qgen.summary "maint=recompute=ivma" r)

@@ -411,161 +411,67 @@ let fuzz_cmd =
 
 (* {1 difftest} *)
 
+(* What each property compares, and the equality a clean run reports. *)
+let property_claim = function
+  | Difftest.Engines -> ("recompute vs maint vs ivma", "maint=recompute=ivma")
+  | Batch ->
+    ("View_set.update (jobs 1 and --jobs) vs one-by-one maint", "batched=one-by-one")
+  | Serve ->
+    ("snapshots a racing reader observes vs sequential replay", "observed=replayed")
+  | Recover ->
+    ("checkpoint + WAL replay vs uninterrupted run", "recovered=uninterrupted")
+  | Answer ->
+    ( "Answer.answer vs brute-force embeddings, before and after maintenance",
+      "views=base" )
+  | Heavy ->
+    ( "adaptive (deferred, partitioned) maintenance vs eager at every read point",
+      "adaptive=eager" )
+
 let difftest_cmd =
-  let run metrics seed iters replay multiview recover answer heavy jobs =
+  let run metrics seed iters replay property jobs =
     with_metrics metrics @@ fun () ->
+    let name p = fst (List.find (fun (_, q) -> q = p) Difftest.properties) in
     match replay with
-    | None when heavy ->
-      Printf.printf
-        "heavy-light oracle: adaptive (deferred, partitioned) maintenance vs \
-         eager at every read point (seed %d, %d iterations)\n\
-         %!"
-        seed iters;
-      let rep, t =
-        Timing.duration (fun () -> Difftest.run_heavy ~seed ~iters ())
-      in
-      List.iter print_endline rep.Qgen.failures;
-      Printf.printf "  %s  (%.1f ms)\n%!"
-        (Qgen.summary "adaptive=eager" rep)
-        (t *. 1000.);
-      if not (Qgen.ok rep) then exit 1
-    | None when answer ->
-      Printf.printf
-        "answer-from-views oracle: Answer.answer vs brute-force embeddings, \
-         before and after maintenance (seed %d, %d iterations)\n\
-         %!"
-        seed iters;
-      let rep, t =
-        Timing.duration (fun () -> Difftest.run_answer ~seed ~iters ())
-      in
-      List.iter print_endline rep.Qgen.failures;
-      Printf.printf "  %s  (%.1f ms)\n%!"
-        (Qgen.summary "views=base" rep)
-        (t *. 1000.);
-      if not (Qgen.ok rep) then exit 1
-    | None when recover ->
-      Printf.printf
-        "kill-and-recover oracle: checkpoint + WAL replay vs uninterrupted \
-         run (seed %d, %d iterations)\n\
-         %!"
-        seed iters;
-      let rep, t =
-        Timing.duration (fun () -> Difftest.run_recover ~jobs ~seed ~iters ())
-      in
-      List.iter print_endline rep.Qgen.failures;
-      Printf.printf "  %s  (%.1f ms)\n%!"
-        (Qgen.summary "recovered=uninterrupted" rep)
-        (t *. 1000.);
-      if not (Qgen.ok rep) then exit 1
-    | Some repro when String.length repro >= 8 && String.sub repro 0 8 = "xvmdta1|"
-      ->
-      let c =
-        try Difftest.answer_of_repro repro
-        with Invalid_argument msg ->
-          Printf.eprintf "difftest: %s\n" msg;
-          exit 2
-      in
-      Printf.printf
-        "replaying: %d views, query %s, update %s, %d-node document\n%!"
-        (List.length c.Difftest.aset.Difftest.sviews)
-        (Pattern.to_string c.Difftest.aquery)
-        c.Difftest.aset.Difftest.supdate
-        (Xml_tree.size c.Difftest.aset.Difftest.sdoc);
-      (match Difftest.check_answer c with
-      | None -> print_endline "answer-from-views = brute force (both phases)"
-      | Some m ->
-        print_endline (Difftest.describe_answer m);
-        exit 1)
-    | Some repro when String.length repro >= 8 && String.sub repro 0 8 = "xvmdth1|"
-      ->
-      let c =
-        try Difftest.heavy_of_repro repro
-        with Invalid_argument msg ->
-          Printf.eprintf "difftest: %s\n" msg;
-          exit 2
-      in
-      Printf.printf
-        "replaying: %d views, %d statement(s), %d read(s), thresholds \
-         %d/%d/%d/%d, %d-node document\n\
-         %!"
-        (List.length c.Difftest.hc_set.Difftest.sviews)
-        (List.length c.Difftest.hc_stmts)
-        (List.length c.Difftest.hc_reads)
-        c.Difftest.hc_count c.Difftest.hc_fanout c.Difftest.hc_budget
-        c.Difftest.hc_tailb
-        (Xml_tree.size c.Difftest.hc_set.Difftest.sdoc);
-      (match Difftest.check_heavy c with
-      | None -> print_endline "adaptive = eager (every read point)"
-      | Some m ->
-        print_endline (Difftest.describe_heavy m);
-        exit 1)
-    | Some repro when String.length repro >= 8 && String.sub repro 0 8 = "xvmdtm1|"
-      ->
-      let t =
-        try Difftest.set_of_repro repro
-        with Invalid_argument msg ->
-          Printf.eprintf "difftest: %s\n" msg;
-          exit 2
-      in
-      Printf.printf "replaying: %d views, update %s, %d-node document\n%!"
-        (List.length t.Difftest.sviews)
-        t.Difftest.supdate
-        (Xml_tree.size t.Difftest.sdoc);
-      (match Difftest.check_set ~jobs t with
-      | None -> print_endline "batched = one-by-one (all jobs)"
-      | Some m ->
-        print_endline (Difftest.describe_set m);
-        exit 1)
     | Some repro ->
-      let t =
-        try Difftest.triple_of_repro repro
+      let s =
+        try Difftest.of_repro repro
         with Invalid_argument msg ->
           Printf.eprintf "difftest: %s\n" msg;
           exit 2
       in
-      Printf.printf "replaying: view %s, update %s, %d-node document\n%!"
-        (Pattern.to_string t.Difftest.view)
-        t.Difftest.update (Difftest.doc_nodes t);
-      (match Difftest.check t with
-      | None -> print_endline "all engines agree"
-      | Some m ->
-        print_endline (Difftest.describe m);
+      let prop = s.Difftest.prop in
+      (match property with
+      | Some p when p <> prop ->
+        Printf.eprintf "difftest: --property %s disagrees with the reproducer's %s\n"
+          (name p) (name prop);
+        exit 2
+      | _ -> ());
+      Printf.printf
+        "replaying %s scenario: %d view(s), %d statement(s), %d-node document\n%!"
+        (name prop) (List.length s.Difftest.views) (List.length s.Difftest.stmts)
+        (Xml_tree.size s.Difftest.doc);
+      (match Difftest.check ~jobs s with
+      | None -> Printf.printf "%s holds\n" (snd (property_claim prop))
+      | Some f ->
+        print_endline (Difftest.describe f);
         exit 1)
-    | None when multiview ->
-      Printf.printf
-        "multi-view batch oracle: View_set.update (jobs 1%s) vs one-by-one \
-         maint (seed %d, %d iterations)\n\
-         %!"
-        (if jobs > 1 then Printf.sprintf " and %d" jobs else "")
-        seed iters;
-      let rep, t =
-        Timing.duration (fun () -> Difftest.run_sets ~jobs ~seed ~iters ())
-      in
-      List.iter print_endline rep.Qgen.failures;
-      Printf.printf "  %s  (%.1f ms)\n%!"
-        (Qgen.summary "batched=one-by-one" rep)
-        (t *. 1000.);
-      if not (Qgen.ok rep) then exit 1
     | None ->
-      Printf.printf
-        "differential maintenance oracle: recompute vs maint vs ivma (seed \
-         %d, %d iterations)\n\
-         %!"
-        seed iters;
+      let prop = Option.value property ~default:Difftest.Engines in
+      let what, claim = property_claim prop in
+      Printf.printf "%s oracle: %s (seed %d, %d iterations)\n%!" (name prop) what seed
+        iters;
       let rep, t =
-        Timing.duration (fun () -> Difftest.run ~seed ~iters ())
+        Timing.duration (fun () -> Difftest.run ~jobs prop ~seed ~iters ())
       in
       List.iter print_endline rep.Qgen.failures;
-      Printf.printf "  %s  (%.1f ms)\n%!"
-        (Qgen.summary "maint=recompute=ivma" rep)
-        (t *. 1000.);
+      Printf.printf "  %s  (%.1f ms)\n%!" (Qgen.summary claim rep) (t *. 1000.);
       if not (Qgen.ok rep) then exit 1
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed.") in
   let iters =
     Arg.(
       value & opt int 2000
-      & info [ "iters" ] ~doc:"Random (document, view, update) triples to check.")
+      & info [ "iters" ] ~doc:"Random scenarios to check.")
   in
   let replay =
     Arg.(
@@ -573,71 +479,47 @@ let difftest_cmd =
       & opt (some string) None
       & info [ "replay" ]
           ~doc:
-            "Re-check one reproducer (the string a failure report prints) \
-             instead of running randomized iterations; multi-view \
-             reproducers (xvmdtm1 prefix) are dispatched automatically.")
+            "Re-check one reproducer (the xvmdt2 string a failure report \
+             prints) instead of running randomized iterations; it names its \
+             own property.")
   in
-  let multiview =
+  let property =
     Arg.(
-      value & flag
-      & info [ "multiview" ]
+      value
+      & opt (some (enum Difftest.properties)) None
+      & info [ "property" ] ~docv:"PROP"
           ~doc:
-            "Check 2-4-view sets: batched View_set.update against one-by-one \
-             propagation on fresh stores, at --jobs and at 1.")
-  in
-  let recover =
-    Arg.(
-      value & flag
-      & info [ "recover" ]
-          ~doc:
-            "Check the durability engine: kill a durable run at a seeded \
-             statement boundary, recover from checkpoint + write-ahead log, \
-             and require tuple-for-tuple agreement with an uninterrupted \
-             run (then once more after finishing the statement sequence).")
-  in
-  let answer =
-    Arg.(
-      value & flag
-      & info [ "answer" ]
-          ~doc:
-            "Check the rewriting planner: queries answered from the \
-             materialized view set (single view with compensations, \
-             two-view intersection, or base fallback) against brute-force \
-             embedding enumeration, before and after a maintenance round.")
-  in
-  let heavy =
-    Arg.(
-      value & flag
-      & info [ "heavy" ]
-          ~doc:
-            "Check heavy-light adaptive maintenance: a view set with the \
-             partition classifier installed (deliberately tiny thresholds, \
-             forcing rebalance storms and budget drains) against eager \
-             maintenance of the same statement sequence — tuple-for-tuple \
-             equality at every seeded read point and after the final \
-             drain.")
+            "The claim to check (default $(b,engines)): $(b,engines) — maint \
+             and ivma equal recompute; $(b,batch) — one View_set.update over \
+             2-4 views equals one-by-one propagation on fresh stores, at \
+             --jobs and at 1; $(b,serve) — every epoch a concurrent reader \
+             observes equals a sequential replay; $(b,recover) — a run killed \
+             at a seeded statement boundary and recovered from checkpoint + \
+             write-ahead log equals an uninterrupted run; $(b,answer) — \
+             queries answered from the view set equal brute-force embeddings, \
+             before and after maintenance; $(b,heavy) — adaptive heavy-light \
+             maintenance under tiny thresholds equals eager at every read \
+             point. With $(b,--replay), it must match the reproducer's \
+             property (exit 2 otherwise).")
   in
   let jobs =
     Arg.(
       value & opt pos_int 2
       & info [ "jobs" ]
           ~doc:
-            "Domain count for the multiview oracle's parallel run (also \
-             cross-checked against jobs=1; must be positive).")
+            "Domain count of the batch property's parallel run (also \
+             cross-checked against jobs=1), of the serve property's server \
+             and of the recover property's maintenance; must be positive.")
   in
   Cmd.v
     (Cmd.info "difftest"
        ~doc:
-         "Cross-check the three maintenance engines on random (document, \
-          view, update) triples — with $(b,--multiview), batched View_set \
-          maintenance against one-by-one propagation; with $(b,--recover), \
-          kill-and-recover durability against an uninterrupted run; with \
-          $(b,--heavy), adaptive heavy-light maintenance against eager at \
-          every read point; failing inputs are shrunk and printed as \
-          replayable reproducers. Exits 1 on any mismatch.")
-    Term.(
-      const run $ metrics_term $ seed $ iters $ replay $ multiview $ recover
-      $ answer $ heavy $ jobs)
+         "Check one differential property on random scenarios (document, \
+          views, statements and the property's own fields) against an \
+          independent reference; failing scenarios are shrunk and printed \
+          as replayable reproducers. Exits 1 on any failure, 2 on a \
+          malformed reproducer.")
+    Term.(const run $ metrics_term $ seed $ iters $ replay $ property $ jobs)
 
 (* {1 answer} *)
 

@@ -114,8 +114,6 @@ let mat_for mv s =
     (fun (set, table) -> if Lattice.equal set s then Some table else None)
     mv.mats
 
-let set_mats mv mats = mv.mats <- mats
-
 let refresh_cell mv ~stored_node cell =
   let { Pattern.store_val; store_cont; _ } = mv.pat.Pattern.annots.(stored_node) in
   let id = cell.cell_id in

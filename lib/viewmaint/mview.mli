@@ -103,9 +103,6 @@ val remove_binding : t -> (int -> Dewey.t) -> unit
 (** Materialized table for exactly this snowcap, if any. *)
 val mat_for : t -> Lattice.nset -> Tuple_table.t option
 
-(** Replace the materialized snowcap tables. *)
-val set_mats : t -> (Lattice.nset * Tuple_table.t) list -> unit
-
 (** Recompute the [val] / [cont] payload of [cell] from the current
     document; returns [true] if it was present and refreshed. *)
 val refresh_cell : t -> stored_node:int -> cell -> bool

@@ -571,26 +571,10 @@ let test_answer_counters () =
 (* {1 Seeded differential oracles} *)
 
 let test_answer_oracle () =
-  let r = Difftest.run_answer ~seed:7 ~iters:400 () in
+  let r = Difftest.run Difftest.Answer ~seed:7 ~iters:400 () in
   List.iter print_endline r.Qgen.failures;
   Alcotest.(check int) "iterations" 400 r.Qgen.iterations;
   Alcotest.(check int) "mismatches" 0 r.Qgen.failed
-
-let test_answer_repro_roundtrip () =
-  let rnd = Random.State.make [| 0xa45; 11 |] in
-  for _ = 1 to 50 do
-    let c = Difftest.gen_answer_case rnd in
-    let c' = Difftest.answer_of_repro (Difftest.repro_of_answer c) in
-    Alcotest.(check string) "query preserved"
-      (Pattern.to_string c.Difftest.aquery)
-      (Pattern.to_string c'.Difftest.aquery);
-    Alcotest.(check int) "view count preserved"
-      (List.length c.Difftest.aset.Difftest.sviews)
-      (List.length c'.Difftest.aset.Difftest.sviews);
-    Alcotest.(check string) "document preserved"
-      (Xml_tree.serialize c.Difftest.aset.Difftest.sdoc)
-      (Xml_tree.serialize c'.Difftest.aset.Difftest.sdoc)
-  done
 
 (* {1 Independent updates skip maintenance}
 
@@ -694,7 +678,6 @@ let () =
       ( "oracles",
         [
           Alcotest.test_case "answer-from-views clean" `Quick test_answer_oracle;
-          Alcotest.test_case "reproducer roundtrip" `Quick test_answer_repro_roundtrip;
         ] );
       ( "independence via skip",
         [

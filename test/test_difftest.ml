@@ -5,85 +5,26 @@
    the three engines must agree tuple-for-tuple on every XMark
    view/update pair of the paper's evaluation. *)
 
-(* {1 Bounded seeded run} *)
+(* {1 Bounded seeded runs} *)
 
-let test_bounded_run () =
-  let r = Difftest.run ~seed:7 ~iters:400 () in
+let clean_run ?jobs prop ~iters () =
+  let r = Difftest.run ?jobs prop ~seed:7 ~iters () in
   List.iter print_endline r.Qgen.failures;
-  Alcotest.(check int) "iterations" 400 r.Qgen.iterations;
+  Alcotest.(check int) "iterations" iters r.Qgen.iterations;
   Alcotest.(check int) "mismatches" 0 r.Qgen.failed
+
+let test_bounded_run = clean_run Difftest.Engines ~iters:400
 
 (* The multi-view set oracle: batched [View_set.update] against
    one-by-one propagation, with the [jobs = 2] cross-check against
    [jobs = 1] inside every iteration. *)
-let test_bounded_set_run () =
-  let r = Difftest.run_sets ~jobs:2 ~seed:7 ~iters:150 () in
-  List.iter print_endline r.Qgen.failures;
-  Alcotest.(check int) "iterations" 150 r.Qgen.iterations;
-  Alcotest.(check int) "mismatches" 0 r.Qgen.failed
+let test_bounded_set_run = clean_run ~jobs:2 Difftest.Batch ~iters:150
 
 (* The heavy-light oracle: adaptive (deferred, partitioned) maintenance
    against eager, tuple-for-tuple at every seeded read point, under
    deliberately tiny thresholds that force rebalance storms and budget
    drains. *)
-let test_bounded_heavy_run () =
-  let r = Difftest.run_heavy ~seed:7 ~iters:150 () in
-  List.iter print_endline r.Qgen.failures;
-  Alcotest.(check int) "iterations" 150 r.Qgen.iterations;
-  Alcotest.(check int) "mismatches" 0 r.Qgen.failed
-
-let test_heavy_repro_roundtrip () =
-  let rnd = Random.State.make [| 0x4ea7; 29 |] in
-  for _ = 1 to 50 do
-    let c = Difftest.gen_heavy_case rnd in
-    let c' = Difftest.heavy_of_repro (Difftest.repro_of_heavy c) in
-    Alcotest.(check int) "view count preserved"
-      (List.length c.Difftest.hc_set.Difftest.sviews)
-      (List.length c'.Difftest.hc_set.Difftest.sviews);
-    Alcotest.(check (list string)) "statements preserved" c.Difftest.hc_stmts
-      c'.Difftest.hc_stmts;
-    Alcotest.(check (list (pair int int))) "read points preserved"
-      c.Difftest.hc_reads c'.Difftest.hc_reads;
-    Alcotest.(check (list int)) "thresholds preserved"
-      [ c.Difftest.hc_count; c.Difftest.hc_fanout; c.Difftest.hc_budget;
-        c.Difftest.hc_tailb ]
-      [ c'.Difftest.hc_count; c'.Difftest.hc_fanout; c'.Difftest.hc_budget;
-        c'.Difftest.hc_tailb ];
-    Alcotest.(check string) "document preserved"
-      (Xml_tree.serialize c.Difftest.hc_set.Difftest.sdoc)
-      (Xml_tree.serialize c'.Difftest.hc_set.Difftest.sdoc)
-  done;
-  List.iter
-    (fun s ->
-      match Difftest.heavy_of_repro s with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.failf "malformed heavy reproducer %S accepted" s)
-    [
-      "";
-      "xvmdth1|";
-      "xvmdth1|7:1,2,3,4|0:|0|4:<a/>";
-      "xvmdth1|8:0,2,3,4|0:|1|4://a|1|9:delete //a|4:<a/>";
-    ]
-
-let test_set_repro_roundtrip () =
-  let rnd = Random.State.make [| 0x5e7; 13 |] in
-  for _ = 1 to 50 do
-    let t = Difftest.gen_set_triple rnd in
-    let t' = Difftest.set_of_repro (Difftest.repro_of_set t) in
-    Alcotest.(check int) "view count preserved"
-      (List.length t.Difftest.sviews)
-      (List.length t'.Difftest.sviews);
-    List.iter2
-      (fun a b ->
-        Alcotest.(check string) "view preserved" (Pattern.to_string a)
-          (Pattern.to_string b))
-      t.Difftest.sviews t'.Difftest.sviews;
-    Alcotest.(check string) "update preserved" t.Difftest.supdate
-      t'.Difftest.supdate;
-    Alcotest.(check string) "document preserved"
-      (Xml_tree.serialize t.Difftest.sdoc)
-      (Xml_tree.serialize t'.Difftest.sdoc)
-  done
+let test_bounded_heavy_run = clean_run Difftest.Heavy ~iters:150
 
 (* {1 Compact view syntax} *)
 
@@ -115,50 +56,158 @@ let test_compact_qcheck =
   Tutil.qtest ~count:500 "view_of_compact inverts Pattern.to_string"
     Tutil.arb_pattern compact_roundtrip
 
-(* {1 Reproducer round-trip} *)
+(* {1 Reproducers} *)
 
+(* A scenario is valid when its reproducer decodes to the same
+   scenario, its read points name existing statements and views, and
+   checkpoint ≤ crash ≤ statements. *)
+let check_valid what (s : Difftest.scenario) =
+  let r = Difftest.to_repro s in
+  let s' =
+    match Difftest.of_repro r with
+    | s' -> s'
+    | exception Invalid_argument msg -> Alcotest.failf "%s: %s rejected: %s" what r msg
+  in
+  Alcotest.(check string) (what ^ ": reproducer round-trips") r (Difftest.to_repro s');
+  Alcotest.(check bool) (what ^ ": property survives") true
+    (s.Difftest.prop = s'.Difftest.prop);
+  Alcotest.(check bool) (what ^ ": document survives") true
+    (Xml_tree.equal s.Difftest.doc s'.Difftest.doc);
+  let names (v : Pattern.t list) = List.map (fun p -> p.Pattern.name) v in
+  Alcotest.(check (list string)) (what ^ ": view names survive")
+    (names s.Difftest.views) (names s'.Difftest.views);
+  let n = List.length s.Difftest.stmts and k = List.length s.Difftest.views in
+  Option.iter
+    (fun (h : Difftest.heavy) ->
+      List.iter
+        (fun (i, w) ->
+          if i < 0 || i >= n || w < -1 || w >= k then
+            Alcotest.failf "%s: read point %d/%d outside %d statements, %d views" what
+              i w n k)
+        h.Difftest.reads)
+    s.Difftest.heavy;
+  Option.iter
+    (fun (c : Difftest.crash) ->
+      let ck = Option.value c.Difftest.checkpoint_at ~default:0 in
+      if not (0 <= ck && ck <= c.Difftest.crash_after && c.Difftest.crash_after <= n)
+      then
+        Alcotest.failf "%s: checkpoint %d, crash %d, %d statements" what ck
+          c.Difftest.crash_after n)
+    s.Difftest.crash
+
+(* One round trip for every property: 200 generated scenarios each. *)
 let test_repro_roundtrip () =
-  let rnd = Random.State.make [| 2718 |] in
-  for _ = 1 to 200 do
-    let t = Difftest.gen_triple rnd in
-    let t' = Difftest.triple_of_repro (Difftest.repro_of_triple t) in
-    Alcotest.(check string) "view survives" (Pattern.to_string t.Difftest.view)
-      (Pattern.to_string t'.Difftest.view);
-    Alcotest.(check string) "update survives" t.Difftest.update t'.Difftest.update;
-    Alcotest.(check bool) "document survives" true
-      (Xml_tree.equal t.Difftest.doc t'.Difftest.doc)
-  done;
   List.iter
-    (fun s ->
-      match Difftest.triple_of_repro s with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.failf "malformed reproducer %S accepted" s)
+    (fun (name, prop) ->
+      let rnd = Random.State.make [| 2718; String.length name |] in
+      for i = 1 to 200 do
+        check_valid (Printf.sprintf "%s %d" name i) (Difftest.gen prop rnd)
+      done)
+    Difftest.properties
+
+let part x = Printf.sprintf "%d:%s" (String.length x) x
+
+let repro ?(query = "") ?(heavy = "") ?(crash = "") ?(doc = "<r><a/><b/></r>") prop
+    views stmts =
+  String.concat "|"
+    ([ "xvmdt2"; prop; string_of_int (List.length views) ]
+    @ List.map part views
+    @ (string_of_int (List.length stmts) :: List.map part stmts)
+    @ [ part query; part heavy; part crash; part doc ])
+
+let two_views = [ "//a{id}"; "//b{id}" ]
+
+let two_stmts = [ "delete //a"; "insert into /r <a/>" ]
+
+let test_repro_malformed () =
+  (* Controls: well-formed reproducers of every field group decode. *)
+  List.iter
+    (fun r -> ignore (Difftest.of_repro r))
+    [
+      repro "engines" [ "//a{id}" ] [ "delete //a" ];
+      repro "batch" two_views [ "delete //a" ];
+      repro "serve" two_views two_stmts;
+      repro "answer" two_views [ "delete //a" ] ~query:"//a{id}";
+      repro "heavy" two_views two_stmts ~heavy:"1,2,3,4;0/1,1/-1";
+      repro "heavy" two_views two_stmts ~heavy:"1,2,3,4;";
+      repro "recover" two_views two_stmts ~crash:"2,1,0";
+      repro "recover" two_views two_stmts ~crash:"1,-,1";
+    ];
+  let rejected ?needle r =
+    match Difftest.of_repro r with
+    | _ -> Alcotest.failf "malformed reproducer %S accepted" r
+    | exception Invalid_argument msg -> (
+      match needle with
+      | Some nd when not (Tutil.contains msg nd) ->
+        Alcotest.failf "rejection of %S does not name %s: %s" r nd msg
+      | _ -> ())
+  in
+  (* The older formats are refused by name. *)
+  List.iter (rejected ~needle:"xvmdt2")
+    [
+      "xvmdt1|4://a|9:delete //a|4:<a/>";
+      "xvmdtm1|2|4://a|4://b|9:delete //a|4:<a/>";
+      "xvmdta1|1|4://a|4://a|9:delete //a|4:<a/>";
+      "xvmdth1|7:1,2,3,4|0:|1|4://a|1|9:delete //a|4:<a/>";
+    ];
+  let ok = repro "serve" two_views two_stmts in
+  List.iter rejected
     [
       "";
-      "xvmdt1|";
-      "xvmdt2|4://a|9:delete //a|4:<a/>";
-      "xvmdt1|4://a|9:delete //a|5:<a/>";
-      "xvmdt1|4://a|9:delete //a|4:<a/>|";
-      "xvmdt1|99://a|9:delete //a|4:<a/>";
+      "xvmdt2|";
+      "xvmdt2|bogus|1|7://a{id}|1|10:delete //a|0:|0:|0:|4:<a/>";
+      (* truncated lengths and trailing input *)
+      String.sub ok 0 (String.length ok - 1);
+      ok ^ "|";
+      ok ^ "x";
+      "xvmdt2|batch|2|99://a{id}|7://b{id}|1|10:delete //a|0:|0:|0:|4:<a/>";
+      "xvmdt2|batch|2|7://a{id}|7://b{id}|1|10:delete //a|0:|0:|0:|999:<a/>";
+      "xvmdt2|batch|2|7://a{id}|7://b{id}|1|-1:|0:|0:|0:|4:<a/>";
+      (* view and statement counts *)
+      repro "batch" (List.init 65 (fun _ -> "//a{id}")) [ "delete //a" ];
+      repro "batch" [] [ "delete //a" ];
+      repro "engines" two_views [ "delete //a" ];
+      repro "batch" two_views two_stmts;
+      repro "serve" two_views [];
+      (* read points out of range *)
+      repro "heavy" two_views two_stmts ~heavy:"1,2,3,4;2/0";
+      repro "heavy" two_views two_stmts ~heavy:"1,2,3,4;0/2";
+      repro "heavy" two_views two_stmts ~heavy:"1,2,3,4;0/-2";
+      repro "heavy" two_views two_stmts ~heavy:"1,2,3,4;-1/0";
+      (* crash and checkpoint out of order *)
+      repro "recover" two_views two_stmts ~crash:"3,-,0";
+      repro "recover" two_views two_stmts ~crash:"1,2,0";
+      repro "recover" two_views two_stmts ~crash:"2,-,1";
+      repro "recover" two_views two_stmts ~crash:"-1,-,0";
+      (* thresholds *)
+      repro "heavy" two_views two_stmts ~heavy:"0,2,3,4;";
+      repro "heavy" two_views two_stmts ~heavy:"1,2,3,0;";
+      repro "heavy" two_views two_stmts ~heavy:"1,2,3;";
+      (* field groups that do not match the property *)
+      repro "answer" two_views [ "delete //a" ];
+      repro "batch" two_views [ "delete //a" ] ~query:"//a{id}";
+      repro "heavy" two_views two_stmts;
+      repro "recover" two_views two_stmts;
+      repro "serve" two_views two_stmts ~crash:"1,-,0";
+      (* unparseable parts *)
+      repro "batch" two_views [ "frobnicate //a" ];
+      repro "batch" [ "a{id}"; "//b" ] [ "delete //a" ];
+      repro "batch" two_views [ "delete //a" ] ~doc:"<a>";
     ]
 
 (* {1 Degenerate updates: all engines agree, known cardinality} *)
 
+let engines_scenario ~doc ~view ~update =
+  Difftest.of_repro (repro "engines" [ view ] [ update ] ~doc)
+
 let known_case name ~doc ~view ~update ~cards () =
-  let t =
-    {
-      Difftest.doc = Xml_parse.document doc;
-      view = Difftest.view_of_compact ~name:"view" view;
-      update;
-    }
-  in
-  (match Difftest.check t with
+  let s = engines_scenario ~doc ~view ~update in
+  (match Difftest.check s with
   | None -> ()
-  | Some m -> Alcotest.fail (Difftest.describe m));
+  | Some f -> Alcotest.fail (Difftest.describe f));
   let mv =
-    Difftest.recompute_engine.Difftest.eval
-      (Xml_tree.copy t.Difftest.doc)
-      t.Difftest.view (Update.parse update)
+    Difftest.recompute_engine.Difftest.eval (Xml_tree.copy s.Difftest.doc)
+      (List.hd s.Difftest.views) (Update.parse update)
   in
   Alcotest.(check int) (name ^ " cardinality") cards (Mview.cardinality mv)
 
@@ -191,7 +240,7 @@ let degenerate_cases =
       ("self-join insert", "<d/>", "/d[//d{id}][//d{id}]", "insert into //d <d/>", 1);
     ]
 
-(* {1 An intentionally broken engine is caught and shrunk} *)
+(* {1 The shrinker} *)
 
 (* "Maintenance" that never maintains: it evaluates the view over the
    pre-update document and ignores the update entirely. *)
@@ -202,40 +251,90 @@ let broken_engine =
       (fun doc pat _u -> Mview.materialize (Store.of_document doc) pat);
   }
 
+let find_failure ~engines ~seed ~tries =
+  let rnd = Random.State.make seed in
+  let rec find n =
+    if n = 0 then Alcotest.failf "broken engine not caught in %d scenarios" tries
+    else
+      match Difftest.check ~engines (Difftest.gen Difftest.Engines rnd) with
+      | Some f -> f
+      | None -> find (n - 1)
+  in
+  find tries
+
+(* The replay line a report prints (its last line), shell-unquoted and
+   decoded: the reproducer is wrapped in '…' with each ' written '\''. *)
+let replayed d =
+  let needle = "replay: xvmcli difftest --replay '" in
+  let rec unquote s =
+    match Tutil.find_sub s "'\\''" with
+    | None -> s
+    | Some i ->
+      String.sub s 0 i ^ "'" ^ unquote (String.sub s (i + 4) (String.length s - i - 4))
+  in
+  match Tutil.find_sub d needle with
+  | None -> Alcotest.failf "no replay line in:\n%s" d
+  | Some i ->
+    let st = i + String.length needle in
+    Difftest.of_repro (unquote (String.sub d st (String.length d - st - 1)))
+
 let test_broken_engine_shrunk () =
   let engines = [ Difftest.recompute_engine; broken_engine ] in
-  let rnd = Random.State.make [| 2024 |] in
-  let rec find n =
-    if n = 0 then Alcotest.fail "no mismatch against the broken engine in 300 triples"
-    else
-      let t = Difftest.gen_triple rnd in
-      match Difftest.check ~engines t with Some m -> m | None -> find (n - 1)
-  in
-  let m = Difftest.shrink ~engines (find 300) in
-  let cx = m.Difftest.cx in
-  let nodes = Difftest.doc_nodes cx in
+  let f = Difftest.shrink ~engines (find_failure ~engines ~seed:[| 2024 |] ~tries:300) in
+  let nodes = Xml_tree.size f.Difftest.cx.Difftest.doc in
   if nodes > 5 then
     Alcotest.failf "shrunk reproducer still has %d nodes:\n%s" nodes
-      (Difftest.describe m);
-  (* The reproducer replays: same verdict after an encode/decode trip. *)
-  let cx' = Difftest.triple_of_repro (Difftest.repro_of_triple cx) in
-  Alcotest.(check bool) "replayed triple still fails the broken engine" true
-    (Difftest.check ~engines cx' <> None);
-  Alcotest.(check bool) "replayed triple passes the real engines" true
-    (Difftest.check cx' = None);
-  (* The report names both engines and carries the replay line. *)
-  let d = Difftest.describe m in
-  let contains needle =
-    let nl = String.length needle and dl = String.length d in
-    let rec at i = i + nl <= dl && (String.sub d i nl = needle || at (i + 1)) in
-    at 0
-  in
+      (Difftest.describe f);
+  (* The report names both engines, and its replay line decodes to a
+     scenario with the same verdicts. *)
+  let d = Difftest.describe f in
   List.iter
     (fun needle ->
       Alcotest.(check bool)
         (Printf.sprintf "describe mentions %S" needle)
-        true (contains needle))
-    [ "frozen"; "recompute"; "replay: xvmcli difftest --replay" ]
+        true (Tutil.contains d needle))
+    [ "frozen"; "recompute"; "replay: xvmcli difftest --replay" ];
+  let cx' = replayed d in
+  Alcotest.(check bool) "replayed scenario still fails the broken engine" true
+    (Difftest.check ~engines cx' <> None);
+  Alcotest.(check bool) "replayed scenario passes the real engines" true
+    (Difftest.check cx' = None)
+
+(* Every candidate the shrinker offers is a valid scenario, for every
+   property. Two synthetic oracles that never run the system: one that
+   always holds, so the shrinker offers every candidate of a generated
+   scenario, and one that always fails, so it takes the first candidate
+   of every round down to the smallest scenario. The shrunk failure's
+   replay line decodes to the same property. *)
+let test_shrink_candidates_valid () =
+  List.iter
+    (fun (name, prop) ->
+      let rnd = Random.State.make [| 0x5417; String.length name |] in
+      for i = 1 to 4 do
+        let s = Difftest.gen prop rnd in
+        let what = Printf.sprintf "%s %d" name i in
+        let seen = ref 0 in
+        let inspect result c =
+          incr seen;
+          check_valid (Printf.sprintf "%s candidate %d" what !seen) c;
+          result c
+        in
+        let start = { Difftest.cx = s; detail = "synthetic"; work = [] } in
+        ignore
+          (Difftest.shrink ~oracle:(inspect (fun _ -> None)) start);
+        let shrunk =
+          Difftest.shrink
+            ~oracle:(inspect (fun c -> Some { start with Difftest.cx = c }))
+            start
+        in
+        let cx = shrunk.Difftest.cx in
+        Alcotest.(check int) (what ^ ": one statement left") 1
+          (List.length cx.Difftest.stmts);
+        Alcotest.(check int) (what ^ ": one view left") 1 (List.length cx.Difftest.views);
+        Alcotest.(check bool) (what ^ ": replays the same property") true
+          ((replayed (Difftest.describe shrunk)).Difftest.prop = prop)
+      done)
+    Difftest.properties
 
 (* {1 XMark: all three engines agree on every paper pair} *)
 
@@ -273,46 +372,35 @@ let xmark_cases =
 
 (* {1 Work-profile replay}
 
-   [Difftest.work_profile] is the counter profile of checking a triple.
-   It must be a pure function of the triple and engine list: replaying
-   the same seed -- directly or through the reproducer codec -- performs
-   byte-for-byte the same work. This is what makes the "work:" line of a
-   shrunk counterexample report trustworthy as a reproduction recipe. *)
+   [Difftest.work_profile] is the counter profile of checking a
+   scenario. For an engines scenario it must be a pure function of the
+   scenario and engine list: replaying the same seed -- directly or
+   through the reproducer codec -- performs byte-for-byte the same work.
+   This is what makes the "work:" line of a shrunk counterexample report
+   trustworthy as a reproduction recipe. *)
 let test_work_profile_replay () =
   let rnd = Random.State.make [| 0xd1ff; 42 |] in
   for _ = 1 to 5 do
-    let t = Difftest.gen_triple rnd in
-    let p1 = Difftest.work_profile t in
-    Alcotest.(check bool) "checking a triple counts some work" true (p1 <> []);
+    let s = Difftest.gen Difftest.Engines rnd in
+    let p1 = Difftest.work_profile s in
+    Alcotest.(check bool) "checking a scenario counts some work" true (p1 <> []);
     Alcotest.(check (list (pair string int))) "second run, same work" p1
-      (Difftest.work_profile t);
-    let t' = Difftest.triple_of_repro (Difftest.repro_of_triple t) in
+      (Difftest.work_profile s);
+    let s' = Difftest.of_repro (Difftest.to_repro s) in
     Alcotest.(check (list (pair string int)))
       "replay through the reproducer codec, same work" p1
-      (Difftest.work_profile t')
+      (Difftest.work_profile s')
   done
 
-(* A mismatch carries the work profile of the failing check, and
-   [describe] prints it. *)
+(* An engines failure carries the work profile of the failing check,
+   and [describe] prints it. Not every random scenario exposes the
+   frozen engine (a no-op update doesn't); scan until one does. *)
 let test_mismatch_carries_work () =
   let engines = [ Difftest.recompute_engine; broken_engine ] in
-  let rnd = Random.State.make [| 0xd1ff; 43 |] in
-  (* Not every random triple exposes the frozen engine (a no-op update
-     doesn't); scan until one does. *)
-  let rec find n =
-    if n = 0 then Alcotest.fail "broken engine not caught in 100 triples"
-    else
-      let t = Difftest.gen_triple rnd in
-      match Difftest.check ~engines t with Some m -> m | None -> find (n - 1)
-  in
-  (match find 100 with
-  | m ->
-    Alcotest.(check bool) "mismatch has a work profile" true (m.Difftest.work <> []);
-    let d = Difftest.describe m in
-    let needle = "\n  work:   " in
-    let nl = String.length needle and dl = String.length d in
-    let rec at i = i + nl <= dl && (String.sub d i nl = needle || at (i + 1)) in
-    Alcotest.(check bool) "describe prints the work line" true (at 0))
+  let f = find_failure ~engines ~seed:[| 0xd1ff; 43 |] ~tries:100 in
+  Alcotest.(check bool) "mismatch has a work profile" true (f.Difftest.work <> []);
+  Alcotest.(check bool) "describe prints the work line" true
+    (Tutil.contains (Difftest.describe f) "\n  work:   ")
 
 let () =
   Alcotest.run "difftest"
@@ -336,16 +424,16 @@ let () =
           test_compact_qcheck;
           Alcotest.test_case "reproducer encode/decode round-trip" `Quick
             test_repro_roundtrip;
-          Alcotest.test_case "set reproducer encode/decode round-trip" `Quick
-            test_set_repro_roundtrip;
-          Alcotest.test_case "heavy reproducer encode/decode round-trip" `Quick
-            test_heavy_repro_roundtrip;
+          Alcotest.test_case "malformed reproducers rejected" `Quick
+            test_repro_malformed;
         ] );
       ("degenerate updates", degenerate_cases);
       ( "shrinker",
         [
           Alcotest.test_case "broken engine caught, shrunk to ≤5 nodes" `Quick
             test_broken_engine_shrunk;
+          Alcotest.test_case "every candidate is a valid scenario" `Quick
+            test_shrink_candidates_valid;
         ] );
       ("xmark three-engine agreement", xmark_cases);
     ]

@@ -454,11 +454,11 @@ let test_one_pass_skewed () =
 let test_one_pass_random () =
   let rnd = Random.State.make [| 25 |] in
   for i = 1 to 300 do
-    let t = Difftest.gen_triple rnd in
+    let s = Difftest.gen Difftest.Engines rnd in
     ignore
       (check_one_pass
-         (Printf.sprintf "triple %d %s" i (Difftest.repro_of_triple t))
-         (Store.of_document t.Difftest.doc) t.Difftest.view)
+         (Printf.sprintf "scenario %d %s" i (Difftest.to_repro s))
+         (Store.of_document s.Difftest.doc) (List.hd s.Difftest.views))
   done
 
 (* {1 Maintenance work bounds}

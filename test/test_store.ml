@@ -275,30 +275,29 @@ let drive_stream ~what ~adaptive doc views stmts =
 let test_invariants_recover () =
   let rnd = Random.State.make [| 42; 0x5701 |] in
   for k = 1 to 300 do
-    let c = Difftest.gen_recover_case rnd in
+    let s = Difftest.gen Difftest.Recover rnd in
     drive_stream
       ~what:(Printf.sprintf "recover stream %d" k)
-      ~adaptive:None c.Difftest.rc_set.Difftest.sdoc c.Difftest.rc_set.Difftest.sviews
-      c.Difftest.rc_stmts
+      ~adaptive:None s.Difftest.doc s.Difftest.views s.Difftest.stmts
   done
 
 let test_invariants_heavy () =
   let rnd = Random.State.make [| 42; 0x5702 |] in
   for k = 1 to 300 do
-    let c = Difftest.gen_heavy_case rnd in
+    let s = Difftest.gen Difftest.Heavy rnd in
+    let h = Option.get s.Difftest.heavy in
     let cfg =
       {
         Hl.default_config with
-        Hl.heavy_count = c.Difftest.hc_count;
-        Hl.heavy_fanout = c.Difftest.hc_fanout;
-        Hl.drain_budget = c.Difftest.hc_budget;
-        Hl.tail_budget = c.Difftest.hc_tailb;
+        Hl.heavy_count = h.Difftest.heavy_count;
+        Hl.heavy_fanout = h.Difftest.heavy_fanout;
+        Hl.drain_budget = h.Difftest.drain_budget;
+        Hl.tail_budget = h.Difftest.tail_budget;
       }
     in
     drive_stream
       ~what:(Printf.sprintf "heavy stream %d" k)
-      ~adaptive:(Some cfg) c.Difftest.hc_set.Difftest.sdoc
-      c.Difftest.hc_set.Difftest.sviews c.Difftest.hc_stmts
+      ~adaptive:(Some cfg) s.Difftest.doc s.Difftest.views s.Difftest.stmts
   done
 
 (* [replace value] must give the new text node a fresh identifier: the

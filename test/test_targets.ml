@@ -73,9 +73,9 @@ let test_random_statements () =
   let (), snap =
     Obs.with_scope (fun () ->
         for _ = 1 to 2000 do
-          let t = Difftest.gen_triple rnd in
-          let store = Store.of_document (Xml_tree.copy t.Difftest.doc) in
-          let u = Update.parse t.Difftest.update in
+          let s = Difftest.gen Difftest.Engines rnd in
+          let store = Store.of_document (Xml_tree.copy s.Difftest.doc) in
+          let u = Update.parse (List.hd s.Difftest.stmts) in
           let path = path_of u in
           check_select store path;
           apply store u;

@@ -146,3 +146,17 @@ let setup ?policy doc pat =
 
 let qtest ?(count = 200) name arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb prop)
+
+(* {1 Strings} *)
+
+(* Offset of the first occurrence of [needle] in [hay]. *)
+let find_sub hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec at i =
+    if i + nl > hl then None
+    else if String.sub hay i nl = needle then Some i
+    else at (i + 1)
+  in
+  at 0
+
+let contains hay needle = find_sub hay needle <> None
