@@ -576,6 +576,27 @@ let test_answer_oracle () =
   Alcotest.(check int) "iterations" 400 r.Qgen.iterations;
   Alcotest.(check int) "mismatches" 0 r.Qgen.failed
 
+(* An [Answer] scenario survives the xvmdt2 reproducer codec: query,
+   views and document decode unchanged. *)
+let test_answer_repro_roundtrip () =
+  let rnd = Random.State.make [| 0xa45; 11 |] in
+  for _ = 1 to 50 do
+    let c = Difftest.gen Difftest.Answer rnd in
+    let c' = Difftest.of_repro (Difftest.to_repro c) in
+    let query (s : Difftest.scenario) =
+      match s.Difftest.query with
+      | Some q -> Pattern.to_string q
+      | None -> Alcotest.fail "answer scenario without a query"
+    in
+    Alcotest.(check string) "query preserved" (query c) (query c');
+    Alcotest.(check int) "view count preserved"
+      (List.length c.Difftest.views)
+      (List.length c'.Difftest.views);
+    Alcotest.(check string) "document preserved"
+      (Xml_tree.serialize c.Difftest.doc)
+      (Xml_tree.serialize c'.Difftest.doc)
+  done
+
 (* {1 Independent updates skip maintenance}
 
    [xvmcli answer --update] keeps its views through [View_set.update],
@@ -678,6 +699,7 @@ let () =
       ( "oracles",
         [
           Alcotest.test_case "answer-from-views clean" `Quick test_answer_oracle;
+          Alcotest.test_case "reproducer roundtrip" `Quick test_answer_repro_roundtrip;
         ] );
       ( "independence via skip",
         [

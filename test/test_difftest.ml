@@ -105,6 +105,40 @@ let test_repro_roundtrip () =
       done)
     Difftest.properties
 
+(* The view-set round trip: every view of a generated [Batch] scenario
+   decodes to the same pattern, in the same order. *)
+let test_set_repro_roundtrip () =
+  let rnd = Random.State.make [| 0x5e7; 3 |] in
+  for i = 1 to 100 do
+    let s = Difftest.gen Difftest.Batch rnd in
+    check_valid (Printf.sprintf "batch %d" i) s;
+    let s' = Difftest.of_repro (Difftest.to_repro s) in
+    Alcotest.(check (list string)) "views preserved"
+      (List.map Pattern.to_string s.Difftest.views)
+      (List.map Pattern.to_string s'.Difftest.views);
+    Alcotest.(check (list string)) "statements preserved" s.Difftest.stmts
+      s'.Difftest.stmts
+  done
+
+(* The heavy-light round trip: the budgets and the read points of a
+   generated [Heavy] scenario decode unchanged. *)
+let test_heavy_repro_roundtrip () =
+  let rnd = Random.State.make [| 0x4ea; 5 |] in
+  for i = 1 to 100 do
+    let s = Difftest.gen Difftest.Heavy rnd in
+    check_valid (Printf.sprintf "heavy %d" i) s;
+    let s' = Difftest.of_repro (Difftest.to_repro s) in
+    match (s.Difftest.heavy, s'.Difftest.heavy) with
+    | Some h, Some h' ->
+      Alcotest.(check (list (pair int int))) "read points preserved" h.Difftest.reads
+        h'.Difftest.reads;
+      Alcotest.(check (list int)) "budgets preserved"
+        Difftest.[ h.heavy_count; h.heavy_fanout; h.drain_budget; h.tail_budget ]
+        Difftest.[ h'.heavy_count; h'.heavy_fanout; h'.drain_budget; h'.tail_budget ]
+    | None, _ -> Alcotest.fail "generated heavy scenario has no heavy field group"
+    | Some _, None -> Alcotest.fail "heavy field group lost in the round trip"
+  done
+
 let part x = Printf.sprintf "%d:%s" (String.length x) x
 
 let repro ?(query = "") ?(heavy = "") ?(crash = "") ?(doc = "<r><a/><b/></r>") prop
@@ -424,6 +458,10 @@ let () =
           test_compact_qcheck;
           Alcotest.test_case "reproducer encode/decode round-trip" `Quick
             test_repro_roundtrip;
+          Alcotest.test_case "set reproducer encode/decode round-trip" `Quick
+            test_set_repro_roundtrip;
+          Alcotest.test_case "heavy reproducer encode/decode round-trip" `Quick
+            test_heavy_repro_roundtrip;
           Alcotest.test_case "malformed reproducers rejected" `Quick
             test_repro_malformed;
         ] );
