@@ -110,14 +110,7 @@ let append_table t src =
     t.len <- t.len + src.len
   end
 
-(* Handle sets for [remove_ids]: handles are dense small ints, so the
-   identity hash spreads them evenly. *)
-module Handle_set = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash x = x land max_int
-end)
+module Handle_set = Dewey_arena.Tbl
 
 let remove_ids t keys =
   let keys = List.filter (fun (_, d) -> d.len > 0) keys in

@@ -396,6 +396,7 @@ let base_rows store pat =
   let full = Plan.eval store pat in
   let stored = Array.of_list (Pattern.stored_nodes pat) in
   let positions = Array.map (Tuple_table.col_pos full) stored in
+  let columns = Tuple_table.columns full in
   let id r k = Tuple_table.cell_id full r positions.(k) in
   let compare_at r r' = rows_compare_from full positions r r' 0 in
   let order = Array.init (Tuple_table.length full) Fun.id in
@@ -408,7 +409,11 @@ let base_rows store pat =
           (fun k i ->
             let id = id r k in
             let { Pattern.store_val; store_cont; _ } = pat.Pattern.annots.(i) in
-            let node = if store_val || store_cont then Store.node_of store id else None in
+            let node =
+              if store_val || store_cont then
+                Store.node_of_handle store columns.(positions.(k)).(r)
+              else None
+            in
             ( id,
               (if store_val then Option.map Xml_tree.string_value node else None),
               if store_cont then Option.map Xml_tree.serialize node else None ))

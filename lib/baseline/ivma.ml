@@ -84,7 +84,6 @@ let rebuild_fallback mv ~invocations =
 let propagate mv u =
   let pat = mv.Mview.pat in
   let store = mv.Mview.store in
-  let arena = Store.arena store in
   let targets = Update.targets store u in
   let watches = Maint.vpred_watches mv targets in
   match u with
@@ -130,7 +129,7 @@ let propagate mv u =
                     let key = binding pat t r in
                     if not (Hashtbl.mem seen key) then begin
                       Hashtbl.add seen key ();
-                      Mview.add_binding mv (fun j -> Dewey_arena.to_dewey arena key.(j));
+                      Mview.add_binding mv (Array.get key);
                       incr added
                     end
                   done
@@ -172,7 +171,7 @@ let propagate mv u =
                     let key = binding pat t r in
                     if not (Hashtbl.mem seen key) then begin
                       Hashtbl.add seen key ();
-                      Mview.remove_binding mv (fun j -> Dewey_arena.to_dewey arena key.(j));
+                      Mview.remove_binding mv (Array.get key);
                       incr removed_count
                     end
                   done

@@ -1,24 +1,27 @@
 type handle = int
 
 (* Arena behaviour is observable like every operator: [interned] counts
-   fresh handles, [hits] intern calls resolved by lookup, [bytes] the
-   approximate flat-array footprint of the interned data. *)
+   fresh handles, [hits] intern calls resolved by lookup, [walks]
+   whole-identifier lookups ({!find} and {!intern}, one child probe per
+   step), [bytes] the approximate flat-array footprint of the interned
+   data and of the child index's slots. *)
 let obs = Obs.Scope.v "dewey.arena"
 let c_interned = Obs.Scope.counter obs "interned"
 let c_hits = Obs.Scope.counter obs "hits"
+let c_walks = Obs.Scope.counter obs "walks"
 let c_bytes = Obs.Scope.counter obs "bytes"
-
-module Dewey_tbl = Hashtbl.Make (struct
-  type t = Dewey.t
-
-  let equal = Dewey.equal
-  let hash = Dewey.hash
-end)
 
 (* Struct-of-arrays: one slot per handle in each side array; the last
    step's ordinal digits live as a slice of [pack]. Everything before
    [n] (resp. [pack_len]) is immutable once written, so concurrent
-   readers are safe while only the main domain appends. *)
+   readers are safe while only the main domain appends.
+
+   [slots] is the child index: an open-addressing table (linear probing,
+   power-of-two length, at most half full) of handles, [-1] for an empty
+   slot, keyed by (parent handle, label code, last-step ordinal digits)
+   read back from the side arrays. A step is one key, so a whole
+   identifier is found by a root-to-leaf walk of child probes. A resize
+   publishes a fresh array and never writes the old one again. *)
 type t = {
   mutable pack : int array; (* concatenated last-step ordinals *)
   mutable pack_len : int;
@@ -29,10 +32,14 @@ type t = {
   mutable lab : int array; (* handle -> label code *)
   mutable boxed : Dewey.t array; (* handle -> canonical boxed id *)
   mutable n : int;
-  index : handle Dewey_tbl.t;
+  mutable slots : handle array; (* child index, see above *)
 }
 
+let word = Sys.word_size / 8
+let initial_slots = 256
+
 let create () =
+  if Obs.enabled () then Obs.Counter.add c_bytes (initial_slots * word);
   {
     pack = [||];
     pack_len = 0;
@@ -43,10 +50,17 @@ let create () =
     lab = [||];
     boxed = [||];
     n = 0;
-    index = Dewey_tbl.create 4096;
+    slots = Array.make initial_slots (-1);
   }
 
 let size t = t.n
+
+module Tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
 
 let grow_int arr len need =
   if need <= Array.length arr then arr
@@ -59,12 +73,74 @@ let grow_int arr len need =
 
 let dummy_id : Dewey.t = Dewey.root ~lab:0
 
-let add t (id : Dewey.t) ph =
-  let steps = (id :> Dewey.step array) in
-  let last = steps.(Array.length steps - 1) in
-  let no = Array.length last.Dewey.ord in
+(* {2 Child index}
+
+   The key hash folds the parent, the label and every ordinal digit, then
+   mixes the high bits down: the slot is taken from the low bits. Callers'
+   ordinals and the arena's packed slices hash through the same function
+   (an array, an offset and a length). Top-level recursive functions, not
+   local closures: without flambda the latter are allocated per call. *)
+let rec hash_digits (a : int array) i stop h =
+  if i >= stop then h
+  else hash_digits a (i + 1) stop ((h lxor Array.unsafe_get a i) * 0x100000001b3)
+
+let key_hash parent lab (a : int array) off len =
+  let h = hash_digits a off (off + len) (((parent * 0x9e3779b1) lxor lab) * 0x100000001b3) in
+  let h = h lxor (h lsr 32) in
+  let h = h * 0xd6e8feb86659fd9 in
+  h lxor (h lsr 29)
+
+let rec same_digits (p : int array) po (o : int array) j n =
+  j >= n
+  || (Array.unsafe_get p (po + j) = Array.unsafe_get o j && same_digits p po o (j + 1) n)
+
+(* [h] is the child of [parent] labelled [lab] at ordinal [o]: every
+   digit must match, and so must the digit count, so an ordinal never
+   matches its strict digit-prefix or extension. *)
+let matches t h parent lab (o : int array) =
+  Array.unsafe_get t.par h = parent
+  && Array.unsafe_get t.lab h = lab
+  &&
+  let n = Array.length o in
+  Array.unsafe_get t.nord h = n && same_digits t.pack (Array.unsafe_get t.off h) o 0 n
+
+let rec seek t slots mask parent lab o i =
+  let h = Array.unsafe_get slots i in
+  if h < 0 || matches t h parent lab o then i
+  else seek t slots mask parent lab o ((i + 1) land mask)
+
+(* The index in [slots] of the key's handle, or of the empty slot where
+   it would go. *)
+let slot t slots parent lab o =
+  let mask = Array.length slots - 1 in
+  seek t slots mask parent lab o (key_hash parent lab o 0 (Array.length o) land mask)
+
+let rec free_slot (slots : int array) mask i =
+  if Array.unsafe_get slots i < 0 then i else free_slot slots mask ((i + 1) land mask)
+
+(* Double the slot table once it is half full: every handle is re-placed
+   from its side-array key into a fresh array, then published. *)
+let grow_slots t =
+  let cap = 2 * Array.length t.slots in
+  let slots = Array.make cap (-1) in
+  let mask = cap - 1 in
+  for h = 0 to t.n - 1 do
+    let k = key_hash t.par.(h) t.lab.(h) t.pack t.off.(h) t.nord.(h) in
+    slots.(free_slot slots mask (k land mask)) <- h
+  done;
+  t.slots <- slots;
+  if Obs.enabled () then Obs.Counter.add c_bytes ((cap / 2) * word)
+
+(* Append a handle for [boxed], whose last step is ([lab], [ord]) under
+   [parent], and index it at [t.slots.(i)], its empty slot (from
+   {!slot}). Main domain only: readers on other domains rely on nobody
+   writing. *)
+let add t ~parent ~lab ~ord ~boxed i =
+  if not (Domain.is_main_domain ()) then
+    invalid_arg "Dewey_arena.intern: new identifier off the main domain";
+  let no = Array.length ord in
   t.pack <- grow_int t.pack t.pack_len (t.pack_len + no);
-  Array.blit last.Dewey.ord 0 t.pack t.pack_len no;
+  Array.blit ord 0 t.pack t.pack_len no;
   let h = t.n in
   let need = h + 1 in
   t.off <- grow_int t.off h need;
@@ -80,47 +156,77 @@ let add t (id : Dewey.t) ph =
   end;
   t.off.(h) <- t.pack_len;
   t.nord.(h) <- no;
-  t.par.(h) <- ph;
-  t.dep.(h) <- Array.length steps;
-  t.lab.(h) <- last.Dewey.lab;
-  t.boxed.(h) <- id;
+  t.par.(h) <- parent;
+  t.dep.(h) <- (if parent < 0 then 1 else t.dep.(parent) + 1);
+  t.lab.(h) <- lab;
+  t.boxed.(h) <- boxed;
   t.pack_len <- t.pack_len + no;
-  t.n <- h + 1;
-  Dewey_tbl.add t.index id h;
+  t.n <- need;
+  t.slots.(i) <- h;
+  if 2 * need > Array.length t.slots then grow_slots t;
   if Obs.enabled () then begin
     Obs.Counter.incr c_interned;
     (* Ordinal slice plus the six per-handle side slots, in bytes. *)
-    Obs.Counter.add c_bytes ((no + 6) * (Sys.word_size / 8))
+    Obs.Counter.add c_bytes ((no + 6) * word)
   end;
   h
 
-let rec intern_new t id =
-  match Dewey_tbl.find_opt t.index id with
-  | Some h -> h
-  | None ->
-    let ph = match Dewey.parent id with None -> -1 | Some p -> intern_new t p in
-    add t id ph
+(* Readers take [t.slots] once: a table published by a resize is never
+   mixed with the one it replaced. *)
+let find_child t ~parent ~lab ~ord =
+  let slots = t.slots in
+  slots.(slot t slots parent lab ord)
 
-let intern t id =
-  match Dewey_tbl.find_opt t.index id with
-  | Some h ->
+let intern_child t ~parent ~lab ~ord =
+  let i = slot t t.slots parent lab ord in
+  let h = t.slots.(i) in
+  if h >= 0 then begin
     Obs.Counter.incr c_hits;
     h
-  | None ->
-    (* Same contract as [Store.commit]: child domains read the arena
-       under the guarantee that nobody writes it concurrently, so a
-       miss-driven insertion is a main-domain-only operation. *)
-    if not (Domain.is_main_domain ()) then
-      invalid_arg "Dewey_arena.intern: new identifier off the main domain";
-    intern_new t id
+  end
+  else
+    let boxed =
+      if parent < 0 then Dewey.of_steps [| { Dewey.lab; ord } |]
+      else Dewey.child t.boxed.(parent) ~lab ~ord
+    in
+    add t ~parent ~lab ~ord ~boxed i
 
-(* No probe at all when the caller knows [id] is new. *)
-let intern_absent_child t ~parent id =
-  if not (Domain.is_main_domain ()) then
-    invalid_arg "Dewey_arena.intern_absent_child: off the main domain";
-  add t id parent
+(* Root-to-leaf walk: one child probe per step, from the roots' parent
+   [-1]. Stops at the first step that is not interned. *)
+let rec walk t (steps : Dewey.step array) parent k =
+  if k = Array.length steps then parent
+  else
+    let s = Array.unsafe_get steps k in
+    let h = find_child t ~parent ~lab:s.Dewey.lab ~ord:s.Dewey.ord in
+    if h < 0 then -1 else walk t steps h (k + 1)
 
-let find t id = Dewey_tbl.find_opt t.index id
+let find t (id : Dewey.t) =
+  Obs.Counter.incr c_walks;
+  let h = walk t (id :> Dewey.step array) (-1) 0 in
+  if h < 0 then None else Some h
+
+(* The walk interns the missing suffix: the leaf keeps the caller's boxed
+   id, a missing inner step gets a fresh prefix array. *)
+let rec intern_from t (id : Dewey.t) (steps : Dewey.step array) parent k =
+  let s = steps.(k) in
+  let last = k = Array.length steps - 1 in
+  let i = slot t t.slots parent s.Dewey.lab s.Dewey.ord in
+  let h = t.slots.(i) in
+  let h =
+    if h >= 0 then begin
+      if last then Obs.Counter.incr c_hits;
+      h
+    end
+    else
+      let boxed = if last then id else Dewey.of_steps (Array.sub steps 0 (k + 1)) in
+      add t ~parent ~lab:s.Dewey.lab ~ord:s.Dewey.ord ~boxed i
+  in
+  if last then h else intern_from t id steps h (k + 1)
+
+let intern t (id : Dewey.t) =
+  Obs.Counter.incr c_walks;
+  intern_from t id (id :> Dewey.step array) (-1) 0
+
 let to_dewey t h = t.boxed.(h)
 let depth t h = t.dep.(h)
 let label t h = t.lab.(h)

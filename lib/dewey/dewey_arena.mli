@@ -4,7 +4,9 @@
     {e handle}; the arena stores, per handle, the last step of the
     identifier packed into one growable flat [int] buffer plus flat int
     side-arrays (ordinal offset/length, parent handle, label code,
-    depth). Handles are canonical — two handles of one arena are equal
+    depth), and indexes every handle by its parent handle and last step
+    in a flat open-addressing table (the {e child index}). Handles are
+    canonical — two handles of one arena are equal
     iff the identifiers are — so equality is [(=)] on ints, and
     [compare] / [is_prefix] / ancestor navigation are branchy int
     arithmetic over contiguous arrays with no allocation.
@@ -15,9 +17,10 @@
     the arena.
 
     Concurrency contract (matching [Store]'s read-only parallel fan-out):
-    {!intern} may add to the arena only on the main domain; calling it
-    off the main domain is allowed only when the identifier is already
-    present (a pure lookup). All other operations are read-only. *)
+    {!intern} and {!intern_child} may add to the arena only on the main
+    domain; calling them off the main domain is allowed only when the
+    identifier is already present (a pure lookup). A growing child index
+    is published as a fresh array. All other operations are read-only. *)
 
 type t
 
@@ -29,20 +32,33 @@ val create : unit -> t
 (** Number of interned identifiers (= smallest invalid handle). *)
 val size : t -> int
 
+(** Hash tables keyed by handles, or by any other dense small ints
+    (node serials), hashed as themselves rather than through the
+    polymorphic hash. *)
+module Tbl : Hashtbl.S with type key = int
+
 (** [intern a id] is the canonical handle of [id], interning [id] and
-    all its ancestors on first sight.
+    all its ancestors on first sight: a root-to-leaf walk of child
+    probes, counted in [dewey.arena.walks] like {!find}.
     @raise Invalid_argument when [id] is not yet interned and the caller
     is not the main domain. *)
 val intern : t -> Dewey.t -> handle
 
-(** [intern_absent_child a ~parent id] interns an [id] the caller knows
-    is not in the arena yet — e.g. a child of a handle the caller itself
-    just interned, under an ordinal it has not used there — skipping the
-    index probe. Interning a present [id] this way breaks canonicality.
-    @raise Invalid_argument off the main domain. *)
-val intern_absent_child : t -> parent:handle -> Dewey.t -> handle
+(** [find_child a ~parent ~lab ~ord] is the handle of the child of
+    [parent] ([-1] for a root) whose last step has label [lab] and
+    ordinal [ord], or [-1] when none is interned: one probe of the
+    child index, no allocation, safe from any domain. *)
+val find_child : t -> parent:handle -> lab:int -> ord:Dewey.Ord.o -> handle
 
-(** Pure lookup; never mutates, safe from any domain. *)
+(** [intern_child a ~parent ~lab ~ord] is {!find_child}, interning the
+    child on a miss (its boxed id extends [to_dewey a parent] by one
+    step). A hit returns the canonical handle, whose {!to_dewey} is the
+    already boxed id: the caller builds no [Dewey.child].
+    @raise Invalid_argument on a miss off the main domain. *)
+val intern_child : t -> parent:handle -> lab:int -> ord:Dewey.Ord.o -> handle
+
+(** Pure lookup by a root-to-leaf walk of child probes; never mutates,
+    safe from any domain. *)
 val find : t -> Dewey.t -> handle option
 
 (** [to_dewey a h] is the boxed identifier of [h] (O(1), cached). *)

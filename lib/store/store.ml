@@ -9,14 +9,7 @@ let c_hl_drains = Obs.Scope.counter obs_hl "drains"
 let c_hl_drain_rows = Obs.Scope.counter obs_hl "drain_rows"
 let c_hl_merge_copies = Obs.Scope.counter obs_hl "merge_copies"
 
-(* Node serials and arena handles are dense small ints: hash them as
-   themselves instead of through the polymorphic hash. *)
-module Itbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash x = x land max_int
-end)
+module Itbl = Dewey_arena.Tbl
 
 (* The node slot of a handle no live node holds. *)
 let vacant = Xml_tree.text ""
@@ -167,12 +160,16 @@ let mem t node =
   | None -> false
   | Some h -> not (in_detached t h)
 
-let node_of t id =
-  match Dewey_arena.find t.arena id with
-  | Some h when h < Array.length t.nodes ->
+let node_of_handle t h =
+  if h < 0 || h >= Array.length t.nodes then None
+  else
     let n = t.nodes.(h) in
     if n == vacant || in_detached t h then None else Some n
-  | Some _ | None -> None
+
+let node_of t id =
+  match Dewey_arena.find t.arena id with
+  | Some h -> node_of_handle t h
+  | None -> None
 
 let node_count t = t.live
 
@@ -239,13 +236,8 @@ let drain_rel arena r =
    its ancestors) in the arena, so scans hand pre-interned handles to
    the joins and every intern during parallel propagation is a pure
    lookup. An identifier held by a live or pending-detach node is never
-   handed to a second node. [absent]: the identifier is known to be new
-   to the arena (see [assign]), so interning needs no probe. *)
-let register t node id ~parent ~absent =
-  let h =
-    if absent then Dewey_arena.intern_absent_child t.arena ~parent id
-    else Dewey_arena.intern t.arena id
-  in
+   handed to a second node. *)
+let register t node h =
   let cap = Array.length t.nodes in
   if h >= cap then begin
     let nodes = Array.make (max (h + 1) (max 1024 (2 * cap))) vacant in
@@ -255,11 +247,10 @@ let register t node id ~parent ~absent =
   else if t.nodes.(h) != vacant then
     invalid_arg
       (Printf.sprintf "Store: identifier %s is already held by a node"
-         (Dewey.to_string ~dict:t.dict id));
+         (Dewey.to_string ~dict:t.dict (Dewey_arena.to_dewey t.arena h)));
   t.nodes.(h) <- node;
   Itbl.replace t.hids node.Xml_tree.serial h;
-  t.live <- t.live + 1;
-  h
+  t.live <- t.live + 1
 
 let staged_run t lab =
   match Itbl.find_opt t.staged lab with
@@ -269,51 +260,72 @@ let staged_run t lab =
     Itbl.add t.staged lab r;
     r
 
-(* Assign IDs to [node] (child of the node of handle [parent], with
-   ordinal [ord]) and all its descendants, in preorder; stage every new
-   entry in its label's run. [ord_of], when given, overrides the
-   canonical 1..n child numbering — checkpoint recovery uses it to
-   re-intern the exact dynamic ordinals the crashed store had minted, so
-   persisted view images keep resolving. Supplied ordinals need not grow
-   along the child list: where one does not, a new segment starts.
-   [absent]: the parent's handle was minted by this walk, so no child
-   identifier of it is interned yet beyond the distinct canonical
-   ordinals this walk hands out. *)
-let rec assign t ord_of node ~parent ~ord ~absent =
-  let lab = Label_dict.code t.dict (Xml_tree.label node) in
-  let id =
-    if parent < 0 then Dewey.root ~lab
-    else Dewey.child (Dewey_arena.to_dewey t.arena parent) ~lab ~ord
-  in
-  let fresh = Dewey_arena.size t.arena in
-  let h = register t node id ~parent ~absent in
-  let absent = h >= fresh && Option.is_none ord_of in
-  let e = { id; node } in
+type shape = Shape of int * shape list
+
+let rec shape_of t node =
+  Shape
+    ( Label_dict.code t.dict (Xml_tree.label node),
+      List.map (shape_of t) node.Xml_tree.children )
+
+let shape t forest = List.map (shape_of t) forest
+
+(* Canonical child ordinals are shared rather than allocated per node:
+   every boxed identifier keeps its steps' ordinal arrays alive, and an
+   ordinal array is never written once built. *)
+let small_ords = Array.init 64 (fun i -> [| i |])
+let canonical_ord i = if i < Array.length small_ords then small_ords.(i) else [| i |]
+
+(* Assign IDs to [node] (label code [lab], child of the node of handle
+   [parent] with ordinal [ord]) and all its descendants, in preorder;
+   stage every new entry in its label's run. The identifier is one
+   child probe from the parent's handle: a re-inserted identifier is
+   found with its boxed id, a new one is interned. [kids] are the label
+   codes of the children when the caller precomputed them ([[]]: look
+   each up). [ord_of], when given, overrides the canonical 1..n child
+   numbering — checkpoint recovery uses it to re-intern the exact
+   dynamic ordinals the crashed store had minted, so persisted view
+   images keep resolving. Supplied ordinals need not grow along the
+   child list: where one does not, a new segment starts. *)
+let rec assign t ord_of node ~lab ~kids ~parent ~ord =
+  let h = Dewey_arena.intern_child t.arena ~parent ~lab ~ord in
+  register t node h;
+  let e = { id = Dewey_arena.to_dewey t.arena h; node } in
   Run.push t.arena (staged_run t lab) ~seg:t.seg e h;
   if node.Xml_tree.kind = Xml_tree.Element then
     Run.push t.arena t.staged_elems ~seg:t.seg e h;
   t.staged_n <- t.staged_n + 1;
-  assign_children t ord_of h absent 1 [||] node.Xml_tree.children
+  assign_children t ord_of h 1 [||] node.Xml_tree.children kids
 
-and assign_children t ord_of parent absent i prev = function
+and assign_children t ord_of parent i prev children kids =
+  match children with
   | [] -> ()
   | child :: rest ->
     let ord =
       match ord_of with
-      | None -> [| i |]
+      | None -> canonical_ord i
       | Some f ->
         let ord = f child in
         if Dewey.Ord.compare prev ord >= 0 then t.seg <- t.seg + 1;
         ord
     in
-    assign t ord_of child ~parent ~ord ~absent;
-    assign_children t ord_of parent absent (i + 1) ord rest
+    let lab, grandkids, kids =
+      match kids with
+      | Shape (lab, g) :: kids -> (lab, g, kids)
+      | [] -> (Label_dict.code t.dict (Xml_tree.label child), [], [])
+    in
+    assign t ord_of child ~lab ~kids:grandkids ~parent ~ord;
+    assign_children t ord_of parent (i + 1) ord rest kids
 
 (* One preorder walk of a fresh subtree under the node of handle
    [parent] ([-1] for the document root): one segment. *)
-let assign_tree t ?ord_of tree ~parent ~ord =
+let assign_tree t ?ord_of ?shape tree ~parent ~ord =
   t.seg <- t.seg + 1;
-  assign t ord_of tree ~parent ~ord ~absent:false
+  let lab, kids =
+    match shape with
+    | Some (Shape (lab, kids)) -> (lab, kids)
+    | None -> (Label_dict.code t.dict (Xml_tree.label tree), [])
+  in
+  assign t ord_of tree ~lab ~kids ~parent ~ord
 
 let staged_count t = t.staged_n
 
@@ -442,7 +454,18 @@ let rec last_child = function
   | [ c ] -> Some c
   | _ :: rest -> last_child rest
 
-let attach t ~parent forest =
+(* [f tree shape] for every forest tree, with its shape if one was given. *)
+let iter_shaped shape f forest =
+  let rec go shapes = function
+    | [] -> ()
+    | tree :: rest ->
+      let s, shapes = match shapes with s :: ss -> (Some s, ss) | [] -> (None, []) in
+      f tree s;
+      go shapes rest
+  in
+  go (Option.value shape ~default:[]) forest
+
+let attach t ?shape ~parent forest =
   let ph = handle_of_node t parent in
   (* Ordinal of the first new child: strictly after the last existing one. *)
   let ord =
@@ -451,14 +474,14 @@ let attach t ~parent forest =
       | None -> Dewey.Ord.first
       | Some last -> Dewey.Ord.after (Dewey.last_ord (id_of t last)))
   in
-  List.iter
-    (fun tree ->
-      assign_tree t tree ~parent:ph ~ord:!ord;
+  iter_shaped shape
+    (fun tree shape ->
+      assign_tree t ?shape tree ~parent:ph ~ord:!ord;
       ord := Dewey.Ord.after !ord)
     forest;
   Xml_tree.append_children parent forest
 
-let attach_beside t ~sibling ~where forest =
+let attach_beside t ?shape ~sibling ~where forest =
   let parent =
     match sibling.Xml_tree.parent with
     | Some p -> p
@@ -492,10 +515,10 @@ let attach_beside t ~sibling ~where forest =
     | None, None -> Dewey.Ord.first
   in
   let lo = ref lo in
-  List.iter
-    (fun tree ->
+  iter_shaped shape
+    (fun tree shape ->
       let ord = fresh_ord !lo hi in
-      assign_tree t tree ~parent:ph ~ord;
+      assign_tree t ?shape tree ~parent:ph ~ord;
       lo := Some ord)
     forest;
   Xml_tree.insert_children parent ~anchor:sibling ~where forest

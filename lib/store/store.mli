@@ -69,7 +69,8 @@ val dict : t -> Label_dict.t
 val arena : t -> Dewey_arena.t
 
 (** [handle_of_node store node] is the arena handle of [node]'s
-    identifier — a pure hash lookup, safe from any domain.
+    identifier — a pure lookup by the node's serial, safe from any
+    domain.
     @raise Not_found if [node] does not belong to the store. *)
 val handle_of_node : t -> Xml_tree.node -> int
 
@@ -83,8 +84,17 @@ val id_of : t -> Xml_tree.node -> Dewey.t
 (** [mem store node]: the node is live (indexed and not detached). *)
 val mem : t -> Xml_tree.node -> bool
 
-(** [node_of store id] finds a live node by identifier. *)
+(** [node_of store id] finds a live node by identifier: a walk of the
+    arena's child index ({!Dewey_arena.find}), for cold paths. *)
 val node_of : t -> Dewey.t -> Xml_tree.node option
+
+(** [node_of_handle store h] is the live node holding the arena handle
+    [h], with {!node_of}'s checks: [None] when no node holds it (never
+    attached, or swept by a commit) or when it lies in a subtree detached
+    since the last commit. [node_of_handle s h] equals
+    [node_of s (Dewey_arena.to_dewey (arena s) h)] for every handle, in
+    O(depth) with no hashing. *)
+val node_of_handle : t -> int -> Xml_tree.node option
 
 (** [relation store label] is the committed canonical relation of [label],
     sorted in document order. Returns [||] for unseen labels. *)
@@ -175,10 +185,24 @@ val staged_runs : t -> (string * entry array * int array) list
     document order. *)
 val staged_elements : t -> entry array * int array
 
-(** [attach store ~parent forest] appends the trees of [forest] as the last
-    children of [parent], assigns IDs to every new node and stages them for
-    {!commit}. The forest nodes must be detached (no parent). *)
-val attach : t -> parent:Xml_tree.node -> Xml_tree.node list -> unit
+(** The label codes of a forest, one tree of codes per forest tree, in
+    the store's dictionary: computed once ({!shape}) and passed to every
+    {!attach} of a copy of the forest, so that attaching copies looks up
+    no label. *)
+type shape
+
+(** [shape store forest] interns the labels of [forest]'s nodes. *)
+val shape : t -> Xml_tree.node list -> shape list
+
+(** [attach store ?shape ~parent forest] appends the trees of [forest] as
+    the last children of [parent], assigns IDs to every new node and
+    stages them for {!commit}. The forest nodes must be detached (no
+    parent). [shape], when given, must be the {!shape} of a forest of
+    the same structure and labels. Each new node's identifier is one
+    probe of the arena's child index from its parent's handle; a
+    re-inserted identifier reuses its canonical boxed id. *)
+val attach :
+  t -> ?shape:shape list -> parent:Xml_tree.node -> Xml_tree.node list -> unit
 
 (** [attach_beside store ~sibling ~where forest] inserts the trees of
     [forest] immediately before or after [sibling], assigning fresh
@@ -186,7 +210,7 @@ val attach : t -> parent:Xml_tree.node -> Xml_tree.node list -> unit
     touched (the dynamic-Dewey "no relabeling" property).
     @raise Invalid_argument if [sibling] has no parent. *)
 val attach_beside :
-  t -> sibling:Xml_tree.node -> where:[ `Before | `After ] ->
+  t -> ?shape:shape list -> sibling:Xml_tree.node -> where:[ `Before | `After ] ->
   Xml_tree.node list -> unit
 
 (** [detach store node] removes the subtree rooted at [node] from the tree

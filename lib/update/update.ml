@@ -280,23 +280,37 @@ let targets store u =
 
 type applied_insert = {
   pairs : (Dewey.t * Xml_tree.node list) list;
+  changed : int list;
   fresh : int;
 }
 
 type applied_delete = {
   roots : Dewey.t list;
   root_nodes : Xml_tree.node list;
+  root_handles : int list;
   deleted : (Dewey.t * Xml_tree.node) list Lazy.t;
 }
 
+(* [changed]: each node whose content changes, with the forest attached
+   to it. *)
+let applied_insert store ~staged changed =
+  {
+    pairs = List.map (fun (n, forest) -> (Store.id_of store n, forest)) changed;
+    changed = List.map (fun (n, _) -> Store.handle_of_node store n) changed;
+    fresh = Store.staged_count store - staged;
+  }
+
 let apply_insert store u ~targets =
   let staged = Store.staged_count store in
-  let forest, placement =
+  let forest, placement, template =
     match u with
-    | Insert { forest; placement; _ } -> (forest, placement)
+    | Insert { forest; placement; template; _ } -> (forest, placement, template)
     | Delete _ | Replace_value _ -> invalid_arg "Update.apply_insert: not an insertion"
   in
-  let pairs =
+  (* Every copy of a parsed fragment has its structure and labels: look
+     its label codes up once (none when nothing is attached). *)
+  let shape = if targets = [] then None else Option.map (Store.shape store) template in
+  let changed =
     List.filter_map
       (fun target ->
         (* The pair records the node whose content changes: the target for
@@ -305,27 +319,40 @@ let apply_insert store u ~targets =
         match placement with
         | Into ->
           let copies = forest target in
-          Store.attach store ~parent:target copies;
-          Some (Store.id_of store target, copies)
+          Store.attach store ?shape ~parent:target copies;
+          Some (target, copies)
         | Before | After -> (
           match target.Xml_tree.parent with
           | None -> None
           | Some parent ->
             let copies = forest target in
             let where = match placement with Before -> `Before | _ -> `After in
-            Store.attach_beside store ~sibling:target ~where copies;
-            Some (Store.id_of store parent, copies)))
+            Store.attach_beside store ?shape ~sibling:target ~where copies;
+            Some (parent, copies)))
       targets
   in
-  { pairs; fresh = Store.staged_count store - staged }
+  applied_insert store ~staged changed
 
 let apply_insert_at store ~target forest =
   let staged = Store.staged_count store in
   Store.attach store ~parent:target forest;
-  {
-    pairs = [ (Store.id_of store target, forest) ];
-    fresh = Store.staged_count store - staged;
-  }
+  applied_insert store ~staged [ (target, forest) ]
+
+(* Detach the (disjoint) subtrees [root_nodes]. *)
+let applied_delete store root_nodes =
+  let root_handles = List.map (Store.handle_of_node store) root_nodes in
+  let roots = List.map (Dewey_arena.to_dewey (Store.arena store)) root_handles in
+  List.iter (Store.detach store) root_nodes;
+  (* Identifiers inside detached subtrees resolve until the commit, so the
+     full enumeration can run lazily, during Δ⁻ computation. *)
+  let deleted =
+    lazy
+      (List.concat_map
+         (fun root ->
+           List.map (fun n -> (Store.id_of store n, n)) (Xml_tree.descendants_or_self root))
+         root_nodes)
+  in
+  { roots; root_nodes; root_handles; deleted }
 
 let apply_replace store ~text ~targets =
   let text_children =
@@ -336,11 +363,9 @@ let apply_replace store ~text ~targets =
           target.Xml_tree.children)
       targets
   in
-  let pairs =
+  let changed =
     List.map
-      (fun target ->
-        let fresh = if text = "" then [] else [ Xml_tree.text text ] in
-        (Store.id_of store target, fresh))
+      (fun target -> (target, if text = "" then [] else [ Xml_tree.text text ]))
       targets
   in
   (* Attach the replacement before detaching the old text: the new text
@@ -348,14 +373,11 @@ let apply_replace store ~text ~targets =
      until the commit sweeps it. Attaching first under an emptied parent
      would mint the detached node's identifier a second time. *)
   let staged = Store.staged_count store in
-  List.iter2
-    (fun target (_, fresh) -> if fresh <> [] then Store.attach store ~parent:target fresh)
-    targets pairs;
-  let fresh = Store.staged_count store - staged in
-  let roots = List.map (Store.id_of store) text_children in
-  List.iter (Store.detach store) text_children;
-  let deleted = lazy (List.map2 (fun id n -> (id, n)) roots text_children) in
-  ({ roots; root_nodes = text_children; deleted }, { pairs; fresh })
+  List.iter
+    (fun (target, fresh) -> if fresh <> [] then Store.attach store ~parent:target fresh)
+    changed;
+  let ins = applied_insert store ~staged changed in
+  (applied_delete store text_children, ins)
 
 let apply_delete store ~targets =
   (* Skip targets nested below an earlier target: detaching the ancestor
@@ -373,16 +395,4 @@ let apply_delete store ~targets =
         root_nodes := target :: !root_nodes
       end)
     targets;
-  let root_nodes = List.rev !root_nodes in
-  let roots = List.map (Store.id_of store) root_nodes in
-  List.iter (Store.detach store) root_nodes;
-  (* Identifiers inside detached subtrees resolve until the commit, so the
-     full enumeration can run lazily, during Δ⁻ computation. *)
-  let deleted =
-    lazy
-      (List.concat_map
-         (fun root ->
-           List.map (fun n -> (Store.id_of store n, n)) (Xml_tree.descendants_or_self root))
-         root_nodes)
-  in
-  { roots; root_nodes; deleted }
+  applied_delete store (List.rev !root_nodes)

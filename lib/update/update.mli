@@ -102,6 +102,9 @@ val targets : Store.t -> t -> Xml_tree.node list
     (carrying their new identifiers). *)
 type applied_insert = {
   pairs : (Dewey.t * Xml_tree.node list) list;
+  changed : int list;
+      (** The arena handles of the pairs' identifiers, in the same
+          order. *)
   fresh : int;
       (** Nodes the application attached, descendants included: the
           length of the statement's Δ⁺ in the store's staged runs. *)
@@ -115,6 +118,7 @@ type applied_insert = {
 type applied_delete = {
   roots : Dewey.t list;
   root_nodes : Xml_tree.node list;
+  root_handles : int list;  (** the arena handles of [roots], in order *)
   deleted : (Dewey.t * Xml_tree.node) list Lazy.t;
 }
 

@@ -328,33 +328,32 @@ let eval_term mv (delta : Delta.t) ~scope ~s_set ~survivors_only =
    The val/cont payload of a node changes iff its subtree changed: the
    node is an insertion point or one of its ancestors (PIMT), or a strict
    ancestor of a deleted root (PDMT). That set is computed once per
-   statement, keyed by identifier, together with the label codes it
-   holds. A Dewey identifier carries its ancestors' labels and IDs, so
-   both come from the applied update's identifiers alone — also for
-   deleted roots, whose detached nodes no longer have a parent. *)
+   statement, keyed by arena handle, together with the label codes it
+   holds. The arena is parent-closed, so both come from the handles of
+   the applied update's content-changed nodes and their [parent] chains
+   — also for deleted roots, whose detached nodes no longer have a
+   parent in the tree. *)
 
-module Dewey_set = Hashtbl.Make (Dewey)
+module Handle_set = Dewey_arena.Tbl
 
-type affected = { a_ids : unit Dewey_set.t; a_labels : (int, unit) Hashtbl.t }
+type affected = { a_ids : unit Handle_set.t; a_labels : (int, unit) Hashtbl.t }
 
-let affected_of applied =
-  let a = { a_ids = Dewey_set.create 64; a_labels = Hashtbl.create 16 } in
-  (* Walking up stops at the first identifier already present: its
+let affected_of store applied =
+  let arena = Store.arena store in
+  let a = { a_ids = Handle_set.create 64; a_labels = Hashtbl.create 16 } in
+  (* Walking up stops at the first handle already present: its
      ancestors were added with it. *)
-  let rec add id =
-    if not (Dewey_set.mem a.a_ids id) then begin
-      Dewey_set.add a.a_ids id ();
-      Hashtbl.replace a.a_labels (Dewey.label id) ();
-      Option.iter add (Dewey.parent id)
+  let rec add h =
+    if h >= 0 && not (Handle_set.mem a.a_ids h) then begin
+      Handle_set.add a.a_ids h ();
+      Hashtbl.replace a.a_labels (Dewey_arena.label arena h) ();
+      add (Dewey_arena.parent arena h)
     end
   in
-  let add_pairs (app : Update.applied_insert) =
-    List.iter (fun (tid, _) -> add tid) app.Update.pairs
-  in
   (match applied with
-  | Ins app | Repl (_, app) -> add_pairs app
+  | Ins app | Repl (_, app) -> List.iter add app.Update.changed
   | Del app ->
-    List.iter (fun root -> Option.iter add (Dewey.parent root)) app.Update.roots);
+    List.iter (fun root -> add (Dewey_arena.parent arena root)) app.Update.root_handles);
   a
 
 (* Positions (into [mv.stored]) of the val/cont nodes whose tag occurs
@@ -395,13 +394,14 @@ let refresh_affected mv aff =
           (fun p ->
             let cell = e.Mview.cells.(p) in
             if
-              Dewey_set.mem aff.a_ids cell.Mview.cell_id
+              Handle_set.mem aff.a_ids cell.Mview.cell_h
               && Mview.refresh_cell mv ~stored_node:mv.Mview.stored.(p) cell
             then incr modified)
           positions);
     !modified
 
-let refresh_payloads mv applied = refresh_affected mv (affected_of applied)
+let refresh_payloads mv applied =
+  refresh_affected mv (affected_of mv.Mview.store applied)
 
 (* {1 Snowcap (auxiliary structure) maintenance} *)
 
@@ -443,6 +443,11 @@ let maintain_mats_delete mv delta =
 
 (* {1 Drivers} *)
 
+(* The handle column of pattern node [i] in [t]. *)
+let column_of t =
+  let columns = Tuple_table.columns t in
+  fun i -> columns.(Tuple_table.col_pos t i)
+
 let full_scope mv = Lattice.full mv.Mview.pat
 
 let propagate_applied ?(commit = true) ?(watches = []) ?(prune = true) ?shared
@@ -451,7 +456,7 @@ let propagate_applied ?(commit = true) ?(watches = []) ?(prune = true) ?shared
   let store = mv.Mview.store in
   let refresh () =
     refresh_affected mv
-      (match affected with Some a -> a | None -> affected_of applied)
+      (match affected with Some a -> a | None -> affected_of store applied)
   in
   if watches_flipped mv watches then begin
     (* Exact fallback: a predicate flipped on an existing node, outside
@@ -531,9 +536,9 @@ let propagate_applied ?(commit = true) ?(watches = []) ?(prune = true) ?shared
         List.iter
           (fun s ->
             let t = eval_term mv delta ~scope ~s_set:s ~survivors_only:false in
+            let col = column_of t in
             for r = 0 to Tuple_table.length t - 1 do
-              Mview.add_binding mv (fun i ->
-                  Tuple_table.cell_id t r (Tuple_table.col_pos t i));
+              Mview.add_binding mv (fun i -> (col i).(r));
               incr added
             done)
           terms;
@@ -572,9 +577,9 @@ let propagate_applied ?(commit = true) ?(watches = []) ?(prune = true) ?shared
         List.iter
           (fun s ->
             let t = eval_term mv delta ~scope ~s_set:s ~survivors_only:true in
+            let col = column_of t in
             for r = 0 to Tuple_table.length t - 1 do
-              Mview.remove_binding mv (fun i ->
-                  Tuple_table.cell_id t r (Tuple_table.col_pos t i));
+              Mview.remove_binding mv (fun i -> (col i).(r));
               incr removed
             done)
           terms;

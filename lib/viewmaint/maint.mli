@@ -108,14 +108,15 @@ val watches_flipped : Mview.t -> watches -> bool
 
     An update can change the [val]/[cont] payload of exactly the
     ancestors-or-self of its insertion points and the strict ancestors
-    of its deleted roots. [affected_of applied] collects those
-    identifiers and their label codes once per statement, from the
-    applied update's identifiers alone (a Dewey identifier carries its
-    ancestors). *)
+    of its deleted roots. [affected_of store applied] collects those
+    nodes' arena handles and their label codes once per statement, from
+    the handles the applied update carries and their parent chains in
+    the store's arena; refreshing then tests each payload cell by its
+    handle. *)
 
 type affected
 
-val affected_of : applied -> affected
+val affected_of : Store.t -> applied -> affected
 
 (** [payload_safe mv aff]: no [val]/[cont] node of [mv] carries a label
     of [aff] (a [*] node matches any), so no stored payload of [mv] can

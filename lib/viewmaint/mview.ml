@@ -2,6 +2,7 @@ type policy = Snowcaps | Leaves | Chosen of Lattice.nset list
 
 type cell = {
   cell_id : Dewey.t;
+  cell_h : int;
   mutable cell_value : string option;
   mutable cell_content : string option;
 }
@@ -12,13 +13,13 @@ type entry = { mutable count : int; cells : cell array }
    engine's relevance pre-filter is a pure lookup per update. *)
 type footprint = { fp_star : bool; fp_tags : string array }
 
-module Dewey_tbl = Hashtbl.Make (Dewey)
+module Itbl = Dewey_arena.Tbl
 
-(* Payloads resolved so far in one pass, per node: [None] when the node
-   is gone from the store. *)
+(* Payloads resolved so far in one pass, per node handle: [None] when
+   the node is gone from the store. *)
 type payloads = {
-  p_val : string option Dewey_tbl.t;
-  p_cont : string option Dewey_tbl.t;
+  p_val : string option Itbl.t;
+  p_cont : string option Itbl.t;
 }
 
 type t = {
@@ -52,57 +53,60 @@ let key_of_ids mv id_at =
   done;
   Buffer.contents buf
 
-let key_of mv get = key_of_ids mv (fun p -> get mv.stored.(p))
+let key_of_handles mv (hs : int array) =
+  let arena = Store.arena mv.store in
+  key_of_ids mv (fun p -> Dewey_arena.to_dewey arena hs.(p))
 
 let sharing_payloads mv f =
   match mv.shared with
   | Some _ -> f ()
   | None ->
-    mv.shared <- Some { p_val = Dewey_tbl.create 64; p_cont = Dewey_tbl.create 64 };
+    mv.shared <- Some { p_val = Itbl.create 64; p_cont = Itbl.create 64 };
     Fun.protect ~finally:(fun () -> mv.shared <- None) f
 
-(* [f] of node [id], or [None] when the node is gone. Inside
-   [sharing_payloads] it is computed once per node, and every entry
-   binding the node holds the same string. *)
-let resolve mv field f id =
-  let compute () = Option.map f (Store.node_of mv.store id) in
+(* [f] of the node holding handle [h], or [None] when the node is gone.
+   Inside [sharing_payloads] it is computed once per node, and every
+   entry binding the node holds the same string. *)
+let resolve mv field f h =
+  let compute () = Option.map f (Store.node_of_handle mv.store h) in
   match mv.shared with
   | None -> compute ()
   | Some sh -> (
     let tbl = field sh in
-    match Dewey_tbl.find_opt tbl id with
+    match Itbl.find_opt tbl h with
     | Some p -> p
     | None ->
       let p = compute () in
-      Dewey_tbl.add tbl id p;
+      Itbl.add tbl h p;
       p)
 
-let value_of mv id = resolve mv (fun sh -> sh.p_val) Xml_tree.string_value id
-let content_of mv id = resolve mv (fun sh -> sh.p_cont) Xml_tree.serialize id
+let value_of mv h = resolve mv (fun sh -> sh.p_val) Xml_tree.string_value h
+let content_of mv h = resolve mv (fun sh -> sh.p_cont) Xml_tree.serialize h
 
-let make_cell mv i id =
+let make_cell mv i h =
   let { Pattern.store_val; store_cont; _ } = mv.pat.Pattern.annots.(i) in
   (* Most stored cells hold the identifier alone: resolve the node only
      for a payload. *)
   {
-    cell_id = id;
-    cell_value = (if store_val then value_of mv id else None);
-    cell_content = (if store_cont then content_of mv id else None);
+    cell_id = Dewey_arena.to_dewey (Store.arena mv.store) h;
+    cell_h = h;
+    cell_value = (if store_val then value_of mv h else None);
+    cell_content = (if store_cont then content_of mv h else None);
   }
 
-(* [ids] are the stored nodes' identifiers, in [mv.stored] order. *)
-let add_tuple mv ids ~count =
-  let key = key_of_ids mv (Array.get ids) in
+(* [hs] are the stored nodes' handles, in [mv.stored] order. *)
+let add_tuple mv hs ~count =
+  let key = key_of_handles mv hs in
   match Hashtbl.find_opt mv.entries key with
   | Some e -> e.count <- e.count + count
   | None ->
-    let cells = Array.mapi (fun p id -> make_cell mv mv.stored.(p) id) ids in
+    let cells = Array.mapi (fun p h -> make_cell mv mv.stored.(p) h) hs in
     Hashtbl.add mv.entries key { count; cells }
 
 let add_binding mv get = add_tuple mv (Array.map get mv.stored) ~count:1
 
 let remove_binding mv get =
-  let key = key_of mv get in
+  let key = key_of_handles mv (Array.map get mv.stored) in
   match Hashtbl.find_opt mv.entries key with
   | None -> invalid_arg "Mview.remove_binding: tuple not in view"
   | Some e ->
@@ -116,9 +120,9 @@ let mat_for mv s =
 
 let refresh_cell mv ~stored_node cell =
   let { Pattern.store_val; store_cont; _ } = mv.pat.Pattern.annots.(stored_node) in
-  let id = cell.cell_id in
-  let value = if store_val then value_of mv id else None in
-  let content = if store_cont then content_of mv id else None in
+  let h = cell.cell_h in
+  let value = if store_val then value_of mv h else None in
+  let content = if store_cont then content_of mv h else None in
   (* A gone node keeps its old payloads. *)
   if (store_val && value = None) || (store_cont && content = None) then false
   else begin
@@ -195,7 +199,6 @@ end)
    keys and cells are built once per distinct tuple, whose row count is
    its derivation count. Entries are added in first-row order. *)
 let add_rows mv full =
-  let arena = Tuple_table.arena full in
   let columns = Tuple_table.columns full in
   let cols = Array.map (fun i -> columns.(Tuple_table.col_pos full i)) mv.stored in
   let n = Array.length cols in
@@ -214,10 +217,7 @@ let add_rows mv full =
       Tuple_tbl.add counts tuple c;
       order := (tuple, c) :: !order
   done;
-  List.iter
-    (fun (tuple, c) ->
-      add_tuple mv (Array.map (Dewey_arena.to_dewey arena) tuple) ~count:!c)
-    (List.rev !order)
+  List.iter (fun (tuple, c) -> add_tuple mv tuple ~count:!c) (List.rev !order)
 
 let populate mv =
   sharing_payloads mv @@ fun () ->
@@ -251,6 +251,14 @@ let empty_shell ?(policy = Snowcaps) store pat =
   let mv = shell policy store pat in
   ignore (evaluate mv ~view:false);
   mv
+
+let restored_cell mv id ~value ~content =
+  {
+    cell_id = id;
+    cell_h = Option.value (Dewey_arena.find (Store.arena mv.store) id) ~default:(-1);
+    cell_value = value;
+    cell_content = content;
+  }
 
 let restore_entry mv ~count ~cells =
   if Array.length cells <> Array.length mv.stored then

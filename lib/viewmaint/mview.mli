@@ -21,6 +21,9 @@ type policy =
 
 type cell = {
   cell_id : Dewey.t;
+  cell_h : int;
+      (** the arena handle of [cell_id] in the view's store, [-1] for a
+          restored identifier the store never interned *)
   mutable cell_value : string option;
   mutable cell_content : string option;
 }
@@ -86,25 +89,24 @@ val entries_in_order : t -> (string * entry) list
 
 (** {1 Maintenance primitives} (used by [Maint]) *)
 
-(** Projection key of a full binding: the stored identifiers'
-    encodings ({!Dewey.add_encoded}), concatenated in one buffer. *)
-val key_of : t -> (int -> Dewey.t) -> string
-
 (** [add_binding mv get] registers one new embedding; [get] maps pattern
-    node index to the bound identifier. Creates the entry (computing
-    payloads from the current document) or bumps its count. *)
-val add_binding : t -> (int -> Dewey.t) -> unit
+    node index to the arena handle of the bound node (in the view's
+    store). Creates the entry (resolving payloads by handle from the
+    current document) or bumps its count. The projection key is the
+    stored identifiers' encodings ({!Dewey.add_encoded}), concatenated. *)
+val add_binding : t -> (int -> int) -> unit
 
 (** [remove_binding mv get] decrements the derivation count of the
     projected tuple, removing it at zero.
     @raise Invalid_argument if the tuple is absent (view out of sync). *)
-val remove_binding : t -> (int -> Dewey.t) -> unit
+val remove_binding : t -> (int -> int) -> unit
 
 (** Materialized table for exactly this snowcap, if any. *)
 val mat_for : t -> Lattice.nset -> Tuple_table.t option
 
 (** Recompute the [val] / [cont] payload of [cell] from the current
-    document; returns [true] if it was present and refreshed. *)
+    document, resolving the node by [cell_h]; returns [true] if it was
+    present and refreshed. *)
 val refresh_cell : t -> stored_node:int -> cell -> bool
 
 (** [sharing_payloads mv f] runs [f] as one pass over an unchanging
@@ -126,3 +128,8 @@ val sharing_payloads : t -> (unit -> 'a) -> 'a
 val empty_shell : ?policy:policy -> Store.t -> Pattern.t -> t
 
 val restore_entry : t -> count:int -> cells:cell array -> unit
+
+(** [restored_cell mv id ~value ~content] is a persisted cell, its handle
+    found by a walk of the store's arena. *)
+val restored_cell :
+  t -> Dewey.t -> value:string option -> content:string option -> cell

@@ -169,7 +169,7 @@ let load ?policy store pat data =
             in
             let value = read_opt r in
             let content = read_opt r in
-            { Mview.cell_id = id; cell_value = value; cell_content = content })
+            Mview.restored_cell mv id ~value ~content)
       in
       Mview.restore_entry mv ~count ~cells
     done;

@@ -201,7 +201,7 @@ let update ?(jobs = 1) t u =
               let sh = Delta.Shared.of_delete ~wanted t.store app in
               (Some sh, Batch.Labels sh)
             | Maint.Repl _ -> (None, Batch.Text_only)),
-            Maint.affected_of applied ))
+            Maint.affected_of t.store applied ))
     in
     let text_structural mv =
       match applied with

@@ -304,6 +304,195 @@ let test_arena_ancestor_at () =
   Alcotest.(check bool) "leaf not prefix of root" false
     (Dewey_arena.is_prefix a h3 h1)
 
+(* {1 Child index}
+
+   The arena finds identifiers through a child index keyed by (parent
+   handle, label, last-step ordinal digits). A probe must match every
+   digit and the digit count: ordinals from [Ord.between]/[Ord.before]
+   share leading digits with their neighbours. *)
+
+module Dewey_tbl = Hashtbl.Make (Dewey)
+
+(* [n] identifiers over a pool of sibling ordinals that mixes
+   single-digit, [between] and [before] ordinals, each a child of an
+   earlier identifier (recent ones preferred, so paths grow deep). *)
+let random_ids rng n =
+  let ords = ref [ [| 1 |]; [| 2 |]; [| 3 |] ] in
+  for _ = 1 to 60 do
+    let pool = Array.of_list !ords in
+    let a = pool.(Random.State.int rng (Array.length pool)) in
+    let b = pool.(Random.State.int rng (Array.length pool)) in
+    let c = Dewey.Ord.compare a b in
+    let o =
+      if c = 0 then Dewey.Ord.before a
+      else if c < 0 then Dewey.Ord.between a b
+      else Dewey.Ord.between b a
+    in
+    ords := o :: !ords
+  done;
+  let pool = Array.of_list !ords in
+  let ids = Array.make n (Dewey.root ~lab:0) in
+  for i = 1 to n - 1 do
+    let parent =
+      if Random.State.int rng 4 = 0 then ids.(Random.State.int rng i)
+      else ids.(max 0 (i - 1 - Random.State.int rng 8))
+    in
+    let parent = if Dewey.depth parent > 40 then ids.(0) else parent in
+    ids.(i) <-
+      Dewey.child parent ~lab:(Random.State.int rng 4)
+        ~ord:pool.(Random.State.int rng (Array.length pool))
+  done;
+  ids
+
+let shuffle rng a =
+  let a = Array.copy a in
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  a
+
+let test_arena_index_reference () =
+  let rng = Random.State.make [| 27 |] in
+  let ids = random_ids rng 5000 in
+  Alcotest.(check bool) "some ordinal has several digits" true
+    (Array.exists (fun id -> Array.length (Dewey.last_ord id) > 1) ids);
+  Alcotest.(check bool) "some path is deep" true
+    (Array.exists (fun id -> Dewey.depth id > 20) ids);
+  let a = Dewey_arena.create () in
+  let reference = Dewey_tbl.create 8192 in
+  let by_handle = Hashtbl.create 8192 in
+  Array.iter
+    (fun id ->
+      let h = Dewey_arena.intern a id in
+      match Dewey_tbl.find_opt reference id with
+      | Some h' -> if h <> h' then Alcotest.failf "two handles for %s" (Dewey.to_string id)
+      | None ->
+        (match Hashtbl.find_opt by_handle h with
+        | Some id' ->
+          Alcotest.failf "%s and %s share handle %d" (Dewey.to_string id)
+            (Dewey.to_string id') h
+        | None -> Hashtbl.add by_handle h id);
+        Dewey_tbl.add reference id h)
+    (shuffle rng ids);
+  let size = Dewey_arena.size a in
+  (* Second pass, another order: every handle is found again, nothing is
+     interned. *)
+  Array.iter
+    (fun id ->
+      if Dewey_arena.intern a id <> Dewey_tbl.find reference id then
+        Alcotest.failf "re-intern of %s moved" (Dewey.to_string id))
+    (shuffle rng ids);
+  Alcotest.(check int) "second pass interns nothing" size (Dewey_arena.size a);
+  (* [find] agrees with the reference on every interned id and on every
+     ancestor (the arena is parent-closed), and each handle boxes its id. *)
+  Dewey_tbl.iter
+    (fun id h ->
+      (match Dewey_arena.find a id with
+      | Some h' when h' = h -> ()
+      | _ -> Alcotest.failf "find misses %s" (Dewey.to_string id));
+      if not (Dewey.equal (Dewey_arena.to_dewey a h) id) then
+        Alcotest.failf "handle %d boxes another id" h;
+      List.iter
+        (fun anc ->
+          if Dewey_arena.find a anc = None then
+            Alcotest.failf "ancestor %s missing" (Dewey.to_string anc))
+        (Dewey.ancestors id))
+    reference;
+  (* Ids never interned are not found: a fresh ordinal under each id. *)
+  Dewey_tbl.iter
+    (fun id _ ->
+      let absent = Dewey.child id ~lab:0 ~ord:[| 1; 2; 3; 4; 5; 6 |] in
+      if Dewey_arena.find a absent <> None then
+        Alcotest.failf "found never-interned %s" (Dewey.to_string absent))
+    reference
+
+let test_arena_probe_misses () =
+  let a = Dewey_arena.create () in
+  let root = Dewey.root ~lab:0 in
+  let other = Dewey.child root ~lab:1 ~ord:[| 2 |] in
+  let hr = Dewey_arena.intern a root in
+  let ho = Dewey_arena.intern a other in
+  let h15 = Dewey_arena.intern a (Dewey.child root ~lab:1 ~ord:[| 1; 5 |]) in
+  let h7 = Dewey_arena.intern a (Dewey.child root ~lab:1 ~ord:[| 7 |]) in
+  let probe parent lab ord = Dewey_arena.find_child a ~parent ~lab ~ord in
+  Alcotest.(check int) "hit [1;5]" h15 (probe hr 1 [| 1; 5 |]);
+  Alcotest.(check int) "hit [7]" h7 (probe hr 1 [| 7 |]);
+  Alcotest.(check int) "strict digit-prefix [1] misses" (-1) (probe hr 1 [| 1 |]);
+  Alcotest.(check int) "extension [1;5;0] misses" (-1) (probe hr 1 [| 1; 5; 0 |]);
+  Alcotest.(check int) "same first digit [1;6] misses" (-1) (probe hr 1 [| 1; 6 |]);
+  Alcotest.(check int) "same ordinal, other label misses" (-1) (probe hr 2 [| 7 |]);
+  Alcotest.(check int) "same step, other parent misses" (-1) (probe ho 1 [| 7 |]);
+  Alcotest.(check int) "same step at the roots misses" (-1) (probe (-1) 1 [| 7 |]);
+  Alcotest.(check bool) "whole-id walk misses the prefix ordinal" true
+    (Dewey_arena.find a (Dewey.child root ~lab:1 ~ord:[| 1 |]) = None);
+  (* [intern_child] hits return the canonical handle; a miss interns. *)
+  Alcotest.(check int) "intern_child hit" h7
+    (Dewey_arena.intern_child a ~parent:hr ~lab:1 ~ord:[| 7 |]);
+  let n = Dewey_arena.size a in
+  let h1 = Dewey_arena.intern_child a ~parent:hr ~lab:1 ~ord:[| 1 |] in
+  Alcotest.(check int) "intern_child miss adds one" (n + 1) (Dewey_arena.size a);
+  Alcotest.(check bool) "boxed id of a minted child" true
+    (Dewey.equal (Dewey_arena.to_dewey a h1) (Dewey.child root ~lab:1 ~ord:[| 1 |]));
+  Alcotest.(check int) "depth of a minted child" 2 (Dewey_arena.depth a h1);
+  Alcotest.(check int) "the prefix no longer shadows [1;5]" h15 (probe hr 1 [| 1; 5 |]);
+  (* Many siblings that share the label and the first digit fill probe
+     clusters: keys that differ only in a later digit must still miss. *)
+  let hp = Dewey_arena.intern_child a ~parent:hr ~lab:3 ~ord:[| 9 |] in
+  for k = 1 to 500 do
+    ignore (Dewey_arena.intern_child a ~parent:hp ~lab:1 ~ord:[| 2; 2 * k |])
+  done;
+  for k = 1 to 500 do
+    if probe hp 1 [| 2; (2 * k) + 1 |] <> -1 then Alcotest.failf "[2;%d] hit" ((2 * k) + 1)
+  done;
+  Alcotest.(check int) "[2] under the wide parent misses" (-1) (probe hp 1 [| 2 |])
+
+(* Wide fan-out under one parent drives the slot table through many
+   resizes; every handle stays findable by probe and by walk. Half the
+   ordinals share their first digit (and, three ways, their label), so
+   probe clusters hold keys that differ only in a later digit. *)
+let test_arena_index_growth () =
+  let a = Dewey_arena.create () in
+  let hr = Dewey_arena.intern a (Dewey.root ~lab:0) in
+  let hs = ref [] in
+  for i = 1 to 20_000 do
+    let ord = if i mod 2 = 0 then [| 1; i |] else [| i |] in
+    let h = Dewey_arena.intern_child a ~parent:hr ~lab:(i mod 3) ~ord in
+    hs := (i mod 3, ord, h) :: !hs;
+    (* Spot-check earlier handles at every power of two: just after a
+       resize. *)
+    if i land (i - 1) = 0 then
+      List.iter
+        (fun (lab, ord, h) ->
+          if Dewey_arena.find_child a ~parent:hr ~lab ~ord <> h then
+            Alcotest.failf "handle %d lost after %d interns" h i)
+        !hs
+  done;
+  List.iter
+    (fun (lab, ord, h) ->
+      if Dewey_arena.find_child a ~parent:hr ~lab ~ord <> h then
+        Alcotest.failf "handle %d lost" h;
+      if Dewey_arena.find a (Dewey_arena.to_dewey a h) <> Some h then
+        Alcotest.failf "walk misses handle %d" h)
+    !hs;
+  Alcotest.(check int) "one handle per child" 20_001 (Dewey_arena.size a)
+
+let test_arena_walks_counted () =
+  let a = Dewey_arena.create () in
+  let id = Dewey.child (Dewey.root ~lab:0) ~lab:1 ~ord:[| 3 |] in
+  let (), snap =
+    Obs.with_scope (fun () ->
+        let h = Dewey_arena.intern a id in
+        ignore (Dewey_arena.find a id);
+        ignore (Dewey_arena.find_child a ~parent:(Dewey_arena.parent a h) ~lab:1 ~ord:[| 3 |]);
+        ignore (Dewey_arena.intern_child a ~parent:h ~lab:2 ~ord:[| 1 |]))
+  in
+  let cv = Obs.counter_value snap in
+  Alcotest.(check int) "intern and find walk, probes do not" 2 (cv "dewey.arena.walks");
+  Alcotest.(check int) "three handles interned" 3 (cv "dewey.arena.interned")
+
 let () =
   Alcotest.run "dewey"
     [
@@ -338,5 +527,10 @@ let () =
           test_arena_canonical;
           test_arena_sorts_like_dewey;
           Alcotest.test_case "ancestor navigation" `Quick test_arena_ancestor_at;
+          Alcotest.test_case "child index agrees with a Dewey table" `Quick
+            test_arena_index_reference;
+          Alcotest.test_case "child probes miss near keys" `Quick test_arena_probe_misses;
+          Alcotest.test_case "child index survives resizes" `Quick test_arena_index_growth;
+          Alcotest.test_case "whole-id walks are counted" `Quick test_arena_walks_counted;
         ] );
     ]

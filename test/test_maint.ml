@@ -548,6 +548,57 @@ let test_phase_timers_cover_taxonomy () =
       "execute"; "update_aux";
     ]
 
+(* {1 Payloads by handle}
+
+   Q1/Q17 store [val] and Q6 [cont] payloads, resolved and refreshed by
+   arena handle. An Appendix-A insertion, its undo and the same insertion
+   again re-mint the freed ordinals: the third statement must find every
+   identifier in the arena (nothing interned) and still bind, and
+   refresh, the new nodes. No statement may look a whole identifier up
+   (views without value predicates). *)
+
+let undo_of (u : Xmark_updates.t) =
+  let suffix =
+    if String.starts_with ~prefix:"<name>" u.fragment then "/name[name]" else "/item"
+  in
+  Update.delete (u.path ^ suffix)
+
+let test_reinsert_payloads () =
+  let store = Store.of_document (Xmark_gen.document ~seed:7 ~target_kb:256) in
+  let set = View_set.create store in
+  let views = List.map (View_set.add set) Xmark_views.[ q1; q6; q17 ] in
+  List.iter
+    (fun mv ->
+      Alcotest.(check bool) "no value predicate" true
+        (Array.for_all Option.is_none mv.Mview.pat.Pattern.vpreds))
+    views;
+  List.iter
+    (fun name ->
+      let u = Xmark_updates.find name in
+      List.iteri
+        (fun step stmt ->
+          let what = Printf.sprintf "%s step %d" name step in
+          let reports, snap = Obs.with_scope (fun () -> View_set.update set stmt) in
+          let cv = Obs.counter_value snap in
+          Alcotest.(check int) (what ^ ": whole-id walks") 0 (cv "dewey.arena.walks");
+          if step = 2 then
+            Alcotest.(check int) (what ^ ": re-insert interns nothing") 0
+              (cv "dewey.arena.interned");
+          if step <> 1 then
+            Alcotest.(check bool) (what ^ ": some view changed") true
+              (List.exists
+                 (fun (_, r) -> r.Maint.embeddings_added + r.Maint.tuples_modified > 0)
+                 reports);
+          List.iter
+            (fun mv ->
+              let fresh = Mview.materialize ~policy:Mview.Leaves store mv.Mview.pat in
+              match Recompute.diff mv fresh with
+              | None -> ()
+              | Some d -> Alcotest.failf "%s, %s: %s" what mv.Mview.pat.Pattern.name d)
+            views)
+        [ Xmark_updates.insert u; undo_of u; Xmark_updates.insert u ])
+    [ "X1_L"; "X17_L"; "B5_LB" ]
+
 let () =
   Alcotest.run "maint"
     [
@@ -582,6 +633,8 @@ let () =
           Alcotest.test_case "vpred flip fallback" `Quick test_vpred_flip_fallback;
           Alcotest.test_case "no fallback on plain updates" `Quick
             test_no_fallback_on_plain_updates;
+          Alcotest.test_case "re-inserted payloads by handle" `Quick
+            test_reinsert_payloads;
         ] );
       ( "one-pass chain",
         [

@@ -84,6 +84,64 @@ let test_detach_commit () =
   Alcotest.(check int) "b relation purged" 2 (Array.length (Store.relation s "b"));
   Alcotest.(check int) "c relation purged" 1 (Array.length (Store.relation s "c"))
 
+(* {1 Resolution by handle}
+
+   [node_of_handle h] must agree with [node_of (to_dewey h)] on every
+   handle the arena holds, through an insert, a detach before the
+   commit, the commit, and a re-insert that mints the freed ordinal
+   again (the same handle then holds the new node). *)
+let check_handles_agree what s =
+  let arena = Store.arena s in
+  for h = 0 to Dewey_arena.size arena - 1 do
+    let by_id = Store.node_of s (Dewey_arena.to_dewey arena h) in
+    let by_handle = Store.node_of_handle s h in
+    let same =
+      match (by_id, by_handle) with
+      | None, None -> true
+      | Some a, Some b -> a == b
+      | _ -> false
+    in
+    if not same then Alcotest.failf "%s: handle %d resolves differently" what h
+  done
+
+let test_node_of_handle () =
+  let s = fixture () in
+  check_handles_agree "fresh" s;
+  let f = List.nth (Xml_tree.element_children (Store.root s)) 1 in
+  let first = Xml_parse.fragment "<b>new<c/></b>" in
+  Store.attach s ~parent:f first;
+  check_handles_agree "after insert" s;
+  let b = List.hd first in
+  let h = Store.handle_of_node s b in
+  Alcotest.(check bool) "inserted node by handle" true
+    (match Store.node_of_handle s h with Some n -> n == b | None -> false);
+  Store.commit s;
+  Store.detach s b;
+  check_handles_agree "after detach" s;
+  Alcotest.(check bool) "detached root gone by handle" true
+    (Option.is_none (Store.node_of_handle s h));
+  let hc = Store.handle_of_node s (List.nth b.Xml_tree.children 1) in
+  Alcotest.(check bool) "detached descendant gone by handle" true
+    (Option.is_none (Store.node_of_handle s hc));
+  Store.commit s;
+  check_handles_agree "after commit" s;
+  Alcotest.(check bool) "swept handle vacant" true
+    (Option.is_none (Store.node_of_handle s h));
+  let size = Dewey_arena.size (Store.arena s) in
+  let again = Xml_parse.fragment "<b>again<c/></b>" in
+  Store.attach s ~parent:f again;
+  let b' = List.hd again in
+  Alcotest.(check int) "re-insert mints the same handle" h (Store.handle_of_node s b');
+  Alcotest.(check int) "re-insert interns nothing" size (Dewey_arena.size (Store.arena s));
+  Alcotest.(check bool) "the handle holds the new node" true
+    (match Store.node_of_handle s h with Some n -> n == b' | None -> false);
+  check_handles_agree "after re-insert" s;
+  Store.commit s;
+  check_handles_agree "after second commit" s;
+  Alcotest.(check bool) "out-of-range handles resolve to nothing" true
+    (Option.is_none (Store.node_of_handle s (-1))
+    && Option.is_none (Store.node_of_handle s (Dewey_arena.size (Store.arena s) + 5)))
+
 let test_attach_then_detach_before_commit () =
   let s = fixture () in
   let f = List.nth (Xml_tree.element_children (Store.root s)) 1 in
@@ -344,6 +402,8 @@ let () =
             test_replace_value_known_answer;
           Alcotest.test_case "out-of-order runs sorted once" `Quick
             test_runs_out_of_order;
+          Alcotest.test_case "node_of_handle agrees with node_of" `Quick
+            test_node_of_handle;
         ] );
       ( "invariants",
         [
