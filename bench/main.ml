@@ -941,22 +941,18 @@ let prims () =
    The view-set deployment: the Figure-20 views registered together over
    one store, one update maintained three ways — batched
    ([View_set.update]: shared update-region index, relevance skip,
-   hoisted commit, domain fan-out swept over [jobs]), independent (the
+   hoisted commit), independent (the
    same single document mutation, but every view extracts its own
    delta), and full recomputation. The counter snapshots are the point:
    batched [maint.delta] nodes/extractions stay flat as views are added
    while the independent ones grow linearly. *)
 
 let figmv () =
-  header "figMV: batch maintenance of a view set (shared delta, domains)";
+  header "figMV: batch maintenance of a view set (shared delta)";
   let kb = if full then 2048 else 256 in
-  let cores = Domain.recommended_domain_count () in
   Printf.printf
-    "(document ~%d KB; view sets are prefixes of the Figure-20 set; %d core(s) —\n\
-    \ on a single core the jobs>1 rows measure pure fan-out overhead)\n"
-    kb cores;
+    "(document ~%d KB; view sets are prefixes of the Figure-20 set)\n" kb;
   let view_counts = [ 1; 2; 4; 7 ] in
-  let jobs_list = [ 1; 2; 4 ] in
   let prefix n = List.filteri (fun i _ -> i < n) Xmark_views.all in
   let base = doc kb in
   let fresh_store () = Store.of_document (Xml_tree.copy base) in
@@ -970,11 +966,11 @@ let figmv () =
   in
   (* One batched trial on fresh state; setup (store build, view
      materialization) stays outside the timed region. *)
-  let batched ~n ~jobs u =
+  let batched ~n u =
     let store = fresh_store () in
     let set = View_set.create store in
     List.iter (fun (_, pat) -> ignore (View_set.add set pat)) (prefix n);
-    let reports, elapsed = Obs.duration (fun () -> View_set.update ~jobs set u) in
+    let reports, elapsed = Obs.duration (fun () -> View_set.update set u) in
     let skipped =
       List.length (List.filter (fun (_, r) -> r.Maint.skipped_irrelevant) reports)
     in
@@ -1017,50 +1013,43 @@ let figmv () =
     let ts = List.init trials (fun _ -> f ()) in
     List.fold_left ( +. ) 0. ts /. float_of_int trials
   in
-  Printf.printf "  %-10s %2s %4s %12s %15s %13s %8s\n" "update" "N" "jobs"
-    "batched(ms)" "independent(ms)" "recompute(ms)" "speedup";
+  Printf.printf "  %-10s %2s %12s %15s %13s %8s\n" "update" "N" "batched(ms)"
+    "independent(ms)" "recompute(ms)" "speedup";
   List.iter
     (fun (uname, u) ->
       List.iter
         (fun n ->
           let ind_ms = ms (avg (fun () -> independent ~n u)) in
           let rec_ms = ms (avg (fun () -> recompute ~n u)) in
-          let batched_prof = profile_run (fun () -> batched ~n ~jobs:1 u) in
+          let batched_prof = profile_run (fun () -> batched ~n u) in
           let independent_prof = profile_run (fun () -> independent ~n u) in
-          List.iter
-            (fun jobs ->
-              let skipped = ref 0 in
-              let b_ms =
-                ms
-                  (avg (fun () ->
-                       let e, s = batched ~n ~jobs u in
-                       skipped := s;
-                       e))
-              in
-              Printf.printf "  %-10s %2d %4d %12.2f %15.2f %13.2f %7.1fx\n%!"
-                uname n jobs b_ms ind_ms rec_ms
-                (ind_ms /. max 0.001 b_ms);
-              record "figMV"
-                ([
-                   ("update", Json.Str uname);
-                   ("views", Json.int n);
-                   ("jobs", Json.int jobs);
-                   ("cores", Json.int cores);
-                   ("batched_ms", Json.num b_ms);
-                   ("independent_ms", Json.num ind_ms);
-                   ("recompute_ms", Json.num rec_ms);
-                   ("speedup_vs_independent", Json.num (ind_ms /. max 0.001 b_ms));
-                   ("speedup_vs_recompute", Json.num (rec_ms /. max 0.001 b_ms));
-                   ("skipped", Json.int !skipped);
-                 ]
-                @
-                if jobs = 1 then
-                  counter_fields batched_prof
-                  @ (match counter_fields independent_prof with
-                    | [ (_, obj) ] -> [ ("independent_counters", obj) ]
-                    | _ -> [])
-                else []))
-            jobs_list)
+          let skipped = ref 0 in
+          let b_ms =
+            ms
+              (avg (fun () ->
+                   let e, s = batched ~n u in
+                   skipped := s;
+                   e))
+          in
+          Printf.printf "  %-10s %2d %12.2f %15.2f %13.2f %7.1fx\n%!" uname n b_ms
+            ind_ms rec_ms
+            (ind_ms /. max 0.001 b_ms);
+          record "figMV"
+            ([
+               ("update", Json.Str uname);
+               ("views", Json.int n);
+               ("batched_ms", Json.num b_ms);
+               ("independent_ms", Json.num ind_ms);
+               ("recompute_ms", Json.num rec_ms);
+               ("speedup_vs_independent", Json.num (ind_ms /. max 0.001 b_ms));
+               ("speedup_vs_recompute", Json.num (rec_ms /. max 0.001 b_ms));
+               ("skipped", Json.int !skipped);
+             ]
+            @ counter_fields batched_prof
+            @
+            match counter_fields independent_prof with
+            | [ (_, obj) ] -> [ ("independent_counters", obj) ]
+            | _ -> []))
         view_counts)
     [
       ("X1_L_ins", Xmark_updates.insert (Xmark_updates.find "X1_L"));

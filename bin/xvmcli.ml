@@ -12,10 +12,8 @@ let read_file path =
 
 let load_store path = Store.of_document (Xml_parse.document (read_file path))
 
-(* [--jobs] must be a positive domain count: 0 or negative values are
-   rejected at parse time instead of flowing into the fan-out machinery
-   (View_set.update additionally clamps, so the library API is safe
-   too). *)
+(* Counts such as [--max-batch] must be positive: 0 or negative values
+   are rejected at parse time. *)
 let pos_int =
   let parse s =
     match int_of_string_opt s with
@@ -256,7 +254,7 @@ let view_cmd =
 (* {1 maintain} *)
 
 let maintain_cmd =
-  let run metrics doc vnames vqueries jobs updates check =
+  let run metrics doc vnames vqueries updates check =
     with_metrics metrics @@ fun () ->
     let store = load_store doc in
     let pats =
@@ -278,7 +276,7 @@ let maintain_cmd =
       (fun text ->
         let stmt = Update.parse text in
         Printf.printf "%s\n" (Update.to_string stmt);
-        let reports = View_set.update ~jobs set stmt in
+        let reports = View_set.update set stmt in
         List.iter
           (fun (mv, r) ->
             let b = r.Maint.timing in
@@ -322,14 +320,6 @@ let maintain_cmd =
     Arg.(
       value & opt_all string [] & info [ "query" ] ~doc:"View statement; repeatable.")
   in
-  let jobs =
-    Arg.(
-      value & opt pos_int 1
-      & info [ "jobs" ]
-          ~doc:
-            "Propagate clean views across this many OCaml domains (results \
-             are identical to --jobs 1; must be positive).")
-  in
   let updates =
     Arg.(
       value & opt_all string []
@@ -348,10 +338,9 @@ let maintain_cmd =
     (Cmd.info "maintain"
        ~doc:
          "Apply updates and maintain one or more views incrementally (batch \
-          engine: shared update-region index, relevance skipping, optional \
-          domain-parallel propagation).")
+          engine: shared update-region index, relevance skipping).")
     Term.(
-      const run $ metrics_term $ doc $ vnames $ vqueries $ jobs $ updates $ check)
+      const run $ metrics_term $ doc $ vnames $ vqueries $ updates $ check)
 
 (* {1 fuzz} *)
 
@@ -415,7 +404,7 @@ let fuzz_cmd =
 let property_claim = function
   | Difftest.Engines -> ("recompute vs maint vs ivma", "maint=recompute=ivma")
   | Batch ->
-    ("View_set.update (jobs 1 and --jobs) vs one-by-one maint", "batched=one-by-one")
+    ("View_set.update vs one-by-one maint", "batched=one-by-one")
   | Serve ->
     ("snapshots a racing reader observes vs sequential replay", "observed=replayed")
   | Recover ->
@@ -428,7 +417,7 @@ let property_claim = function
       "adaptive=eager" )
 
 let difftest_cmd =
-  let run metrics seed iters replay property jobs =
+  let run metrics seed iters replay property =
     with_metrics metrics @@ fun () ->
     let name p = fst (List.find (fun (_, q) -> q = p) Difftest.properties) in
     match replay with
@@ -450,7 +439,7 @@ let difftest_cmd =
         "replaying %s scenario: %d view(s), %d statement(s), %d-node document\n%!"
         (name prop) (List.length s.Difftest.views) (List.length s.Difftest.stmts)
         (Xml_tree.size s.Difftest.doc);
-      (match Difftest.check ~jobs s with
+      (match Difftest.check s with
       | None -> Printf.printf "%s holds\n" (snd (property_claim prop))
       | Some f ->
         print_endline (Difftest.describe f);
@@ -461,7 +450,7 @@ let difftest_cmd =
       Printf.printf "%s oracle: %s (seed %d, %d iterations)\n%!" (name prop) what seed
         iters;
       let rep, t =
-        Timing.duration (fun () -> Difftest.run ~jobs prop ~seed ~iters ())
+        Timing.duration (fun () -> Difftest.run prop ~seed ~iters ())
       in
       List.iter print_endline rep.Qgen.failures;
       Printf.printf "  %s  (%.1f ms)\n%!" (Qgen.summary claim rep) (t *. 1000.);
@@ -491,8 +480,8 @@ let difftest_cmd =
           ~doc:
             "The claim to check (default $(b,engines)): $(b,engines) — maint \
              and ivma equal recompute; $(b,batch) — one View_set.update over \
-             2-4 views equals one-by-one propagation on fresh stores, at \
-             --jobs and at 1; $(b,serve) — every epoch a concurrent reader \
+             2-4 views equals one-by-one propagation on fresh stores; \
+             $(b,serve) — every epoch a concurrent reader \
              observes equals a sequential replay; $(b,recover) — a run killed \
              at a seeded statement boundary and recovered from checkpoint + \
              write-ahead log equals an uninterrupted run; $(b,answer) — \
@@ -502,15 +491,6 @@ let difftest_cmd =
              point. With $(b,--replay), it must match the reproducer's \
              property (exit 2 otherwise).")
   in
-  let jobs =
-    Arg.(
-      value & opt pos_int 2
-      & info [ "jobs" ]
-          ~doc:
-            "Domain count of the batch property's parallel run (also \
-             cross-checked against jobs=1), of the serve property's server \
-             and of the recover property's maintenance; must be positive.")
-  in
   Cmd.v
     (Cmd.info "difftest"
        ~doc:
@@ -519,7 +499,7 @@ let difftest_cmd =
           independent reference; failing scenarios are shrunk and printed \
           as replayable reproducers. Exits 1 on any failure, 2 on a \
           malformed reproducer.")
-    Term.(const run $ metrics_term $ seed $ iters $ replay $ property $ jobs)
+    Term.(const run $ metrics_term $ seed $ iters $ replay $ property)
 
 (* {1 answer} *)
 
@@ -688,7 +668,7 @@ let start_endpoint server port =
   ep
 
 let serve_cmd =
-  let run metrics doc gen_kb seed vnames vqueries jobs max_batch port wal =
+  let run metrics doc gen_kb seed vnames vqueries max_batch port wal =
     with_metrics metrics @@ fun () ->
     (* With --wal, an existing manifest wins over the command-line
        document/view flags: the directory IS the state, and startup is a
@@ -698,7 +678,7 @@ let serve_cmd =
       | None -> (serve_set ~doc ~gen_kb ~seed ~vnames ~vqueries, None)
       | Some dir -> (
         let parse_pattern ~name s = Difftest.view_of_compact ~name s in
-        match Durable.recover ~dir ~parse_pattern ~jobs () with
+        match Durable.recover ~dir ~parse_pattern () with
         | Some o ->
           Printf.eprintf
             "recovered from %s: checkpoint %d, %d statement(s) replayed%s%s\n%!"
@@ -721,7 +701,7 @@ let serve_cmd =
           Printf.eprintf "initialized durability in %s\n%!" dir;
           (set, Some (Durable.init ~dir set)))
     in
-    let server = Server.create ~jobs ~max_batch ?durable set in
+    let server = Server.create ~max_batch ?durable set in
     let endpoint = Option.map (start_endpoint server) port in
     let s0 = Server.snapshot server in
     Printf.eprintf
@@ -868,12 +848,6 @@ let serve_cmd =
     Arg.(
       value & opt_all string [] & info [ "query" ] ~doc:"View statement; repeatable.")
   in
-  let jobs =
-    Arg.(
-      value & opt pos_int 1
-      & info [ "jobs" ]
-          ~doc:"Domain fan-out for clean-view propagation (must be positive).")
-  in
   let max_batch =
     Arg.(
       value & opt pos_int 64
@@ -910,14 +884,14 @@ let serve_cmd =
           HTTP; with $(b,--wal), journal statements durably and recover on \
           restart.")
     Term.(
-      const run $ metrics_term $ doc $ gen_kb $ seed $ vnames $ vqueries $ jobs
+      const run $ metrics_term $ doc $ gen_kb $ seed $ vnames $ vqueries
       $ max_batch $ port $ wal)
 
 (* {1 bench-serve} *)
 
 let bench_serve_cmd =
   let run metrics gen_kb seed vnames vqueries readers duration write_rate
-      closed_loop jobs max_batch port prom_out json =
+      closed_loop max_batch port prom_out json =
     with_metrics metrics @@ fun () ->
     let set = serve_set ~doc:None ~gen_kb ~seed ~vnames ~vqueries in
     let endpoint = ref None in
@@ -933,7 +907,6 @@ let bench_serve_cmd =
         duration;
         write_rate;
         closed_loop;
-        jobs;
         max_batch;
         seed;
       }
@@ -1063,12 +1036,6 @@ let bench_serve_cmd =
              previous one is visible in a published snapshot (overrides \
              $(b,--write-rate) pacing).")
   in
-  let jobs =
-    Arg.(
-      value & opt pos_int 1
-      & info [ "jobs" ]
-          ~doc:"Domain fan-out for clean-view propagation (must be positive).")
-  in
   let max_batch =
     Arg.(
       value & opt pos_int 64
@@ -1101,7 +1068,7 @@ let bench_serve_cmd =
           reporting, and an optional Prometheus self-scrape.")
     Term.(
       const run $ metrics_term $ gen_kb $ seed $ vnames $ vqueries $ readers
-      $ duration $ write_rate $ closed_loop $ jobs $ max_batch $ port $ prom_out
+      $ duration $ write_rate $ closed_loop $ max_batch $ port $ prom_out
       $ json)
 
 (* {1 workload} *)

@@ -20,7 +20,7 @@ let all =
     ("fig33", "pattern-matching throughput (Figures 33-35)");
     ("ablations", "pruning / advisor / deferred-maintenance ablations");
     ("prims", "Dewey vs arena-handle primitives");
-    ("figMV", "batch maintenance of a view set (shared delta, domains)");
+    ("figMV", "batch maintenance of a view set (shared delta)");
     ("figHL", "heavy-light adaptive maintenance under skew");
     ("fuzz", "ingestion & persistence fuzz oracle (bounded smoke)");
     ("difftest", "differential maintenance oracle (bounded smoke)");

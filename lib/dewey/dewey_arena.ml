@@ -13,8 +13,8 @@ let c_bytes = Obs.Scope.counter obs "bytes"
 
 (* Struct-of-arrays: one slot per handle in each side array; the last
    step's ordinal digits live as a slice of [pack]. Everything before
-   [n] (resp. [pack_len]) is immutable once written, so concurrent
-   readers are safe while only the main domain appends.
+   [n] (resp. [pack_len]) is immutable once written; only the main
+   domain appends.
 
    [slots] is the child index: an open-addressing table (linear probing,
    power-of-two length, at most half full) of handles, [-1] for an empty
@@ -133,8 +133,7 @@ let grow_slots t =
 
 (* Append a handle for [boxed], whose last step is ([lab], [ord]) under
    [parent], and index it at [t.slots.(i)], its empty slot (from
-   {!slot}). Main domain only: readers on other domains rely on nobody
-   writing. *)
+   {!slot}). Main domain only, like the store that owns the arena. *)
 let add t ~parent ~lab ~ord ~boxed i =
   if not (Domain.is_main_domain ()) then
     invalid_arg "Dewey_arena.intern: new identifier off the main domain";

@@ -16,11 +16,12 @@
     for roots) and lifting a handle to any ancestor depth stays inside
     the arena.
 
-    Concurrency contract (matching [Store]'s read-only parallel fan-out):
-    {!intern} and {!intern_child} may add to the arena only on the main
-    domain; calling them off the main domain is allowed only when the
-    identifier is already present (a pure lookup). A growing child index
-    is published as a fresh array. All other operations are read-only. *)
+    Domain contract (matching {!Store.commit}): {!intern} and
+    {!intern_child} may add to the arena only on the main domain, the
+    store's only writer; off the main domain they are allowed only when
+    the identifier is already present (a pure lookup). A growing child
+    index is published as a fresh array. All other operations are
+    read-only. *)
 
 type t
 

@@ -689,32 +689,14 @@ let check_engines ?(engines = default_engines) s =
 
    A 2–4-view set over one store, maintained in one [View_set.update]
    call — shared update-region index, relevance skipping, hoisted
-   commit, optional domain fan-out — must be tuple-for-tuple identical
-   to one-by-one [Maint] propagation of the same statement on a fresh
-   store per view, and [jobs > 1] must be bit-identical (tables and
-   non-timing report counters) to [jobs = 1]. *)
+   commit — must be tuple-for-tuple identical to one-by-one [Maint]
+   propagation of the same statement on a fresh store per view. *)
 
-(* Everything except the timing floats. *)
-let report_sig (r : Maint.report) =
-  ( r.Maint.terms_developed,
-    r.Maint.terms_surviving,
-    r.Maint.embeddings_added,
-    r.Maint.embeddings_removed,
-    r.Maint.tuples_modified,
-    r.Maint.fallback_recompute,
-    r.Maint.skipped_irrelevant )
-
-let check_batch ~jobs s =
+let check_batch s =
   let stmt = List.hd s.stmts in
-  let batched jobs = View_set.update ~jobs (build_set s) (Update.parse stmt) in
   try
-    let seq = batched 1 in
+    let batched = View_set.update (build_set s) (Update.parse stmt) in
     let mismatch = ref None in
-    let note i msg =
-      if !mismatch = None then
-        mismatch := Some (Printf.sprintf "view %d (%s): %s" i
-                            (Pattern.to_string (List.nth s.views i)) msg)
-    in
     (* One-by-one propagation on a fresh store per view: the oracle. *)
     List.iteri
       (fun i ((mv, _), pat) ->
@@ -722,22 +704,12 @@ let check_batch ~jobs s =
           let omv = maint_engine.eval (Xml_tree.copy s.doc) pat (Update.parse stmt) in
           match Recompute.diff mv omv with
           | None -> ()
-          | Some d -> note i ("batched vs one-by-one: " ^ d))
-      (List.combine seq s.views);
-    (* jobs > 1 must be bit-identical to jobs = 1. *)
-    if !mismatch = None && jobs > 1 then begin
-      let par = batched jobs in
-      List.iteri
-        (fun i ((mv1, r1), (mv2, r2)) ->
-          if !mismatch = None then
-            if report_sig r1 <> report_sig r2 then
-              note i (Printf.sprintf "jobs=%d report differs from jobs=1" jobs)
-            else
-              match Recompute.diff mv2 mv1 with
-              | None -> ()
-              | Some d -> note i (Printf.sprintf "jobs=%d vs jobs=1: %s" jobs d))
-        (List.combine seq par)
-    end;
+          | Some d ->
+            mismatch :=
+              Some
+                (Printf.sprintf "view %d (%s): batched vs one-by-one: %s" i
+                   (Pattern.to_string pat) d))
+      (List.combine batched s.views);
     !mismatch
   with exn -> Some ("escaped exception: " ^ Printexc.to_string exn)
 
@@ -754,7 +726,7 @@ let check_batch ~jobs s =
    [max_batch = 2], forcing multi-epoch runs, while a submitter domain
    feeds it and a reader domain polls. *)
 
-let check_serve ~jobs s =
+let check_serve s =
   let n = List.length s.stmts in
   let at ~epoch ~applied detail =
     Some
@@ -763,7 +735,7 @@ let check_serve ~jobs s =
   in
   try
     let stmts = List.map Update.parse s.stmts in
-    let server = Server.create ~jobs ~max_batch:2 (build_set s) in
+    let server = Server.create ~max_batch:2 (build_set s) in
     let stop_reader = Atomic.make false in
     (* The concurrent reader: poll the published snapshot, keep the
        first observation of every epoch, in observation order. *)
@@ -896,7 +868,7 @@ let diff_view_sets got want =
     !r
   end
 
-let check_recover ~jobs s c =
+let check_recover s c =
   let fail detail = Some detail in
   try
     with_tmp_dir @@ fun dir ->
@@ -908,14 +880,14 @@ let check_recover ~jobs s c =
     let set = build_set s in
     let d = Durable.init ~dir set in
     for i = 0 to crash_at - 1 do
-      ignore (View_set.update ~jobs set (Update.parse stmts.(i)));
+      ignore (View_set.update set (Update.parse stmts.(i)));
       Durable.sync d;
       if c.checkpoint_at = Some (i + 1) then Durable.checkpoint d set
     done;
     if c.unsynced_tail then
       (* Journaled and applied in memory, but never synced: a real kill
          loses this statement, and recovery must agree that it did. *)
-      ignore (View_set.update ~jobs set (Update.parse stmts.(crash_at)));
+      ignore (View_set.update set (Update.parse stmts.(crash_at)));
     Durable.crash d;
     let parse_pattern ~name s = view_of_compact ~name s in
     (* Checkpoint at 0 (or at a boundary where nothing was journaled
@@ -923,7 +895,7 @@ let check_recover ~jobs s c =
     let expect_ck =
       match c.checkpoint_at with Some k when k >= 1 -> k | _ -> 0
     in
-    match Durable.recover ~dir ~parse_pattern ~jobs () with
+    match Durable.recover ~dir ~parse_pattern () with
     | None -> fail "no manifest found after the crash"
     | Some o ->
       if o.Durable.ck_seq <> expect_ck then
@@ -964,11 +936,11 @@ let check_recover ~jobs s c =
              and recover once more. *)
           let d2 = o.Durable.engine in
           for i = crash_at to n - 1 do
-            ignore (View_set.update ~jobs o.Durable.set (Update.parse stmts.(i)));
+            ignore (View_set.update o.Durable.set (Update.parse stmts.(i)));
             Durable.sync d2
           done;
           Durable.crash d2;
-          match Durable.recover ~dir ~parse_pattern ~jobs () with
+          match Durable.recover ~dir ~parse_pattern () with
           | None -> fail "no manifest found on second recovery"
           | Some o2 ->
             if o2.Durable.replayed <> n - expect_ck then
@@ -1149,12 +1121,12 @@ let check_heavy s h =
 
 (* {1 The checker} *)
 
-let check_property ?engines ~jobs s =
+let check_property ?engines s =
   match (s.prop, s.query, s.heavy, s.crash) with
   | Engines, _, _, _ -> check_engines ?engines s
-  | Batch, _, _, _ -> check_batch ~jobs s
-  | Serve, _, _, _ -> check_serve ~jobs s
-  | Recover, _, _, Some c -> check_recover ~jobs s c
+  | Batch, _, _, _ -> check_batch s
+  | Serve, _, _, _ -> check_serve s
+  | Recover, _, _, Some c -> check_recover s c
   | Answer, Some q, _, _ -> check_answer s q
   | Heavy, _, Some h, _ -> check_heavy s h
   | (Recover | Answer | Heavy), _, _, _ ->
@@ -1165,17 +1137,15 @@ let check_property ?engines ~jobs s =
    work profile of its counterexample (so a shrunk reproducer also
    reproduces the work), and agreeing runs still yield a deterministic
    per-scenario profile for replay-equality tests. *)
-let check ?engines ?(jobs = 2) s =
+let check ?engines s =
   let failure work detail = { cx = s; detail; work } in
   if s.prop = Engines then
-    let d, snap = Obs.with_scope (fun () -> check_property ?engines ~jobs s) in
+    let d, snap = Obs.with_scope (fun () -> check_property ?engines s) in
     Option.map (fun detail -> failure (Obs.nonzero_counters snap) detail) d
-  else Option.map (failure []) (check_property ?engines ~jobs s)
+  else Option.map (failure []) (check_property ?engines s)
 
 let work_profile ?engines s =
-  let _, snap =
-    Obs.with_scope (fun () -> ignore (check_property ?engines ~jobs:2 s))
-  in
+  let _, snap = Obs.with_scope (fun () -> ignore (check_property ?engines s)) in
   Obs.nonzero_counters snap
 
 (* {1 Reproducers}
@@ -1493,7 +1463,7 @@ let candidates s =
       each s.views view_variants (fun j v -> { s with views = replace_nth s.views j v });
     ]
 
-let shrink ?engines ?jobs ?(oracle = check ?engines ?jobs) f =
+let shrink ?engines ?(oracle = check ?engines) f =
   let current = ref f in
   let budget = ref 3000 in
   let improved = ref true in
@@ -1528,12 +1498,12 @@ let salt = function
   | Answer -> 0xa457
   | Heavy -> 0x4ea7
 
-let run ?engines ?jobs prop ~seed ~iters () =
+let run ?engines prop ~seed ~iters () =
   let rnd = Random.State.make [| seed; salt prop |] in
   let rc = Qgen.fresh_recorder () in
   for _ = 1 to iters do
-    match check ?engines ?jobs (gen prop rnd) with
+    match check ?engines (gen prop rnd) with
     | None -> ()
-    | Some f -> Qgen.record rc (describe (shrink ?engines ?jobs f))
+    | Some f -> Qgen.record rc (describe (shrink ?engines f))
   done;
   Qgen.report_of rc ~iterations:iters

@@ -27,10 +27,8 @@
       [Ivma] (node-at-a-time, [Leaves]) each equal [Recompute] after the
       statement — projected IDs, derivation counts, val/cont payloads.
     - [Batch]: one [View_set.update] over the whole view set (shared
-      update-region index, relevance skipping, domain fan-out) equals
-      one-by-one [Maint] propagation on a fresh store per view, and
-      [jobs > 1] is bit-identical (tables and non-timing report
-      counters) to [jobs = 1].
+      update-region index, relevance skipping, hoisted commit) equals
+      one-by-one [Maint] propagation on a fresh store per view.
     - [Serve]: a live [Server] fed the statements by a submitter domain
       while a reader domain polls published snapshots: every observed
       epoch equals a sequential replay of exactly the statements it
@@ -120,13 +118,11 @@ type failure = {
 
 (** [check s] holds the scenario against its property's reference;
     [None] when it holds. [engines] (default recompute, maint, ivma; the
-    head is the reference) applies to [Engines]; [jobs] (default 2) is
-    the domain count of [Batch] (cross-checked against 1), [Serve] and
-    [Recover]. An exception escaping the system under test is a failure
-    too.
+    head is the reference) applies to [Engines]. An exception escaping
+    the system under test is a failure too.
     @raise Invalid_argument if the scenario lacks its property's field
     group. *)
-val check : ?engines:engine list -> ?jobs:int -> scenario -> failure option
+val check : ?engines:engine list -> scenario -> failure option
 
 (** [work_profile s] — the non-zero counter profile of checking [s],
     whether or not it holds; for [Engines] scenarios a pure function of
@@ -141,11 +137,10 @@ val work_profile : ?engines:engine list -> scenario -> (string * int) list
     fragment); reduce the query; reduce one view (drop a node, a value
     predicate, an annotation). The first candidate that still fails is
     taken; one budget of checks bounds the whole loop. [oracle]
-    (default [check ?engines ?jobs]) decides whether a candidate still
+    (default [check ?engines]) decides whether a candidate still
     fails. *)
 val shrink :
   ?engines:engine list ->
-  ?jobs:int ->
   ?oracle:(scenario -> failure option) ->
   failure ->
   failure
@@ -186,7 +181,6 @@ val view_of_compact : name:string -> string -> Pattern.t
     (first few) in the report's failure list. *)
 val run :
   ?engines:engine list ->
-  ?jobs:int ->
   property ->
   seed:int ->
   iters:int ->

@@ -39,49 +39,18 @@ let duration f =
 type counter = { c_key : string; mutable count : int }
 type timer = { t_key : string; mutable secs : float; mutable nspans : int }
 
-(* Cells are plain mutable records owned by the main domain.  Increments
-   from child domains would race, so off the main domain they go to a
-   per-domain key-indexed buffer instead; the spawning code drains each
-   child's buffer ({!Par.drain}) and folds it into the real cells on the
-   main domain ({!Par.merge}).  The disabled path is still a single bool
-   load; the enabled main-domain path adds only [Domain.is_main_domain]. *)
-type par_buf = {
-  pb_counters : (string, int ref) Hashtbl.t;
-  pb_timers : (string, float ref * int ref) Hashtbl.t;
-}
-
-let par_key : par_buf Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { pb_counters = Hashtbl.create 16; pb_timers = Hashtbl.create 16 })
-
-let par_buf () = Domain.DLS.get par_key
-
-let par_add_count key n =
-  let b = par_buf () in
-  match Hashtbl.find_opt b.pb_counters key with
-  | Some r -> r := !r + n
-  | None -> Hashtbl.add b.pb_counters key (ref n)
-
-let par_add_span key s =
-  let b = par_buf () in
-  match Hashtbl.find_opt b.pb_timers key with
-  | Some (secs, n) ->
-    secs := !secs +. s;
-    incr n
-  | None -> Hashtbl.add b.pb_timers key (ref s, ref 1)
-
+(* Cells are plain mutable records owned by the main domain; an
+   increment on any other domain would race, so it is dropped.  The
+   disabled path is still a single bool load; the enabled path adds only
+   [Domain.is_main_domain]. *)
 module Counter = struct
   type t = counter
 
   let incr c =
-    if !on then
-      if Domain.is_main_domain () then c.count <- c.count + 1
-      else par_add_count c.c_key 1
+    if !on && Domain.is_main_domain () then c.count <- c.count + 1
 
   let add c n =
-    if !on then
-      if Domain.is_main_domain () then c.count <- c.count + n
-      else par_add_count c.c_key n
+    if !on && Domain.is_main_domain () then c.count <- c.count + n
 
   let value c = c.count
   let key c = c.c_key
@@ -91,12 +60,10 @@ module Timer = struct
   type t = timer
 
   let add_span tm s =
-    if !on then
-      if Domain.is_main_domain () then begin
-        tm.secs <- tm.secs +. s;
-        tm.nspans <- tm.nspans + 1
-      end
-      else par_add_span tm.t_key s
+    if !on && Domain.is_main_domain () then begin
+      tm.secs <- tm.secs +. s;
+      tm.nspans <- tm.nspans + 1
+    end
 
   let time tm f =
     if !on then begin
@@ -162,50 +129,6 @@ module Scope = struct
       let t = { t_key = key; secs = 0.; nspans = 0 } in
       l := !l @ [ T t ];
       t
-end
-
-(* Cross-domain aggregation: a child domain drains its buffer into a
-   [contrib] value just before returning; the main domain merges it into
-   the registry cells.  Keys are ["<scope>.<metric>"] with the split at
-   the last dot (scope names themselves contain dots). *)
-module Par = struct
-  type contrib = {
-    ctr : (string * int) list;
-    tmr : (string * float * int) list;
-  }
-
-  let empty = { ctr = []; tmr = [] }
-
-  let drain () =
-    let b = par_buf () in
-    let cs = Hashtbl.fold (fun k r acc -> (k, !r) :: acc) b.pb_counters [] in
-    let ts =
-      Hashtbl.fold (fun k (s, n) acc -> (k, !s, !n) :: acc) b.pb_timers []
-    in
-    Hashtbl.reset b.pb_counters;
-    Hashtbl.reset b.pb_timers;
-    { ctr = cs; tmr = ts }
-
-  let split_key key =
-    match String.rindex_opt key '.' with
-    | Some i ->
-      (String.sub key 0 i, String.sub key (i + 1) (String.length key - i - 1))
-    | None -> ("", key)
-
-  let merge contrib =
-    List.iter
-      (fun (key, n) ->
-        let scope, metric = split_key key in
-        let c = Scope.counter (Scope.v scope) metric in
-        c.count <- c.count + n)
-      contrib.ctr;
-    List.iter
-      (fun (key, secs, n) ->
-        let scope, metric = split_key key in
-        let t = Scope.timer (Scope.v scope) metric in
-        t.secs <- t.secs +. secs;
-        t.nspans <- t.nspans + n)
-      contrib.tmr
 end
 
 let scopes () =

@@ -73,29 +73,13 @@ module Scope : sig
   val timer : t -> string -> Timer.t
 end
 
-(** {1 Cross-domain aggregation}
+(** {1 Domains}
 
-    Registry cells are plain mutable records owned by the main domain.
-    [Counter]/[Timer] increments performed on a child domain are routed
-    to a per-domain buffer instead of the shared cells; a child should
-    call {!Par.drain} just before terminating and hand the result back
-    to the main domain, which folds it into the registry with
-    {!Par.merge}.  The disabled fast path is unchanged (one bool load). *)
-
-module Par : sig
-  type contrib
-  (** Buffered increments of one domain, keyed by full cell key. *)
-
-  val empty : contrib
-
-  val drain : unit -> contrib
-  (** Take (and clear) the calling domain's buffered increments.  On the
-      main domain the buffer is always empty. *)
-
-  val merge : contrib -> unit
-  (** Fold a drained contribution into the registry cells.  Must be
-      called on the main domain. *)
-end
+    Registry cells are plain mutable records owned by the main domain:
+    counters and timers count on the main domain only; increments on
+    other domains are ignored.  Serve's reader and metrics domains
+    therefore never race the writer's cells, and their work does not
+    show in snapshots. *)
 
 val scopes : unit -> string list
 (** All registered scope names, sorted. *)

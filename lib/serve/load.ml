@@ -3,7 +3,6 @@ type config = {
   duration : float;
   write_rate : float;
   closed_loop : bool;
-  jobs : int;
   max_batch : int;
   seed : int;
 }
@@ -14,7 +13,6 @@ let default =
     duration = 1.0;
     write_rate = 0.;
     closed_loop = false;
-    jobs = 1;
     max_batch = 64;
     seed = 0;
   }
@@ -206,8 +204,7 @@ let max_batch_fill log =
   !m
 
 let run ?on_server config set ~gen =
-  let config = { config with jobs = max 1 config.jobs } in
-  let server = Server.create ~jobs:config.jobs ~max_batch:config.max_batch set in
+  let server = Server.create ~max_batch:config.max_batch set in
   Option.iter (fun f -> f server) on_server;
   let stop_flag = Atomic.make false in
   let t0 = Obs.now () in

@@ -24,7 +24,6 @@ type config = {
   duration : float;  (** seconds of wall-clock load *)
   write_rate : float;  (** target statements/s for open loop; 0 = none *)
   closed_loop : bool;  (** submit-wait-visible instead of paced *)
-  jobs : int;  (** {!View_set.update} fan-out, clamped to >= 1 *)
   max_batch : int;  (** statements per published batch, >= 1 *)
   seed : int;  (** reader/op-mix determinism *)
 }

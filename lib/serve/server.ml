@@ -17,7 +17,6 @@ type publication = {
 
 type t = {
   set : View_set.t;
-  jobs : int;
   max_batch : int;
   durable : Durable.t option;
   checkpoint_requested : bool Atomic.t;
@@ -33,10 +32,9 @@ type t = {
   mutable log : publication list;  (* newest first *)
 }
 
-let create ?(jobs = 1) ?(max_batch = 64) ?durable set =
+let create ?(max_batch = 64) ?durable set =
   {
     set;
-    jobs = max 1 jobs;
     max_batch = max 1 max_batch;
     durable;
     checkpoint_requested = Atomic.make false;
@@ -106,7 +104,7 @@ let apply_batch t batch =
   Obs.Timer.time t_batch (fun () ->
       List.iter
         (fun u ->
-          let reports = View_set.update ~jobs:t.jobs t.set u in
+          let reports = View_set.update t.set u in
           List.iter
             (fun (mv, r) ->
               if report_changes r then

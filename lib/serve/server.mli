@@ -4,9 +4,8 @@
     machinery as a long-lived writer: update statements are {e admitted}
     from any domain into a pending queue ({!submit}), and the main
     domain drains them in batches ({!step} / {!run}), applying each
-    through {!View_set.update} — shared Δ index, relevance skip,
-    optional domain fan-out — then publishing one fresh
-    {!Snapshot.t} per batch.
+    through {!View_set.update} — shared Δ index, relevance skip —
+    then publishing one fresh {!Snapshot.t} per batch.
 
     Reader domains call {!snapshot} (a single [Atomic.get]) and answer
     queries from the returned immutable epoch; they never take the
@@ -32,16 +31,15 @@ type publication = {
   p_time : float;
 }
 
-(** [create ?jobs ?max_batch ?durable set] wraps a committed view set
-    and publishes epoch 0. [jobs] (default 1, clamped to >= 1) is passed
-    to {!View_set.update}; [max_batch] (default 64, clamped to >= 1)
-    caps how many queued statements one {!step} applies before
-    publishing. [durable] attaches a durability engine whose journal
+(** [create ?max_batch ?durable set] wraps a committed view set and
+    publishes epoch 0. [max_batch] (default 64, clamped to >= 1) caps
+    how many queued statements one {!step} applies before publishing.
+    [durable] attaches a durability engine whose journal
     hook is already installed on [set] (see [Durable.init] /
     [Durable.recover]): each batch is group-committed to the log —
     one fsync — {e before} its snapshot publishes, so publication
     doubles as the durable acknowledgement. *)
-val create : ?jobs:int -> ?max_batch:int -> ?durable:Durable.t -> View_set.t -> t
+val create : ?max_batch:int -> ?durable:Durable.t -> View_set.t -> t
 
 (** [submit t u] enqueues a statement; returns [false] (statement
     dropped) once {!stop} has been called. Any domain. *)

@@ -208,11 +208,9 @@ let merge_runs arena (a, ah) (b, bh) =
     (merged, mergedh)
   end
 
-(* Readers never mutate the relation: stripe 0 of domain-parallel
-   propagation runs on the main domain, so an in-place drain on read
-   would race with child-domain scans of the same arrays. A non-empty
-   tail costs a fresh merged copy until an explicit {!drain_label} /
-   {!drain_all} (or a budget-crossing commit) folds it in. *)
+(* Reads never mutate the relation: a non-empty tail costs a fresh
+   merged copy until an explicit {!drain_label} / {!drain_all} (or a
+   budget-crossing commit) folds it in. *)
 let rel_view arena r =
   if Array.length r.tail = 0 then (r.sorted, r.handles)
   else begin
@@ -234,7 +232,7 @@ let drain_rel arena r =
 
 (* Interning at registration time keeps every live identifier (and all
    its ancestors) in the arena, so scans hand pre-interned handles to
-   the joins and every intern during parallel propagation is a pure
+   the joins and every intern during view propagation is a pure
    lookup. An identifier held by a live or pending-detach node is never
    handed to a second node. *)
 let register t node h =
@@ -686,10 +684,10 @@ let of_document ?dict ?ord_of root =
   t
 
 let commit t =
-  (* Read-only parallel contract: domain-parallel view propagation (see
-     Batch / View_set) relies on the store being immutable while child
-     domains read it, so folding staged changes into the relations is a
-     main-domain-only operation. *)
+  (* The store has one writer, the main domain (the serve loop's writer
+     among them); serve readers answer from published snapshots and
+     never touch the store, so a commit from any other domain is a
+     misuse. *)
   if not (Domain.is_main_domain ()) then
     invalid_arg "Store.commit: must be called from the main domain";
   let swept = Itbl.length t.detached > 0 in

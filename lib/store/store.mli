@@ -64,8 +64,8 @@ val dict : t -> Label_dict.t
 
 (** The store's Dewey intern arena. One per store, populated at
     registration time (every live identifier and all its ancestors are
-    interned), append-only, and shared read-only across domain-parallel
-    view propagation. *)
+    interned) and append-only, so view propagation only looks
+    identifiers up. *)
 val arena : t -> Dewey_arena.t
 
 (** [handle_of_node store node] is the arena handle of [node]'s
@@ -220,8 +220,8 @@ val detach : t -> Xml_tree.node -> unit
 
 (** Folds staged insertions and removals into the canonical relations.
 
-    Must be called from the main domain: domain-parallel view
-    propagation (see [Batch] / [View_set]) reads the store from child
-    domains under the contract that nothing mutates it concurrently.
-    @raise Invalid_argument when called from a child domain. *)
+    Must be called from the main domain, the store's only writer: the
+    serving loop applies statements there, while its reader domains
+    answer from immutable snapshots and never touch the store.
+    @raise Invalid_argument when called from another domain. *)
 val commit : t -> unit

@@ -165,8 +165,8 @@ let of_shared (sh : Shared.t) pat =
   let tables =
     Array.init k (fun i ->
         (* Handles come pre-interned from the shared index, so this
-           per-view extraction is allocation-lean and safe to run from
-           child domains: a filter over an int column. *)
+           per-view extraction is allocation-lean: a filter over an int
+           column. *)
         Tuple_table.of_handles ~sorted:true ~arena:(Shared.arena sh) ~node:i
           (Plan.selected_handles pat i (Shared.lookup sh pat.Pattern.tags.(i))))
   in

@@ -63,8 +63,7 @@ end
     index: per pattern node, a label lookup plus the view's vpred /
     root-anchor filter.  Equivalent to {!of_insert} / {!of_delete} on the
     same applied update.  Reads only the index (and the nodes it already
-    references), so it is safe to call from multiple domains in
-    parallel. *)
+    references), so every view of a set extracts from one index. *)
 val of_shared : Shared.t -> Pattern.t -> t
 
 (** [of_insert store pat applied] extracts Δ⁺ from a pending update list

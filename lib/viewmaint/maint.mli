@@ -134,14 +134,14 @@ val payload_safe : Mview.t -> affected -> bool
     refresh (PIMT/PDMT) only visits a view's entries when
     {!payload_safe} fails, and then only its at-risk cells.
 
-    Read-only-store contract: with [~commit:false] and non-flipped
-    [watches], propagation of an [Ins]/[Del] application only {e reads}
-    the store (relations, spans, node resolution) and mutates
-    view-private state — this is what makes domain-parallel propagation
-    across distinct views sound (see [Batch]). The [Repl] rebuild path
-    (a ["#text"] structural view) and flipped watches both commit, so
-    the batch engine runs those views sequentially on the main domain;
-    {!Store.commit} itself rejects being called off the main domain. *)
+    With [~commit:false] and non-flipped [watches], propagation of an
+    [Ins]/[Del] application only {e reads} the store (relations, spans,
+    node resolution) and mutates view-private state, so every such view
+    of a set sees the same pre-commit relations and one hoisted
+    {!Store.commit} serves them all (see [View_set.update]). The [Repl]
+    rebuild path (a ["#text"] structural view) and flipped watches both
+    commit, so the batch engine runs those views after the shared
+    commit. *)
 val propagate_applied :
   ?commit:bool -> ?watches:watches -> ?prune:bool -> ?shared:Delta.Shared.t ->
   ?affected:affected -> Mview.t -> applied -> report

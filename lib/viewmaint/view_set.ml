@@ -132,19 +132,16 @@ let adaptive t = Option.map (fun a -> a.hl) t.adaptive
      (disjoint label footprint, no val/cont node labeled like a node on
      the update's root paths, watches clean);
    - [clean]: incremental propagation against the pre-update relations,
-     read-only on the store — safe to fan out across domains;
+     read-only on the store;
    - [committing]: a flipped value-predicate watch, or a replace-value
      against a view with structural "#text" nodes; both take the exact
-     rebuild path, which commits the store, so they run sequentially on
-     the main domain after the shared commit.
+     rebuild path, which commits the store, so they run after the shared
+     commit.
 
    The store commit is hoisted out of per-view propagation ([~commit:
    false] for every clean view) and performed exactly once, between the
-   parallel section and the committing views. *)
-let update ?(jobs = 1) t u =
-  (* Zero or negative job counts mean "no fan-out", never a bogus stripe
-     count handed to [Batch.parallel_map]. *)
-  let jobs = max 1 jobs in
+   clean views and the committing views. *)
+let update t u =
   (* Write-ahead: the statement reaches the journal before any document
      mutation, so a crash mid-update replays it in full. *)
   (match t.journal with None -> () | Some j -> j u);
@@ -245,21 +242,17 @@ let update ?(jobs = 1) t u =
           (mv, watches, cls))
         watched
     in
-    let clean =
-      List.filter_map
-        (fun (mv, w, c) -> match c with `Clean -> Some (mv, w) | _ -> None)
-        classified
-    in
-    (* Read-only fan-out: no commit, no document mutation; Obs increments
-       from child domains are merged back by [Batch.parallel_map]. *)
     let clean_reports =
-      Batch.parallel_map ~jobs
-        (Array.map
-           (fun (mv, watches) () ->
-             ( mv,
-               Maint.propagate_applied ~commit:false ~watches ?shared ~affected mv
-                 applied ))
-           (Array.of_list clean))
+      List.filter_map
+        (fun (mv, watches, cls) ->
+          match cls with
+          | `Clean ->
+            Some
+              ( mv,
+                Maint.propagate_applied ~commit:false ~watches ?shared ~affected
+                  mv applied )
+          | `Skip | `Commit | `Defer -> None)
+        classified
     in
     Timing.timed b Maint.Phase.update_aux (fun () -> Store.commit t.store);
     (* Deferred work units: the shared index's total entry count — the
@@ -290,10 +283,7 @@ let update ?(jobs = 1) t u =
             | None -> assert false);
             (mv, Maint.deferred_report ())
           | `Commit -> (mv, Maint.propagate_applied ~watches ~affected mv applied)
-          | `Clean ->
-            (match Array.find_opt (fun (m, _) -> m == mv) clean_reports with
-            | Some r -> r
-            | None -> assert false))
+          | `Clean -> (mv, List.assq mv clean_reports))
         classified
     in
     (* Attribute the shared phases — target location, document mutation,

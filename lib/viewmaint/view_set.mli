@@ -77,7 +77,7 @@ val remove : t -> string -> unit
 (** Views in insertion order. *)
 val views : t -> Mview.t list
 
-(** [update ?jobs set u] applies [u] to the document once and maintains
+(** [update set u] applies [u] to the document once and maintains
     every view from a shared update-region index ({!Delta.Shared}, built
     once per update); reports are in view insertion order. The shared
     work — target location, document mutation, index build, the single
@@ -90,14 +90,9 @@ val views : t -> Mview.t list
     carries a label on the root paths of the update's payload-affected
     nodes ({!Batch.can_skip}).
 
-    [jobs] (default [1]) fans clean-view propagation out across that
-    many OCaml domains; values [<= 1] (including zero and negative,
-    which are clamped) run sequentially on the calling domain. Propagation before the commit is read-only on
-    the store and views are pairwise independent, so the results are
-    {e bit-identical} to [jobs = 1] (timing fields aside) — reports are
-    reassembled in insertion order and per-domain Obs counters are
-    merged back into the registry. Views needing a rebuild (flipped
-    value-predicate watch, or a replace-value against a view with
-    structural ["#text"] nodes) always run sequentially on the calling
-    domain, after the commit. *)
-val update : ?jobs:int -> t -> Update.t -> (Mview.t * Maint.report) list
+    The remaining views propagate in insertion order on the calling
+    domain: clean views incrementally against the pre-update relations
+    (read-only on the store), then the single store commit, then views
+    needing a rebuild (flipped value-predicate watch, or a replace-value
+    against a view with structural ["#text"] nodes). *)
+val update : t -> Update.t -> (Mview.t * Maint.report) list

@@ -73,7 +73,7 @@ let checkpoint t set =
 let close t = Wal.close_writer t.writer
 let crash t = Wal.crash t.writer
 
-let recover ~dir ~parse_pattern ?jobs () =
+let recover ~dir ~parse_pattern () =
   match Checkpoint.read_manifest dir with
   | None -> None
   | Some m ->
@@ -129,7 +129,7 @@ let recover ~dir ~parse_pattern ?jobs () =
                 assert (seq = !applied + 1);
                 match Update.parse payload with
                 | u ->
-                  ignore (View_set.update ?jobs set u);
+                  ignore (View_set.update set u);
                   applied := seq;
                   incr replayed;
                   Obs.Counter.incr c_replay

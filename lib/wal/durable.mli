@@ -42,7 +42,7 @@ val init : dir:string -> View_set.t -> t
 (** [recover ~dir ~parse_pattern ()] rebuilds state from [dir]: [None]
     when no checkpoint was ever committed there, otherwise the recovered
     set with every intact logged statement re-applied (via
-    [View_set.update ?jobs]) and the journal hook re-installed. Corrupt
+    [View_set.update]) and the journal hook re-installed. Corrupt
     log tails are truncated on disk; appending resumes after the last
     valid record.
     @raise Checkpoint.Corrupt when the checkpoint document itself is
@@ -50,7 +50,6 @@ val init : dir:string -> View_set.t -> t
 val recover :
   dir:string ->
   parse_pattern:(name:string -> string -> Pattern.t) ->
-  ?jobs:int ->
   unit ->
   outcome option
 

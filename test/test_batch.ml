@@ -1,5 +1,5 @@
 (* Tests for batch view-set maintenance: the name index, the relevance
-   pre-filter (skip safety), the domain fan-out's determinism, and the
+   pre-filter (skip safety), the skip/clean/commit reassembly, and the
    flat-in-N scan counters of the shared update-region index. *)
 
 let n = Pattern.n
@@ -216,75 +216,40 @@ let prop_skip_safety =
                mvs pats)
            [ Update.insert ~into:"//a" "<f><g/></f>"; Update.delete "//e" ]))
 
-(* {1 Domain fan-out} *)
+(* {1 Skip / clean / commit reassembly}
 
-let report_sig (r : Maint.report) =
-  ( r.Maint.terms_developed,
-    r.Maint.terms_surviving,
-    r.Maint.embeddings_added,
-    r.Maint.embeddings_removed,
-    r.Maint.tuples_modified,
-    r.Maint.fallback_recompute,
-    r.Maint.skipped_irrelevant )
+   One statement over four views takes all three eager paths of
+   [View_set.update]: [k1]'s c/d footprint is disjoint from the inserted
+   [b] (skip), [k0] and [k3] propagate incrementally before the shared
+   commit (clean), and [k2]'s [val='x12'] watch on the first [a] flips
+   to false (commit, an exact rebuild after the shared commit). *)
 
-(* One batched run: per-view dumps, non-timing report fields, and the
-   counter snapshot. [jobs > 1] must be bit-identical to [jobs = 1] on
-   all three (the snapshot also exercises the per-domain Obs buffers). *)
-let batched_run ~jobs stmt =
-  let pats = [ v_ab "d0"; v_cd "d1"; v_star "d2"; v_b "d3" ] in
+let v_a_x12 name = Pattern.compile ~name (n "a" ~vpred:"x12" ~id:true [])
+
+let test_reassembly_known_answer () =
+  let stmt = Update.insert ~into:"/r/a" "<b>9</b>" in
+  let pats = [ v_ab "k0"; v_cd "k1"; v_a_x12 "k2"; v_b "k3" ] in
   let set = View_set.create (fresh_store ()) in
   let mvs = List.map (fun p -> View_set.add set p) pats in
-  let reports, snap = Obs.with_scope (fun () -> View_set.update ~jobs set stmt) in
-  ( List.map Mview.dump mvs,
-    List.map (fun (_, r) -> report_sig r) reports,
-    Obs.nonzero_counters snap )
-
-let test_jobs_deterministic () =
-  List.iter
-    (fun stmt ->
-      let d1, r1, c1 = batched_run ~jobs:1 stmt in
-      let d3, r3, c3 = batched_run ~jobs:3 stmt in
-      Alcotest.(check bool) "dumps identical" true (d1 = d3);
-      Alcotest.(check bool) "reports identical" true (r1 = r3);
-      Alcotest.(check bool) "counters identical" true (c1 = c3))
-    [ Update.insert ~into:"/r/a" "<b>9</b>"; Update.delete "//b" ]
-
-(* Regression: zero and negative job counts must be clamped to the
-   sequential path everywhere — never handed to [Domain.spawn] as a
-   stripe count — and produce the same extents as [jobs = 1]. *)
-let test_jobs_clamped () =
-  let stmt = Update.insert ~into:"/r/a" "<b>9</b>" in
-  let d1, r1, _ = batched_run ~jobs:1 stmt in
-  List.iter
-    (fun jobs ->
-      let d, r, _ = batched_run ~jobs stmt in
-      Alcotest.(check bool)
-        (Printf.sprintf "jobs=%d dumps = jobs=1" jobs)
-        true (d = d1);
-      Alcotest.(check bool)
-        (Printf.sprintf "jobs=%d reports = jobs=1" jobs)
-        true (r = r1))
-    [ 0; -3 ];
-  let tasks = Array.init 5 (fun i () -> i * i) in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check (array int))
-        (Printf.sprintf "parallel_map jobs=%d" jobs)
-        [| 0; 1; 4; 9; 16 |]
-        (Batch.parallel_map ~jobs tasks))
-    [ -1; 0; 100 ]
-
-let test_parallel_map () =
-  let tasks = Array.init 10 (fun i () -> i * i) in
-  Alcotest.(check (array int))
-    "results in task order"
-    (Array.init 10 (fun i -> i * i))
-    (Batch.parallel_map ~jobs:4 tasks);
-  match
-    Batch.parallel_map ~jobs:3 [| (fun () -> 1); (fun () -> failwith "boom") |]
-  with
-  | exception Failure m -> Alcotest.(check string) "exception propagated" "boom" m
-  | _ -> Alcotest.fail "worker exception swallowed"
+  Alcotest.(check int) "k2 selects the first a" 1
+    (Mview.cardinality (List.nth mvs 2));
+  let reports = View_set.update set stmt in
+  Alcotest.(check (list string)) "reports in insertion order"
+    [ "k0"; "k1"; "k2"; "k3" ]
+    (List.map (fun (mv, _) -> mv.Mview.pat.Pattern.name) reports);
+  Alcotest.(check bool) "report views are the set's views" true
+    (List.for_all2 (fun mv (mv', _) -> mv == mv') mvs reports);
+  Alcotest.(check (list (pair bool bool)))
+    "(skipped_irrelevant, fallback_recompute) per view"
+    [ (false, false); (true, false); (false, true); (false, false) ]
+    (List.map
+       (fun (_, r) -> (r.Maint.skipped_irrelevant, r.Maint.fallback_recompute))
+       reports);
+  Alcotest.(check (list int)) "clean views added one b per a"
+    [ 2; 0; 0; 2 ]
+    (List.map (fun (_, r) -> r.Maint.embeddings_added) reports);
+  List.iter2 (fun mv pat -> check_against_recompute mv pat stmt) mvs pats;
+  Alcotest.(check int) "k2 lost the first a" 0 (Mview.cardinality (List.nth mvs 2))
 
 (* {1 Adaptive (heavy-light) maintenance} *)
 
@@ -345,57 +310,6 @@ let test_adaptive_light_stays_eager () =
   Alcotest.(check bool) "not deferred" false r.Maint.skipped_irrelevant;
   Alcotest.(check (list string)) "nothing stale" [] (View_set.stale set);
   check_against_recompute mv (v_ab "w") stmt
-
-(* {1 Worker pool reuse}
-
-   Regression for the persistent domain pool behind [parallel_map]: a
-   fan-out leases parked workers instead of spawning fresh domains per
-   call, so after the first map the pool is warm and a second identical
-   map leaves its size unchanged — while results, task order and
-   exception propagation stay exactly as in the cold path (the
-   bit-identical jobs>1 ≡ jobs=1 property above runs through the same
-   pool). *)
-
-let test_pool_reuse () =
-  let tasks = Array.init 9 (fun i () -> i + 1) in
-  ignore (Batch.parallel_map ~jobs:4 tasks);
-  let warm = Batch.pool_size () in
-  Alcotest.(check bool) "pool retains workers" true (warm >= 3);
-  ignore (Batch.parallel_map ~jobs:4 tasks);
-  Alcotest.(check int) "second run reuses workers" warm (Batch.pool_size ());
-  Alcotest.(check (array int))
-    "pooled results in task order"
-    (Array.init 9 (fun i -> i + 1))
-    (Batch.parallel_map ~jobs:4 tasks);
-  (match
-     Batch.parallel_map ~jobs:4
-       [| (fun () -> 1); (fun () -> failwith "pow"); (fun () -> 3) |]
-   with
-  | exception Failure m ->
-    Alcotest.(check string) "exception via pooled worker" "pow" m
-  | _ -> Alcotest.fail "pooled worker exception swallowed");
-  (* A worker that carried an exception is released back parked, not
-     poisoned: the next map over it still computes. *)
-  Alcotest.(check (array int))
-    "pool alive after exception" [| 2; 4; 6 |]
-    (Batch.parallel_map ~jobs:3 [| (fun () -> 2); (fun () -> 4); (fun () -> 6) |]);
-  Alcotest.(check int) "exception did not grow the pool" warm (Batch.pool_size ())
-
-let par_scope = Obs.Scope.v "test.batch"
-let par_ticks = Obs.Scope.counter par_scope "ticks"
-
-let test_par_counter_merge () =
-  let _, snap =
-    Obs.with_scope (fun () ->
-        ignore
-          (Batch.parallel_map ~jobs:4
-             (Array.init 8 (fun _ () -> Obs.Counter.incr par_ticks))))
-  in
-  let got =
-    try List.assoc "test.batch.ticks" (Obs.nonzero_counters snap)
-    with Not_found -> 0
-  in
-  Alcotest.(check int) "child-domain increments merged" 8 got
 
 (* {1 Snowcap deletion on handles}
 
@@ -475,6 +389,8 @@ let () =
             test_cont_sibling_insert_skipped;
           Alcotest.test_case "figure-20 views x appendix-A batched" `Quick
             test_figure20_batched_skips;
+          Alcotest.test_case "skip/clean/commit reassembly known answer" `Quick
+            test_reassembly_known_answer;
         ] );
       ( "snowcaps",
         [
@@ -487,19 +403,6 @@ let () =
             test_adaptive_defer_and_drain;
           Alcotest.test_case "no heavy labels = eager behavior" `Quick
             test_adaptive_light_stays_eager;
-        ] );
-      ( "parallel",
-        [
-          Alcotest.test_case "jobs>1 bit-identical to jobs=1" `Quick
-            test_jobs_deterministic;
-          Alcotest.test_case "jobs<=0 clamped to sequential" `Quick
-            test_jobs_clamped;
-          Alcotest.test_case "parallel_map order & exceptions" `Quick
-            test_parallel_map;
-          Alcotest.test_case "child-domain counter merge" `Quick
-            test_par_counter_merge;
-          Alcotest.test_case "worker pool reused across maps" `Quick
-            test_pool_reuse;
         ] );
       ( "counters",
         [

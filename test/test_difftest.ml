@@ -7,8 +7,8 @@
 
 (* {1 Bounded seeded runs} *)
 
-let clean_run ?jobs prop ~iters () =
-  let r = Difftest.run ?jobs prop ~seed:7 ~iters () in
+let clean_run prop ~iters () =
+  let r = Difftest.run prop ~seed:7 ~iters () in
   List.iter print_endline r.Qgen.failures;
   Alcotest.(check int) "iterations" iters r.Qgen.iterations;
   Alcotest.(check int) "mismatches" 0 r.Qgen.failed
@@ -16,9 +16,8 @@ let clean_run ?jobs prop ~iters () =
 let test_bounded_run = clean_run Difftest.Engines ~iters:400
 
 (* The multi-view set oracle: batched [View_set.update] against
-   one-by-one propagation, with the [jobs = 2] cross-check against
-   [jobs = 1] inside every iteration. *)
-let test_bounded_set_run = clean_run ~jobs:2 Difftest.Batch ~iters:150
+   one-by-one propagation. *)
+let test_bounded_set_run = clean_run Difftest.Batch ~iters:150
 
 (* The heavy-light oracle: adaptive (deferred, partitioned) maintenance
    against eager, tuple-for-tuple at every seeded read point, under

@@ -63,6 +63,30 @@ let test_with_scope_restores_on_exception () =
   (try ignore (Obs.with_scope (fun () -> failwith "boom")) with Failure _ -> ());
   Alcotest.(check bool) "flag restored after an exception" false (Obs.enabled ())
 
+(* Cells count on the main domain only: a spawned domain's increments
+   and spans are dropped, not raced into the cells and not raised on. *)
+let d_scope = Obs.Scope.v "test.obs.domains"
+let c_ticks = Obs.Scope.counter d_scope "ticks"
+let t_spans = Obs.Scope.timer d_scope "spans"
+
+let test_other_domains_ignored () =
+  let (), snap =
+    Obs.with_scope (fun () ->
+        Domain.join
+          (Domain.spawn (fun () ->
+               Obs.Counter.incr c_ticks;
+               Obs.Counter.add c_ticks 4;
+               Obs.Timer.add_span t_spans 0.5;
+               ignore (Obs.Timer.time t_spans (fun () -> ()))));
+        Obs.Counter.incr c_ticks)
+  in
+  Alcotest.(check int) "only the main domain's increment counts" 1
+    (Obs.counter_value snap "test.obs.domains.ticks");
+  Alcotest.(check int) "no span from the spawned domain" 0
+    (Obs.timer_spans snap "test.obs.domains.spans");
+  Alcotest.(check (float 0.0)) "no seconds from the spawned domain" 0.
+    (Obs.timer_seconds snap "test.obs.domains.spans")
+
 let test_monotonic_now () =
   let rec loop i prev =
     if i = 0 then ()
@@ -175,6 +199,8 @@ let () =
           Alcotest.test_case "disabled path is inert" `Quick
             test_disabled_is_inert;
           Alcotest.test_case "timer accumulates" `Quick test_timer_accumulates;
+          Alcotest.test_case "other domains' increments ignored" `Quick
+            test_other_domains_ignored;
         ] );
       ( "scopes",
         [

@@ -225,7 +225,7 @@ let test_run_drains_and_stop_refuses () =
 (* {1 Randomized concurrent oracle} *)
 
 let test_serve_difftest () =
-  let r = Difftest.run Difftest.Serve ~jobs:2 ~seed:7 ~iters:40 () in
+  let r = Difftest.run Difftest.Serve ~seed:7 ~iters:40 () in
   List.iter print_endline r.Qgen.failures;
   Alcotest.(check int) "iterations" 40 r.Qgen.iterations;
   Alcotest.(check int) "isolation violations" 0 r.Qgen.failed
