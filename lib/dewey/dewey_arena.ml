@@ -21,7 +21,13 @@ let c_bytes = Obs.Scope.counter obs "bytes"
    slot, keyed by (parent handle, label code, last-step ordinal digits)
    read back from the side arrays. A step is one key, so a whole
    identifier is found by a root-to-leaf walk of child probes. A resize
-   publishes a fresh array and never writes the old one again. *)
+   publishes a fresh array and never writes the old one again.
+
+   [next] is the handle after the one {!intern_child} last returned. A
+   fragment is interned in preorder the first time it is inserted, so
+   when an undo frees its identifiers and the same insertion mints them
+   again, each request's handle is usually the one after the previous
+   request's: {!intern_child} compares that handle's key first. *)
 type t = {
   mutable pack : int array; (* concatenated last-step ordinals *)
   mutable pack_len : int;
@@ -33,6 +39,7 @@ type t = {
   mutable boxed : Dewey.t array; (* handle -> canonical boxed id *)
   mutable n : int;
   mutable slots : handle array; (* child index, see above *)
+  mutable next : handle; (* tested first by [intern_child], see above *)
 }
 
 let word = Sys.word_size / 8
@@ -51,6 +58,7 @@ let create () =
     boxed = [||];
     n = 0;
     slots = Array.make initial_slots (-1);
+    next = 0;
   }
 
 let size t = t.n
@@ -176,19 +184,31 @@ let find_child t ~parent ~lab ~ord =
   let slots = t.slots in
   slots.(slot t slots parent lab ord)
 
+(* The key comparison on [next] is [matches], the probe's own test, so
+   it finds exactly the handle the probe would. *)
 let intern_child t ~parent ~lab ~ord =
-  let i = slot t t.slots parent lab ord in
-  let h = t.slots.(i) in
-  if h >= 0 then begin
-    Obs.Counter.incr c_hits;
-    h
-  end
-  else
-    let boxed =
-      if parent < 0 then Dewey.of_steps [| { Dewey.lab; ord } |]
-      else Dewey.child t.boxed.(parent) ~lab ~ord
-    in
-    add t ~parent ~lab ~ord ~boxed i
+  let h = t.next in
+  let h =
+    if h < t.n && matches t h parent lab ord then begin
+      Obs.Counter.incr c_hits;
+      h
+    end
+    else
+      let i = slot t t.slots parent lab ord in
+      let h = t.slots.(i) in
+      if h >= 0 then begin
+        Obs.Counter.incr c_hits;
+        h
+      end
+      else
+        let boxed =
+          if parent < 0 then Dewey.of_steps [| { Dewey.lab; ord } |]
+          else Dewey.child t.boxed.(parent) ~lab ~ord
+        in
+        add t ~parent ~lab ~ord ~boxed i
+  in
+  t.next <- h + 1;
+  h
 
 (* Root-to-leaf walk: one child probe per step, from the roots' parent
    [-1]. Stops at the first step that is not interned. *)

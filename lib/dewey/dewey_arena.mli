@@ -19,9 +19,11 @@
     Domain contract (matching {!Store.commit}): {!intern} and
     {!intern_child} may add to the arena only on the main domain, the
     store's only writer; off the main domain they are allowed only when
-    the identifier is already present (a pure lookup). A growing child
-    index is published as a fresh array. All other operations are
-    read-only. *)
+    the identifier is already present (a lookup; {!intern_child} also
+    records the handle it returns, a hint any value of which is
+    correct, since it is checked by the exact key comparison before
+    use). A growing child index is published as a fresh array. All
+    other operations are read-only. *)
 
 type t
 
@@ -54,7 +56,11 @@ val find_child : t -> parent:handle -> lab:int -> ord:Dewey.Ord.o -> handle
 (** [intern_child a ~parent ~lab ~ord] is {!find_child}, interning the
     child on a miss (its boxed id extends [to_dewey a parent] by one
     step). A hit returns the canonical handle, whose {!to_dewey} is the
-    already boxed id: the caller builds no [Dewey.child].
+    already boxed id: the caller builds no [Dewey.child]. The handle
+    after the one the previous call returned is compared with the key
+    first, and the child index is probed only when it differs: a
+    fragment re-inserted where an undo freed its identifiers is found
+    handle after handle, without hashing.
     @raise Invalid_argument on a miss off the main domain. *)
 val intern_child : t -> parent:handle -> lab:int -> ord:Dewey.Ord.o -> handle
 

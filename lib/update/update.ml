@@ -282,22 +282,25 @@ type applied_insert = {
   pairs : (Dewey.t * Xml_tree.node list) list;
   changed : int list;
   fresh : int;
+  fragment : Xml_tree.node list option;
 }
 
 type applied_delete = {
   roots : Dewey.t list;
   root_nodes : Xml_tree.node list;
   root_handles : int list;
+  last_content : bool list;
   deleted : (Dewey.t * Xml_tree.node) list Lazy.t;
 }
 
 (* [changed]: each node whose content changes, with the forest attached
    to it. *)
-let applied_insert store ~staged changed =
+let applied_insert ?fragment store ~staged changed =
   {
     pairs = List.map (fun (n, forest) -> (Store.id_of store n, forest)) changed;
     changed = List.map (fun (n, _) -> Store.handle_of_node store n) changed;
     fresh = Store.staged_count store - staged;
+    fragment;
   }
 
 let apply_insert store u ~targets =
@@ -331,18 +334,41 @@ let apply_insert store u ~targets =
             Some (parent, copies)))
       targets
   in
-  applied_insert store ~staged changed
+  let fragment = match placement with Into -> template | Before | After -> None in
+  applied_insert ?fragment store ~staged changed
 
 let apply_insert_at store ~target forest =
   let staged = Store.staged_count store in
   Store.attach store ~parent:target forest;
   applied_insert store ~staged [ (target, forest) ]
 
+let is_content n = n.Xml_tree.kind <> Xml_tree.Attribute
+
+(* [root] is its parent's last content child, after another one: read
+   before the detach, which the tree no longer shows. *)
+let ends_content root =
+  let rec scan before = function
+    | [] -> false
+    | c :: rest ->
+      if c == root then before && is_content root && not (List.exists is_content rest)
+      else scan (before || is_content c) rest
+  in
+  match root.Xml_tree.parent with
+  | None -> false
+  | Some p -> scan false p.Xml_tree.children
+
 (* Detach the (disjoint) subtrees [root_nodes]. *)
 let applied_delete store root_nodes =
   let root_handles = List.map (Store.handle_of_node store) root_nodes in
   let roots = List.map (Dewey_arena.to_dewey (Store.arena store)) root_handles in
-  List.iter (Store.detach store) root_nodes;
+  let last_content =
+    List.map
+      (fun root ->
+        let last = ends_content root in
+        Store.detach store root;
+        last)
+      root_nodes
+  in
   (* Identifiers inside detached subtrees resolve until the commit, so the
      full enumeration can run lazily, during Δ⁻ computation. *)
   let deleted =
@@ -352,7 +378,7 @@ let applied_delete store root_nodes =
            List.map (fun n -> (Store.id_of store n, n)) (Xml_tree.descendants_or_self root))
          root_nodes)
   in
-  { roots; root_nodes; root_handles; deleted }
+  { roots; root_nodes; root_handles; last_content; deleted }
 
 let apply_replace store ~text ~targets =
   let text_children =

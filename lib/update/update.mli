@@ -108,6 +108,11 @@ type applied_insert = {
   fresh : int;
       (** Nodes the application attached, descendants included: the
           length of the statement's Δ⁺ in the store's staged runs. *)
+  fragment : Xml_tree.node list option;
+      (** For a text-built [insert into]: the parsed fragment, of which
+          every forest in [pairs] is a copy appended as its target's
+          last children. [None] for sibling placements and for forests
+          that are not copies of one parsed fragment. *)
 }
 
 (** Result of applying a deletion: the detached subtree roots, plus all
@@ -119,6 +124,10 @@ type applied_delete = {
   roots : Dewey.t list;
   root_nodes : Xml_tree.node list;
   root_handles : int list;  (** the arena handles of [roots], in order *)
+  last_content : bool list;
+      (** Per root, in order: when detached, it was its parent's last
+          content (non-attribute) child and another content child
+          stayed. Its serialization then ended the parent's content. *)
   deleted : (Dewey.t * Xml_tree.node) list Lazy.t;
 }
 

@@ -332,29 +332,89 @@ let eval_term mv (delta : Delta.t) ~scope ~s_set ~survivors_only =
    holds. The arena is parent-closed, so both come from the handles of
    the applied update's content-changed nodes and their [parent] chains
    — also for deleted roots, whose detached nodes no longer have a
-   parent in the tree. *)
+   parent in the tree.
+
+   Each affected handle carries how its [cont] is refreshed
+   ([Mview.edit]). A change point — a target of [insert into], or the
+   parent of a deleted root — edits its old payload in place when it is
+   the only change point at or below it; every other affected node is
+   serialized again. *)
 
 module Handle_set = Dewey_arena.Tbl
 
-type affected = { a_ids : unit Handle_set.t; a_labels : (int, unit) Hashtbl.t }
+(* The copies of one root of a text-built insertion's fragment: their
+   label, their one serialization, their handles. *)
+type fresh = { f_label : string; f_text : string Lazy.t; f_handles : int list Lazy.t }
+
+type affected = {
+  a_ids : Mview.edit Handle_set.t;
+  a_labels : (int, unit) Hashtbl.t;
+  a_fresh : fresh list;
+}
+
+let fresh_roots store (app : Update.applied_insert) frag texts =
+  List.mapi
+    (fun i (root, f_text) ->
+      let copy (_, forest) = Store.handle_of_node store (List.nth forest i) in
+      { f_label = Xml_tree.label root; f_text; f_handles = lazy (List.map copy app.Update.pairs) })
+    (List.combine frag texts)
 
 let affected_of store applied =
   let arena = Store.arena store in
-  let a = { a_ids = Handle_set.create 64; a_labels = Hashtbl.create 16 } in
+  let ids = Handle_set.create 64 and labels = Hashtbl.create 16 in
+  let note h edit =
+    Handle_set.add ids h edit;
+    Hashtbl.replace labels (Dewey_arena.label arena h) ()
+  in
   (* Walking up stops at the first handle already present: its
-     ancestors were added with it. *)
-  let rec add h =
-    if h >= 0 && not (Handle_set.mem a.a_ids h) then begin
-      Handle_set.add a.a_ids h ();
-      Hashtbl.replace a.a_labels (Dewey_arena.label arena h) ();
-      add (Dewey_arena.parent arena h)
+     ancestors were added with it. A node above a change point is
+     serialized again. *)
+  let rec up h =
+    if h >= 0 then
+      if Handle_set.mem ids h then Handle_set.replace ids h Mview.Reserialize
+      else begin
+        note h Mview.Reserialize;
+        up (Dewey_arena.parent arena h)
+      end
+  in
+  let change h edit =
+    if h >= 0 then begin
+      if Handle_set.mem ids h then Handle_set.replace ids h Mview.Reserialize
+      else note h edit;
+      up (Dewey_arena.parent arena h)
     end
   in
-  (match applied with
-  | Ins app | Repl (_, app) -> List.iter add app.Update.changed
-  | Del app ->
-    List.iter (fun root -> add (Dewey_arena.parent arena root)) app.Update.root_handles);
-  a
+  let fresh =
+    match applied with
+    | Ins app | Repl (_, app) -> (
+      match app.Update.fragment with
+      | None ->
+        List.iter (fun h -> change h Mview.Reserialize) app.Update.changed;
+        []
+      | Some frag ->
+        let texts = List.map (fun root -> lazy (Xml_tree.serialize root)) frag in
+        (* Attributes go into the start tag, not before the closing one. *)
+        let edit =
+          if List.exists (fun r -> r.Xml_tree.kind = Xml_tree.Attribute) frag then
+            Mview.Reserialize
+          else Mview.Append (lazy (String.concat "" (List.map Lazy.force texts)))
+        in
+        List.iter (fun h -> change h edit) app.Update.changed;
+        fresh_roots store app frag texts)
+    | Del app ->
+      let rec go hs nodes lasts =
+        match (hs, nodes, lasts) with
+        | h :: hs, node :: nodes, last :: lasts ->
+          change (Dewey_arena.parent arena h)
+            (if last then Mview.Cut (lazy (Xml_tree.serialized_size node))
+             else Mview.Reserialize);
+          go hs nodes lasts
+        | _ -> ()
+      in
+      go app.Update.root_handles app.Update.root_nodes app.Update.last_content;
+      []
+  in
+  { a_ids = ids; a_labels = labels; a_fresh = fresh }
 
 (* Positions (into [mv.stored]) of the val/cont nodes whose tag occurs
    among the affected labels — the only cells whose payload the update
@@ -393,12 +453,32 @@ let refresh_affected mv aff =
         Array.iter
           (fun p ->
             let cell = e.Mview.cells.(p) in
-            if
-              Handle_set.mem aff.a_ids cell.Mview.cell_h
-              && Mview.refresh_cell mv ~stored_node:mv.Mview.stored.(p) cell
-            then incr modified)
+            match Handle_set.find_opt aff.a_ids cell.Mview.cell_h with
+            | Some edit ->
+              if Mview.refresh_cell mv ~stored_node:mv.Mview.stored.(p) ~edit cell then
+                incr modified
+            | None -> ())
           positions);
     !modified
+
+(* Inside a pass, every copy of a fragment root that a [cont] node of
+   [mv] may bind gets the root's one serialization. *)
+let share_fresh mv aff =
+  let pat = mv.Mview.pat in
+  let binds label =
+    Array.exists
+      (fun i ->
+        pat.Pattern.annots.(i).Pattern.store_cont
+        && (pat.Pattern.tags.(i) = "*" || pat.Pattern.tags.(i) = label))
+      mv.Mview.cvn
+  in
+  List.iter
+    (fun f ->
+      if binds f.f_label then begin
+        let s = Lazy.force f.f_text in
+        List.iter (fun h -> Mview.share_content mv h s) (Lazy.force f.f_handles)
+      end)
+    aff.a_fresh
 
 let refresh_payloads mv applied =
   refresh_affected mv (affected_of mv.Mview.store applied)
@@ -454,10 +534,10 @@ let propagate_applied ?(commit = true) ?(watches = []) ?(prune = true) ?shared
     ?affected mv applied =
   let b = Timing.zero () in
   let store = mv.Mview.store in
-  let refresh () =
-    refresh_affected mv
-      (match affected with Some a -> a | None -> affected_of store applied)
+  let affected =
+    match affected with Some a -> a | None -> affected_of store applied
   in
+  let refresh () = refresh_affected mv affected in
   if watches_flipped mv watches then begin
     (* Exact fallback: a predicate flipped on an existing node, outside
        the delta model; rebuild from the (committed) relations. *)
@@ -533,6 +613,7 @@ let propagate_applied ?(commit = true) ?(watches = []) ?(prune = true) ?shared
     let added = ref 0 and modified = ref 0 in
     Timing.timed b set_exec (fun () ->
         Mview.sharing_payloads mv @@ fun () ->
+        share_fresh mv affected;
         List.iter
           (fun s ->
             let t = eval_term mv delta ~scope ~s_set:s ~survivors_only:false in

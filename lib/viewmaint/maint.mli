@@ -112,7 +112,11 @@ val watches_flipped : Mview.t -> watches -> bool
     nodes' arena handles and their label codes once per statement, from
     the handles the applied update carries and their parent chains in
     the store's arena; refreshing then tests each payload cell by its
-    handle. *)
+    handle. Each handle carries its {!Mview.edit}: a target of a
+    text-built [insert into], or the parent of a deleted last content
+    child, that is the only change point at or below it has its [cont]
+    edited in place; every other one is serialized. The copies of each
+    root of such an insertion's fragment share one serialization. *)
 
 type affected
 

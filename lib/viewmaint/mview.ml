@@ -15,6 +15,14 @@ type footprint = { fp_star : bool; fp_tags : string array }
 
 module Itbl = Dewey_arena.Tbl
 
+type edit = Reserialize | Append of string Lazy.t | Cut of int Lazy.t
+
+(* Every [cont] payload a refresh recomputes is counted once: edited in
+   place from the cell's old string, or serialized from the node. *)
+let obs_payload = Obs.Scope.v "maint.payload"
+let c_spliced = Obs.Scope.counter obs_payload "spliced"
+let c_reserialized = Obs.Scope.counter obs_payload "reserialized"
+
 (* Payloads resolved so far in one pass, per node handle: [None] when
    the node is gone from the store. *)
 type payloads = {
@@ -83,6 +91,33 @@ let resolve mv field f h =
 let value_of mv h = resolve mv (fun sh -> sh.p_val) Xml_tree.string_value h
 let content_of mv h = resolve mv (fun sh -> sh.p_cont) Xml_tree.serialize h
 
+let share_content mv h s =
+  match mv.shared with Some sh -> Itbl.replace sh.p_cont h (Some s) | None -> ()
+
+(* The refreshed [cont] of the node holding [h], whose old payload is
+   [old]. Only inside a pass is [old] sure to predate the statement: a
+   cell made in the pass by {!add_binding} already holds the new payload,
+   and the pass computed it for the node, so a refresh reads it back
+   without editing. *)
+let refreshed_content mv h edit old =
+  resolve mv
+    (fun sh -> sh.p_cont)
+    (fun node ->
+      let edited =
+        match (mv.shared, old, edit) with
+        | None, _, _ | _, None, _ | _, _, Reserialize -> None
+        | Some _, Some s, Append fragment -> Xml_tree.splice_content s (Lazy.force fragment)
+        | Some _, Some s, Cut k -> Xml_tree.cut_content s (Lazy.force k)
+      in
+      match edited with
+      | Some s ->
+        Obs.Counter.incr c_spliced;
+        s
+      | None ->
+        Obs.Counter.incr c_reserialized;
+        Xml_tree.serialize node)
+    h
+
 let make_cell mv i h =
   let { Pattern.store_val; store_cont; _ } = mv.pat.Pattern.annots.(i) in
   (* Most stored cells hold the identifier alone: resolve the node only
@@ -118,11 +153,11 @@ let mat_for mv s =
     (fun (set, table) -> if Lattice.equal set s then Some table else None)
     mv.mats
 
-let refresh_cell mv ~stored_node cell =
+let refresh_cell mv ~stored_node ~edit cell =
   let { Pattern.store_val; store_cont; _ } = mv.pat.Pattern.annots.(stored_node) in
   let h = cell.cell_h in
   let value = if store_val then value_of mv h else None in
-  let content = if store_cont then content_of mv h else None in
+  let content = if store_cont then refreshed_content mv h edit cell.cell_content else None in
   (* A gone node keeps its old payloads. *)
   if (store_val && value = None) || (store_cont && content = None) then false
   else begin

@@ -104,10 +104,30 @@ val remove_binding : t -> (int -> int) -> unit
 (** Materialized table for exactly this snowcap, if any. *)
 val mat_for : t -> Lattice.nset -> Tuple_table.t option
 
-(** Recompute the [val] / [cont] payload of [cell] from the current
-    document, resolving the node by [cell_h]; returns [true] if it was
-    present and refreshed. *)
-val refresh_cell : t -> stored_node:int -> cell -> bool
+(** How a refresh gets the new [cont] payload of a node whose subtree
+    changed, from the old one:
+    - [Reserialize]: serialize the node;
+    - [Append f]: the statement appended last children that serialize
+      to [f], and nothing else changed below the node: [f] is spliced in
+      before the closing tag;
+    - [Cut k]: the statement detached the node's last content child,
+      [k] bytes long, another stayed, and nothing else changed below the
+      node: [k] bytes are cut before the closing tag.
+
+    An edit applies only inside {!sharing_payloads}, to an element with
+    content; otherwise the node is serialized. Each payload computed is
+    counted in [maint.payload.spliced] or [maint.payload.reserialized]. *)
+type edit = Reserialize | Append of string Lazy.t | Cut of int Lazy.t
+
+(** Recompute the [val] / [cont] payload of [cell] for the current
+    document, resolving the node by [cell_h], the [cont] by [edit];
+    returns [true] if it was present and refreshed. *)
+val refresh_cell : t -> stored_node:int -> edit:edit -> cell -> bool
+
+(** [share_content mv h s]: inside {!sharing_payloads}, [s] is the
+    [cont] payload of the node of handle [h] for the rest of the pass
+    (the caller knows its serialization); a no-op outside one. *)
+val share_content : t -> int -> string -> unit
 
 (** [sharing_payloads mv f] runs [f] as one pass over an unchanging
     document: every [val] / [cont] payload that {!add_binding} and

@@ -177,18 +177,66 @@ let serialize ?(decl = false) n =
   add_to_buffer buf n;
   Buffer.contents buf
 
+(* Bytes [escape] writes for [s]. *)
+let escaped_size s ~attr =
+  let n = ref (String.length s) in
+  for i = 0 to String.length s - 1 do
+    match String.unsafe_get s i with
+    | '<' | '>' -> n := !n + 3
+    | '&' -> n := !n + 4
+    | '"' when attr -> n := !n + 5
+    | _ -> ()
+  done;
+  !n
+
 let serialized_size n =
-  (* Cheap upper-bound-free estimate: serialize into a throwaway buffer is
-     avoided; count tag and text bytes directly. *)
   let total = ref 0 in
   iter
     (fun m ->
       match m.kind with
-      | Text -> total := !total + String.length m.text
-      | Attribute -> total := !total + String.length m.name + String.length m.text + 4
+      | Text -> total := !total + escaped_size m.text ~attr:false
+      | Attribute ->
+        total := !total + String.length m.name + escaped_size m.text ~attr:true + 4
       | Element ->
         let has_content = List.exists (fun c -> c.kind <> Attribute) m.children in
         let tag = String.length m.name in
         total := !total + (if has_content then (2 * tag) + 5 else tag + 3))
     n;
   !total
+
+(* Where the closing tag of [s] starts, when [s] is the serialization of
+   an element with content ("...</name>"); [-1] for a self-closing
+   element, an attribute or a text. Escaping keeps ['<'] out of texts
+   and attribute values, so the last ['<'] opens the closing tag. *)
+let close_tag_start s =
+  let n = String.length s in
+  if n < 4 || s.[n - 1] <> '>' || s.[n - 2] = '/' then -1
+  else
+    match String.rindex_opt s '<' with
+    | Some i when s.[i + 1] = '/' -> i
+    | Some _ | None -> -1
+
+let splice_content s fragment =
+  let i = close_tag_start s in
+  if i < 0 then None
+  else begin
+    let n = String.length s and f = String.length fragment in
+    let b = Bytes.create (n + f) in
+    Bytes.blit_string s 0 b 0 i;
+    Bytes.blit_string fragment 0 b i f;
+    Bytes.blit_string s i b (i + f) (n - i);
+    Some (Bytes.unsafe_to_string b)
+  end
+
+let cut_content s k =
+  let i = close_tag_start s in
+  (* Some content byte must stay: an element left with none may
+     serialize self-closing. *)
+  if i < 0 || k < 0 || k >= i - (String.index s '>' + 1) then None
+  else begin
+    let n = String.length s in
+    let b = Bytes.create (n - k) in
+    Bytes.blit_string s 0 b 0 (i - k);
+    Bytes.blit_string s i b (i - k) (n - i);
+    Some (Bytes.unsafe_to_string b)
+  end

@@ -87,5 +87,23 @@ val serialize : ?decl:bool -> node -> string
 
 val add_to_buffer : Buffer.t -> node -> unit
 
-(** Byte length of {!serialize} output without materializing it. *)
+(** Byte length of {!serialize} output without materializing it,
+    escapes included. *)
 val serialized_size : node -> int
+
+(** {2 Editing a serialization in place}
+
+    Both work on the {!serialize} output of an element {e with content}
+    (one that ends in a closing tag) and return [None] for any other
+    string: a self-closing element, an attribute or a text. *)
+
+(** [splice_content s fragment] is [s] with [fragment] inserted just
+    before its closing tag: the serialization of the element after
+    appending last children that serialize to [fragment]. *)
+val splice_content : string -> string -> string option
+
+(** [cut_content s k] is [s] without the [k] bytes before its closing
+    tag: the serialization of the element after detaching its last
+    content children, [k] their {!serialized_size}s summed. [None]
+    also when the cut would leave no content byte. *)
+val cut_content : string -> int -> string option

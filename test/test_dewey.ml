@@ -493,6 +493,90 @@ let test_arena_walks_counted () =
   Alcotest.(check int) "intern and find walk, probes do not" 2 (cv "dewey.arena.walks");
   Alcotest.(check int) "three handles interned" 3 (cv "dewey.arena.interned")
 
+(* [intern_child] compares the handle after the one it last returned
+   before probing. Run each key sequence through it and through a
+   probe-only reference — [intern] of the whole identifier walks the
+   child index and never looks at a next handle — on two arenas with
+   the same history: every key must get the same handle, and the two
+   must count the same fresh handles and hits. *)
+let test_arena_next_handle () =
+  let root = Dewey.root ~lab:0 in
+  let a = Dewey_arena.create () and r = Dewey_arena.create () in
+  let hr = Dewey_arena.intern a root in
+  Alcotest.(check int) "same root handle" hr (Dewey_arena.intern r root);
+  (* Keys are (parent handle, label, ordinal); both arenas hand out the
+     same handles, so one parent handle names the same node in both. *)
+  let run what keys =
+    let ha, sa =
+      Obs.with_scope (fun () ->
+          List.map
+            (fun (parent, lab, ord) -> Dewey_arena.intern_child a ~parent ~lab ~ord)
+            keys)
+    in
+    let hr, sr =
+      Obs.with_scope (fun () ->
+          List.map
+            (fun (parent, lab, ord) ->
+              Dewey_arena.intern r
+                (Dewey.child (Dewey_arena.to_dewey r parent) ~lab ~ord))
+            keys)
+    in
+    Alcotest.(check (list int)) (what ^ ": handles") hr ha;
+    List.iter
+      (fun c ->
+        Alcotest.(check int) (what ^ ": " ^ c)
+          (Obs.counter_value sr ("dewey.arena." ^ c))
+          (Obs.counter_value sa ("dewey.arena." ^ c)))
+      [ "interned"; "hits" ];
+    ha
+  in
+  let key h =
+    (Dewey_arena.parent a h, Dewey_arena.label a h, Dewey.last_ord (Dewey_arena.to_dewey a h))
+  in
+  (* Make [h] the next handle: intern the key of the handle before it. *)
+  let next_is what h = ignore (run (what ^ ", aim") [ key (h - 1) ]) in
+  let fresh what k =
+    let n = Dewey_arena.size a in
+    let h = List.hd (run what [ k ]) in
+    Alcotest.(check int) (what ^ ": a fresh handle") n h;
+    h
+  in
+  (* A fragment root under the root and its three children, in preorder. *)
+  let insert_frag what order =
+    let top = List.hd (run (what ^ ", root") [ (hr, 1, [| 4 |]) ]) in
+    (top, run what (order (List.init 3 (fun k -> (top, 2, [| k + 1 |])))))
+  in
+  let top, kids = insert_frag "first insert" Fun.id in
+  let _, again = insert_frag "re-insert, same order" Fun.id in
+  Alcotest.(check (list int)) "re-insert finds the same handles" kids again;
+  let _, rev = insert_frag "re-insert, reverse order" List.rev in
+  Alcotest.(check (list int)) "reverse order finds them too" (List.rev kids) rev;
+  (* Another parent: the next handle has the key's label and ordinal. *)
+  let other = fresh "second parent" (hr, 1, [| 5 |]) in
+  next_is "other parent" (List.hd kids);
+  ignore (fresh "same step, other parent" (other, 2, [| 1 |]));
+  ignore (run "same step, its own parent" [ (top, 2, [| 1 |]); (top, 2, [| 2 |]) ]);
+  (* Ordinals next to the next handle's [1;5]: a strict digit-prefix and
+     an extension. *)
+  let d15 = fresh "ordinal [1;5]" (other, 3, [| 1; 5 |]) in
+  let d16 = fresh "ordinal [1;6]" (other, 3, [| 1; 6 |]) in
+  next_is "digit-prefix" d15;
+  ignore (fresh "strict digit-prefix of the next ordinal" (other, 3, [| 1 |]));
+  next_is "extension" d15;
+  ignore (fresh "extension of the next ordinal" (other, 3, [| 1; 5; 0 |]));
+  next_is "same key" d16;
+  Alcotest.(check (list int)) "the next handle's own key" [ d16 ]
+    (run "the next handle's own key" [ (other, 3, [| 1; 6 |]) ]);
+  next_is "label mismatch" d16;
+  ignore (fresh "label mismatch" (other, 4, [| 1; 6 |]));
+  (* The last handle was just returned: the next one is past the end. *)
+  let last = Dewey_arena.size a - 1 in
+  ignore (run "return the last handle" [ key last ]);
+  let past = fresh "next handle past the end" (other, 5, [| 1 |]) in
+  Alcotest.(check (list int)) "past the end, then a hit" [ past; d15 ]
+    (run "past the end, then a hit" [ (other, 5, [| 1 |]); (other, 3, [| 1; 5 |]) ]);
+  Alcotest.(check int) "same size" (Dewey_arena.size r) (Dewey_arena.size a)
+
 let () =
   Alcotest.run "dewey"
     [
@@ -532,5 +616,7 @@ let () =
           Alcotest.test_case "child probes miss near keys" `Quick test_arena_probe_misses;
           Alcotest.test_case "child index survives resizes" `Quick test_arena_index_growth;
           Alcotest.test_case "whole-id walks are counted" `Quick test_arena_walks_counted;
+          Alcotest.test_case "next-handle check agrees with probes" `Quick
+            test_arena_next_handle;
         ] );
     ]

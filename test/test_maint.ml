@@ -599,6 +599,197 @@ let test_reinsert_payloads () =
         [ Xmark_updates.insert u; undo_of u; Xmark_updates.insert u ])
     [ "X1_L"; "X17_L"; "B5_LB" ]
 
+(* {1 Spliced cont payloads}
+
+   Each statement runs through a view set over [cont] views. After it,
+   every view must equal recomputation, every [cont] must be the
+   serialization of its node, and the refreshes must have spliced and
+   reserialized the expected numbers of payloads. *)
+
+let cont_view ?(axis = Pattern.Descendant) tag =
+  Pattern.compile ~name:("cont-" ^ tag) (n ~axis tag ~id:true ~content:true [])
+
+let check_conts what store mv =
+  List.iter
+    (fun (_, _, cells) ->
+      Array.iter
+        (fun c ->
+          match (c.Mview.cell_content, Store.node_of store c.Mview.cell_id) with
+          | None, _ -> ()
+          | Some s, Some node ->
+            Alcotest.(check string) (what ^ ": cont is the serialization")
+              (Xml_tree.serialize node) s
+          | Some _, None -> Alcotest.failf "%s: cont of a gone node" what)
+        cells)
+    (Mview.dump mv)
+
+(* Run [stmts] over views of [tags]; return the (spliced, reserialized)
+   counts of each statement. *)
+let run_splices ?(tags = [ "a" ]) doc stmts =
+  let store = Store.of_document (Xml_parse.document doc) in
+  let set = View_set.create store in
+  let views = List.map (fun tag -> View_set.add set (cont_view tag)) tags in
+  List.map
+    (fun u ->
+      let what = Update.to_string u in
+      let _, snap = Obs.with_scope (fun () -> View_set.update set u) in
+      List.iter
+        (fun mv ->
+          check_conts what store mv;
+          let fresh = Mview.materialize ~policy:Mview.Leaves store mv.Mview.pat in
+          match Recompute.diff mv fresh with
+          | None -> ()
+          | Some d -> Alcotest.failf "%s: %s" what d)
+        views;
+      let cv = Obs.counter_value snap in
+      (cv "maint.payload.spliced", cv "maint.payload.reserialized"))
+    stmts
+
+let splice_case name ?tags doc stmts expected =
+  Alcotest.test_case name `Quick (fun () ->
+      Alcotest.(check (list (pair int int)))
+        "(spliced, reserialized) per statement" expected (run_splices ?tags doc stmts))
+
+let ins = Update.insert and del = Update.delete
+
+(* A text-built insertion whose fragment is one attribute: the parser
+   never makes one, the statement type allows it. *)
+let insert_attribute ~into =
+  let attr = Xml_tree.attribute "k" "v" in
+  Update.Insert
+    {
+      target = Xpath.parse into;
+      forest = (fun _ -> [ Xml_tree.copy attr ]);
+      placement = Update.Into;
+      template = Some [ attr ];
+    }
+
+let splice_rules =
+  [
+    splice_case "insert into splices" {|<r><a><b/></a><a>t</a></r>|}
+      [ ins ~into:"//a" "<c>t</c><d/>" ] [ (2, 0) ];
+    splice_case "delete cuts the last child" {|<r><a><b/><c>t<d/></c></a></r>|}
+      [ del "//a/c" ] [ (1, 0) ];
+    splice_case "escaped text" {|<r><a>x</a></r>|}
+      [ ins ~into:"//a" {|<c k="&quot;q&quot;">1 &amp; 2 &lt; 3 &gt; 0</c>|};
+        del "//a/c"; ins ~into:"//a" "<c>&amp;&amp;</c><e>t&lt;</e>"; del "//a/c";
+        del "//a/e" ]
+      [ (1, 0); (1, 0); (1, 0); (0, 1); (1, 0) ];
+    (* The outer item is a target and above the inner one: serialized. *)
+    splice_case "nested item-in-item" ~tags:[ "item" ]
+      {|<r><item><item><b/></item></item></r>|}
+      [ ins ~into:"//item" "<item><name>n</name></item>"; del "//item/item[name]";
+        ins ~into:"//item" "<item><name>n</name></item>" ]
+      [ (1, 1); (1, 1); (1, 1) ];
+    splice_case "re-insert after undo" ~tags:[ "a"; "c" ] {|<r><a><b/></a><a>t</a></r>|}
+      [ ins ~into:"//a" "<c>t</c>"; del "//a/c"; ins ~into:"//a" "<c>t</c>" ]
+      [ (2, 0); (2, 0); (2, 0) ];
+  ]
+
+let splice_fallbacks =
+  [
+    splice_case "self-closing target" {|<r><a/><a k="v"/></r>|}
+      [ ins ~into:"//a" "<c/>" ] [ (0, 2) ];
+    splice_case "attribute root" {|<r><a><b/></a></r>|}
+      [ insert_attribute ~into:"//a" ] [ (0, 1) ];
+    splice_case "before / after" {|<r><a><b/></a></r>|}
+      [ Update.insert_after ~target:"//a/b" "<c/>";
+        Update.insert_before ~target:"//a/b" "<c/>" ]
+      [ (0, 1); (0, 1) ];
+    splice_case "insert_forest" {|<r><a><b/></a></r>|}
+      [ Update.insert_forest ~into:(Xpath.parse "//a") (fun _ ->
+            [ Xml_tree.element "c" ]) ]
+      [ (0, 1) ];
+    splice_case "ancestor of a target" {|<r><a><b>t</b></a></r>|}
+      [ ins ~into:"//b" "<c/>"; del "//b/c" ] [ (0, 1); (0, 1) ];
+    splice_case "two changes under one" {|<r><a><b/><c/><c/></a></r>|}
+      [ del "//a/c" ] [ (0, 1) ];
+    splice_case "delete leaves no content" {|<r><a k="v"><c/></a></r>|}
+      [ del "//a/c" ] [ (0, 1) ];
+    splice_case "delete not the last" {|<r><a><c/><b/></a></r>|}
+      [ del "//a/c" ] [ (0, 1) ];
+    splice_case "delete an attribute" {|<r><a k="v"><b/></a></r>|}
+      [ del "//a/@k" ] [ (0, 1) ];
+    splice_case "replace value" {|<r><a>x<b/></a></r>|}
+      [ Update.replace_value ~target:"//a" "y" ] [ (0, 1) ];
+  ]
+
+(* Every copy of a fragment root holds the one serialization. *)
+let test_fresh_roots_shared () =
+  let store = Store.of_document (Xml_parse.document {|<r><a/><a><b/></a></r>|}) in
+  let set = View_set.create store in
+  let mv = View_set.add set (cont_view "c") in
+  ignore (View_set.update set (ins ~into:"//a" "<c>t<d/></c>"));
+  match List.map (fun (_, _, cells) -> cells.(0).Mview.cell_content) (Mview.dump mv) with
+  | [ Some x; Some y ] ->
+    Alcotest.(check string) "the fragment's serialization" "<c>t<d/></c>" x;
+    Alcotest.(check bool) "one string for both copies" true (x == y)
+  | _ -> Alcotest.fail "expected two cont cells"
+
+(* Appendix-A item and increase statements on a generated document: the
+   item targets' Q6 payloads are spliced, and nothing is serialized
+   again. *)
+let test_splice_xmark () =
+  let store = Store.of_document (Xmark_gen.document ~seed:7 ~target_kb:64) in
+  let set = View_set.create store in
+  let views = List.map (View_set.add set) Xmark_views.[ q2; q6; q13 ] in
+  let x17 = Xmark_updates.find "X17_L" and x2 = Xmark_updates.find "X2_L" in
+  List.iter
+    (fun (u, splices) ->
+      let what = Update.to_string u in
+      let _, snap = Obs.with_scope (fun () -> View_set.update set u) in
+      List.iter (check_conts what store) views;
+      let cv = Obs.counter_value snap in
+      Alcotest.(check bool) (what ^ ": spliced") splices (cv "maint.payload.spliced" > 0);
+      Alcotest.(check int) (what ^ ": reserialized") 0 (cv "maint.payload.reserialized"))
+    [ (Xmark_updates.insert x17, true); (del (x17.Xmark_updates.path ^ "/item"), true);
+      (Xmark_updates.insert x2, false);
+      (del (x2.Xmark_updates.path ^ "/increase[increase]"), false);
+      (Xmark_updates.insert x2, false) ]
+
+(* Random documents, [cont] views and insert/undo pairs whose fragments
+   (rooted at [m], a label the documents lack) hold texts and attribute
+   values that need escaping. *)
+let splice_views =
+  [ cont_view "a"; cont_view "b"; cont_view "*"; cont_view "m";
+    Pattern.compile ~name:"a-b"
+      (n "a" ~id:true [ n ~axis:Pattern.Child "b" ~id:true ~content:true [] ]) ]
+
+let gen_splice_stmts =
+  let open QCheck.Gen in
+  let fragment =
+    let* kids = list_size (int_range 0 2) Tutil.gen_doc_tree_special in
+    let* text = oneofa Tutil.special_words in
+    pure (Xml_tree.element "m" ~children:(Xml_tree.text text :: kids))
+  in
+  let pair =
+    let* path = Tutil.gen_path in
+    let* roots = list_size (int_range 1 2) fragment in
+    let text = String.concat "" (List.map Xml_tree.serialize roots) in
+    pure [ Update.insert ~into:path text; Update.delete "//m" ]
+  in
+  map List.concat (list_size (int_range 1 3) pair)
+
+let splice_property =
+  Tutil.qtest ~count:150 "insert/undo = Recompute"
+    (QCheck.make
+       QCheck.Gen.(pair Tutil.gen_doc_tree gen_splice_stmts)
+       ~print:(fun (d, us) ->
+         String.concat "\n" (Xml_tree.serialize d :: List.map Update.to_string us)))
+    (fun (doc, stmts) ->
+      let store = Store.of_document (Xml_tree.copy doc) in
+      let set = View_set.create store in
+      let views = List.map (View_set.add set) splice_views in
+      List.for_all
+        (fun u ->
+          ignore (View_set.update set u);
+          List.for_all
+            (fun mv ->
+              let fresh = Mview.materialize ~policy:Mview.Leaves store mv.Mview.pat in
+              Recompute.diff mv fresh = None)
+            views)
+        stmts)
+
 let () =
   Alcotest.run "maint"
     [
@@ -642,6 +833,14 @@ let () =
           Alcotest.test_case "Q1-Q4 skewed" `Quick test_one_pass_skewed;
           Alcotest.test_case "random difftest patterns" `Quick test_one_pass_random;
         ] );
+      ( "cont splices",
+        splice_rules @ splice_fallbacks
+        @ [
+            Alcotest.test_case "fresh roots share cont" `Quick
+              test_fresh_roots_shared;
+            Alcotest.test_case "Appendix-A items" `Quick test_splice_xmark;
+            splice_property;
+          ] );
       ( "golden properties",
         [ golden_snowcaps; golden_leaves; golden_sequence; golden_no_pruning;
           pruning_soundness; mats_integrity ] );

@@ -173,6 +173,23 @@ let test_serialized_size =
   Tutil.qtest ~count:100 "serialized_size matches serialize length" Tutil.arb_doc
     (fun d -> Xml_tree.serialized_size d = String.length (Xml_tree.serialize d))
 
+let test_serialized_size_escapes =
+  Tutil.qtest ~count:300 "serialized_size counts escapes" Tutil.arb_doc_special
+    (fun d -> Xml_tree.serialized_size d = String.length (Xml_tree.serialize d))
+
+let test_splice_cut () =
+  let some = Alcotest.(option string) in
+  Alcotest.(check some) "splice before the closing tag" (Some "<a x=\"&gt;\"><b/><c/></a>")
+    (Xml_tree.splice_content "<a x=\"&gt;\"><b/></a>" "<c/>");
+  Alcotest.(check some) "no closing tag in a self-closing element" None
+    (Xml_tree.splice_content "<a k=\"v\"/>" "<c/>");
+  Alcotest.(check some) "nor in an attribute" None (Xml_tree.splice_content " k=\"v\"" "<c/>");
+  Alcotest.(check some) "nor in a text" None (Xml_tree.splice_content "x &gt;" "<c/>");
+  Alcotest.(check some) "cut before the closing tag" (Some "<a>x&amp;</a>")
+    (Xml_tree.cut_content "<a>x&amp;<b>&lt;</b></a>" 11);
+  Alcotest.(check some) "a cut leaving no content" None (Xml_tree.cut_content "<a><b/></a>" 4);
+  Alcotest.(check some) "a cut into the start tag" None (Xml_tree.cut_content "<a><b/></a>" 6)
+
 let test_roundtrip_random =
   Tutil.qtest ~count:100 "parse(serialize(d)) = d (modulo whitespace)" Tutil.arb_doc
     (fun d ->
@@ -265,6 +282,8 @@ let () =
           Alcotest.test_case "serialize" `Quick test_serialize;
           Alcotest.test_case "escaping" `Quick test_escaping;
           test_serialized_size;
+          test_serialized_size_escapes;
+          Alcotest.test_case "content splice and cut" `Quick test_splice_cut;
           test_serialize_reference;
         ] );
       ( "parser",

@@ -5,7 +5,10 @@ let words = [| "x"; "y"; "z" |]
 
 (* {1 Random documents} *)
 
-let gen_doc_tree =
+(* Texts and attribute values that [Xml_tree.serialize] must escape. *)
+let special_words = [| "x"; "a&b"; "<y>"; "\"q\""; "&amp;"; "z>" |]
+
+let gen_doc_tree_over words =
   let open QCheck.Gen in
   let label = oneofa labels in
   let word = oneofa words in
@@ -29,8 +32,14 @@ let gen_doc_tree =
   in
   QCheck.Gen.(int_range 1 3 >>= tree)
 
+let gen_doc_tree = gen_doc_tree_over words
+let gen_doc_tree_special = gen_doc_tree_over special_words
+
 let arb_doc =
   QCheck.make gen_doc_tree ~print:(fun d -> Xml_tree.serialize d)
+
+let arb_doc_special =
+  QCheck.make gen_doc_tree_special ~print:(fun d -> Xml_tree.serialize d)
 
 (* {1 Random patterns} *)
 
