@@ -991,7 +991,8 @@ let figmv () =
            let applied = apply_manually store u targets in
            List.iter
              (fun (mv, watches) ->
-               ignore (Maint.propagate_applied ~commit:false ~watches mv applied))
+               let flipped = Maint.watches_flipped mv watches in
+               ignore (Maint.propagate_applied ~commit:false ~flipped mv applied))
              watched;
            Store.commit store))
   in

@@ -50,12 +50,14 @@ let rows t =
   Array.init t.len (fun i ->
       Array.map (fun col -> Dewey_arena.to_dewey t.arena col.(i)) t.data)
 
-let col_pos t node =
-  let n = Array.length t.tcols in
-  let rec go i =
-    if i >= n then raise Not_found else if t.tcols.(i) = node then i else go (i + 1)
-  in
-  go 0
+(* A top-level loop, not a local closure: without flambda the latter is
+   allocated per call. *)
+let rec col_pos_from (tcols : int array) node i =
+  if i >= Array.length tcols then raise Not_found
+  else if Array.unsafe_get tcols i = node then i
+  else col_pos_from tcols node (i + 1)
+
+let col_pos t node = col_pos_from t.tcols node 0
 
 let sorted_by t = t.sorted
 let sorted_on t node = t.len <= 1 || t.sorted = Some node

@@ -254,7 +254,7 @@ let run_single s =
     in
     let rows =
       List.filter_map
-        (fun (_, (e : Mview.entry)) ->
+        (fun (e : Mview.entry) ->
           if s.s_comps = [] || holds e.Mview.cells then
             Some
               {

@@ -56,7 +56,7 @@ let eval_with_fixed mv ~fixed ~h ~extra ~excluded =
   Plan.eval_subtree pat ~atom ~within:(fun _ -> true) ~root:0
 
 (* Row [r] of [t] as its handles in pattern-node order: the binding's
-   identity, and its cells for {!Mview.add_binding}. *)
+   identity. *)
 let binding pat t r =
   let cols = Tuple_table.columns t in
   Array.init (Pattern.node_count pat) (fun i -> cols.(Tuple_table.col_pos t i).(r))
@@ -125,11 +125,12 @@ let propagate mv u =
                     eval_with_fixed mv ~fixed:i ~h ~extra:(x :: !processed)
                       ~excluded:no_excluded
                   in
+                  let cols = Mview.stored_columns mv t in
                   for r = 0 to Tuple_table.length t - 1 do
                     let key = binding pat t r in
                     if not (Hashtbl.mem seen key) then begin
                       Hashtbl.add seen key ();
-                      Mview.add_binding mv (Array.get key);
+                      Mview.add_binding mv cols r;
                       incr added
                     end
                   done
@@ -167,11 +168,12 @@ let propagate mv u =
               for i = 0 to Pattern.node_count pat - 1 do
                 if node_matches pat i id node then begin
                   let t = eval_with_fixed mv ~fixed:i ~h ~extra:[] ~excluded:removed in
+                  let cols = Mview.stored_columns mv t in
                   for r = 0 to Tuple_table.length t - 1 do
                     let key = binding pat t r in
                     if not (Hashtbl.mem seen key) then begin
                       Hashtbl.add seen key ();
-                      Mview.remove_binding mv (Array.get key);
+                      Mview.remove_binding mv cols r;
                       incr removed_count
                     end
                   done

@@ -141,37 +141,55 @@ let is_parent p c = Array.length c = Array.length p + 1 && is_prefix p c
 let is_ancestor a d = Array.length a < Array.length d && is_prefix a d
 let is_ancestor_or_self a d = Array.length a <= Array.length d && is_prefix a d
 
-(* Zig-zag varint codec. *)
-
-let add_varint buf v =
-  let v = ref v in
-  let continue = ref true in
-  while !continue do
-    let byte = !v land 0x7f in
-    v := !v lsr 7;
-    if !v = 0 then begin
-      Buffer.add_char buf (Char.chr byte);
-      continue := false
-    end
-    else Buffer.add_char buf (Char.chr (byte lor 0x80))
-  done
+(* Zig-zag varint codec. An encoding is written into a string of its
+   exact size: [encoded_size] first, then [blit_encoded]. Top-level
+   loops, as in [compare]. *)
 
 let zigzag v = (v lsl 1) lxor (v asr (Sys.int_size - 1))
 let unzigzag v = (v lsr 1) lxor (-(v land 1))
 
-let add_encoded buf t =
-  add_varint buf (Array.length t);
-  Array.iter
-    (fun s ->
-      add_varint buf s.lab;
-      add_varint buf (Array.length s.ord);
-      Array.iter (fun o -> add_varint buf (zigzag o)) s.ord)
-    t
+let rec varint_size v = if v lsr 7 = 0 then 1 else 1 + varint_size (v lsr 7)
+
+let rec blit_varint b pos v =
+  if v lsr 7 = 0 then begin
+    Bytes.set b pos (Char.unsafe_chr v);
+    pos + 1
+  end
+  else begin
+    Bytes.set b pos (Char.unsafe_chr (v land 0x7f lor 0x80));
+    blit_varint b (pos + 1) (v lsr 7)
+  end
+
+let rec ords_size (o : int array) j acc =
+  if j = Array.length o then acc
+  else ords_size o (j + 1) (acc + varint_size (zigzag (Array.unsafe_get o j)))
+
+let rec steps_size (t : t) i acc =
+  if i = Array.length t then acc
+  else
+    let s = Array.unsafe_get t i in
+    let n = Array.length s.ord in
+    steps_size t (i + 1) (ords_size s.ord 0 (acc + varint_size s.lab + varint_size n))
+
+let encoded_size t = steps_size t 0 (varint_size (Array.length t))
+
+let rec blit_ords b pos (o : int array) j =
+  if j = Array.length o then pos
+  else blit_ords b (blit_varint b pos (zigzag (Array.unsafe_get o j))) o (j + 1)
+
+let rec blit_steps b pos (t : t) i =
+  if i = Array.length t then pos
+  else
+    let s = Array.unsafe_get t i in
+    let pos = blit_varint b (blit_varint b pos s.lab) (Array.length s.ord) in
+    blit_steps b (blit_ords b pos s.ord 0) t (i + 1)
+
+let blit_encoded t b pos = blit_steps b (blit_varint b pos (Array.length t)) t 0
 
 let encode t =
-  let buf = Buffer.create (Array.length t * 4) in
-  add_encoded buf t;
-  Buffer.contents buf
+  let b = Bytes.create (encoded_size t) in
+  ignore (blit_encoded t b 0);
+  Bytes.unsafe_to_string b
 
 (* Order of two varints' byte strings: the first byte that differs
    decides, bytes read low group first, continuation bit set on all but

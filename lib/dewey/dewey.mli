@@ -99,8 +99,15 @@ val is_ancestor_or_self : t -> t -> bool
     another. *)
 val encode : t -> string
 
-(** [add_encoded buf id] appends [encode id] to [buf]. *)
-val add_encoded : Buffer.t -> t -> unit
+(** [encoded_size id] is [String.length (encode id)], computed without
+    encoding. *)
+val encoded_size : t -> int
+
+(** [blit_encoded id b pos] writes [encode id] into [b] at [pos] and
+    returns the position after it.
+    @raise Invalid_argument if it does not fit, after writing the bytes
+    that do. *)
+val blit_encoded : t -> Bytes.t -> int -> int
 
 (** [compare_encoded a b] orders [a] and [b] as [String.compare] orders
     [encode a] and [encode b], without encoding. Since encodings are

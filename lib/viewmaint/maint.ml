@@ -125,8 +125,10 @@ let apply_only store u =
    afterwards. Attribute and text values are immutable, so only element
    tags are watched. *)
 
-type watches = (int * Dewey.t * bool) list
+type watches = (int * int * bool) list
 
+(* A walk up from each target stops at the first node already seen: its
+   ancestors were visited with it. Nodes are recorded by arena handle. *)
 let vpred_watches mv targets =
   let pat = mv.Mview.pat in
   let store = mv.Mview.store in
@@ -140,21 +142,19 @@ let vpred_watches mv targets =
     pat.Pattern.vpreds;
   if !vnodes = [] then []
   else begin
-    let seen = Hashtbl.create 16 in
+    let seen = Dewey_arena.Tbl.create 16 (* node serials *) in
     let out = ref [] in
-    let watch node =
-      if not (Hashtbl.mem seen node.Xml_tree.serial) then begin
-        Hashtbl.add seen node.Xml_tree.serial ();
+    let rec up node =
+      if not (Dewey_arena.Tbl.mem seen node.Xml_tree.serial) then begin
+        Dewey_arena.Tbl.add seen node.Xml_tree.serial ();
         List.iter
           (fun i ->
             if Pattern.tag_matches pat.Pattern.tags.(i) node then
-              out := (i, Store.id_of store node, Pattern.vpred_holds pat i node) :: !out)
-          !vnodes
+              out :=
+                (i, Store.handle_of_node store node, Pattern.vpred_holds pat i node) :: !out)
+          !vnodes;
+        match node.Xml_tree.parent with None -> () | Some p -> up p
       end
-    in
-    let rec up node =
-      watch node;
-      match node.Xml_tree.parent with None -> () | Some p -> up p
     in
     List.iter up targets;
     !out
@@ -162,8 +162,8 @@ let vpred_watches mv targets =
 
 let watches_flipped mv watches =
   List.exists
-    (fun (i, id, pre) ->
-      match Store.node_of mv.Mview.store id with
+    (fun (i, h, pre) ->
+      match Store.node_of_handle mv.Mview.store h with
       | None -> false (* deleted: the structural deltas cover it *)
       | Some node -> Pattern.vpred_holds mv.Mview.pat i node <> pre)
     watches
@@ -523,14 +523,9 @@ let maintain_mats_delete mv delta =
 
 (* {1 Drivers} *)
 
-(* The handle column of pattern node [i] in [t]. *)
-let column_of t =
-  let columns = Tuple_table.columns t in
-  fun i -> columns.(Tuple_table.col_pos t i)
-
 let full_scope mv = Lattice.full mv.Mview.pat
 
-let propagate_applied ?(commit = true) ?(watches = []) ?(prune = true) ?shared
+let propagate_applied ?(commit = true) ?(flipped = false) ?(prune = true) ?shared
     ?affected mv applied =
   let b = Timing.zero () in
   let store = mv.Mview.store in
@@ -538,7 +533,7 @@ let propagate_applied ?(commit = true) ?(watches = []) ?(prune = true) ?shared
     match affected with Some a -> a | None -> affected_of store applied
   in
   let refresh () = refresh_affected mv affected in
-  if watches_flipped mv watches then begin
+  if flipped then begin
     (* Exact fallback: a predicate flipped on an existing node, outside
        the delta model; rebuild from the (committed) relations. *)
     Timing.timed b set_exec (fun () ->
@@ -617,11 +612,11 @@ let propagate_applied ?(commit = true) ?(watches = []) ?(prune = true) ?shared
         List.iter
           (fun s ->
             let t = eval_term mv delta ~scope ~s_set:s ~survivors_only:false in
-            let col = column_of t in
+            let cols = Mview.stored_columns mv t in
             for r = 0 to Tuple_table.length t - 1 do
-              Mview.add_binding mv (fun i -> (col i).(r));
-              incr added
-            done)
+              Mview.add_binding mv cols r
+            done;
+            added := !added + Tuple_table.length t)
           terms;
         modified := refresh ());
     Timing.timed b set_aux (fun () ->
@@ -658,11 +653,11 @@ let propagate_applied ?(commit = true) ?(watches = []) ?(prune = true) ?shared
         List.iter
           (fun s ->
             let t = eval_term mv delta ~scope ~s_set:s ~survivors_only:true in
-            let col = column_of t in
+            let cols = Mview.stored_columns mv t in
             for r = 0 to Tuple_table.length t - 1 do
-              Mview.remove_binding mv (fun i -> (col i).(r));
-              incr removed
-            done)
+              Mview.remove_binding mv cols r
+            done;
+            removed := !removed + Tuple_table.length t)
           terms;
         modified := refresh ());
     Timing.timed b set_aux (fun () ->
@@ -693,7 +688,8 @@ let propagate ?prune mv u =
           let d, i = Update.apply_replace store ~text ~targets in
           Repl (d, i))
   in
-  let r = propagate_applied ~commit:true ~watches ?prune mv applied in
+  let flipped = watches_flipped mv watches in
+  let r = propagate_applied ~commit:true ~flipped ?prune mv applied in
   r.timing.Timing.find_target <- b.Timing.find_target;
   r.timing.Timing.apply_doc <- b.Timing.apply_doc;
   r

@@ -93,15 +93,20 @@ val apply_only : Store.t -> Update.t -> applied * Timing.breakdown
     detected after application, the propagation falls back to an exact
     full rebuild of the view ([fallback_recompute] is set). *)
 
-type watches
+(** One watch per (vpred pattern node, candidate node): the pattern node,
+    the candidate's arena handle, and whether the predicate held before
+    the mutation. *)
+type watches = (int * int * bool) list
 
 (** [vpred_watches mv targets] must be called {e before} the document is
-    mutated. *)
+    mutated. Each target's ancestor walk stops at the first node an
+    earlier walk visited. *)
 val vpred_watches : Mview.t -> Xml_tree.node list -> watches
 
 (** [watches_flipped mv watches] — re-check the watches after the
-    document mutated; [true] means the incremental path is unsound for
-    this view and propagation will rebuild instead. *)
+    document mutated, resolving each node by its handle; [true] means the
+    incremental path is unsound for this view and propagation must
+    rebuild instead. *)
 val watches_flipped : Mview.t -> watches -> bool
 
 (** {1 Payload-affected nodes}
@@ -127,10 +132,12 @@ val affected_of : Store.t -> applied -> affected
     have gone stale. Always true when [mv] stores no payloads. *)
 val payload_safe : Mview.t -> affected -> bool
 
-(** [propagate_applied ?commit ?watches ?shared ?affected mv applied] incrementally
-    maintains [mv]. Without [watches], predicate flips are assumed absent
-    (true whenever updates never put text below a vpred-matching
-    ancestor). [shared] supplies a prebuilt {!Delta.Shared} index for the
+(** [propagate_applied ?commit ?flipped ?shared ?affected mv applied] incrementally
+    maintains [mv]. [flipped] is {!watches_flipped} of the view's
+    watches for this application, checked once by the caller; when
+    [true] the view is rebuilt exactly ([fallback_recompute]). Without
+    it, predicate flips are assumed absent (true whenever updates never
+    put text below a vpred-matching ancestor). [shared] supplies a prebuilt {!Delta.Shared} index for the
     same applied update, so Δ extraction is a per-pattern-node lookup
     instead of a fresh scan — the batch engine builds one index per
     update and passes it to every view. [affected] likewise supplies
@@ -138,16 +145,16 @@ val payload_safe : Mview.t -> affected -> bool
     refresh (PIMT/PDMT) only visits a view's entries when
     {!payload_safe} fails, and then only its at-risk cells.
 
-    With [~commit:false] and non-flipped [watches], propagation of an
+    With [~commit:false] and [flipped] false, propagation of an
     [Ins]/[Del] application only {e reads} the store (relations, spans,
     node resolution) and mutates view-private state, so every such view
     of a set sees the same pre-commit relations and one hoisted
     {!Store.commit} serves them all (see [View_set.update]). The [Repl]
-    rebuild path (a ["#text"] structural view) and flipped watches both
+    rebuild path (a ["#text"] structural view) and a flipped watch both
     commit, so the batch engine runs those views after the shared
     commit. *)
 val propagate_applied :
-  ?commit:bool -> ?watches:watches -> ?prune:bool -> ?shared:Delta.Shared.t ->
+  ?commit:bool -> ?flipped:bool -> ?prune:bool -> ?shared:Delta.Shared.t ->
   ?affected:affected -> Mview.t -> applied -> report
 
 (** {1 Union-term introspection}

@@ -7,7 +7,7 @@ type cell = {
   mutable cell_content : string option;
 }
 
-type entry = { mutable count : int; cells : cell array }
+type entry = { mutable count : int; cells : cell array; key : string }
 
 (* The label footprint is cached at materialization time so the batch
    engine's relevance pre-filter is a pure lookup per update. *)
@@ -39,9 +39,18 @@ type t = {
   all_snowcaps : Lattice.nset list;
   footprint : footprint;
   mutable mats : (Lattice.nset * Tuple_table.t) list;
-  entries : (string, entry) Hashtbl.t;
+  entries : table;
   mutable shared : payloads option;
 }
+
+(* The entries, keyed by the arena handles of their stored cells: an
+   open-addressing table (linear probing, power-of-two length, at most
+   three quarters full, backward-shift deletion) whose slots hold the
+   entries themselves, [vacant] for an empty slot. A slot's key is read
+   back from its cells' [cell_h], so no key array is kept per entry.
+   [probe] holds the handle tuple being looked up; a view reuses it, so
+   a lookup allocates nothing. *)
+and table = { mutable slots : entry array; mutable live : int; probe : int array }
 
 let footprint_of pat =
   let star = ref false in
@@ -51,19 +60,94 @@ let footprint_of pat =
     pat.Pattern.tags;
   { fp_star = !star; fp_tags = Array.of_seq (Hashtbl.to_seq_keys tags) }
 
-(* Dewey encodings are self-delimiting, so their concatenation is an
-   injective key for the projected tuple: [id_at p] is the identifier of
-   the [p]-th stored node. *)
-let key_of_ids mv id_at =
-  let buf = Buffer.create 32 in
-  for p = 0 to Array.length mv.stored - 1 do
-    Dewey.add_encoded buf (id_at p)
-  done;
-  Buffer.contents buf
+let vacant = { count = 0; cells = [||]; key = "" }
+let initial_slots = 16
 
-let key_of_handles mv (hs : int array) =
-  let arena = Store.arena mv.store in
-  key_of_ids mv (fun p -> Dewey_arena.to_dewey arena hs.(p))
+let new_table arity =
+  { slots = Array.make initial_slots vacant; live = 0; probe = Array.make arity 0 }
+
+(* Both hashes fold the handles alike, then mix the high bits down: the
+   slot is taken from the low bits. Top-level recursive functions, not
+   local closures: without flambda the latter are allocated per call. *)
+let mix h =
+  let h = h lxor (h lsr 32) in
+  let h = h * 0xd6e8feb86659fd9 in
+  h lxor (h lsr 29)
+
+let rec hash_handles (a : int array) i h =
+  if i = Array.length a then mix h
+  else hash_handles a (i + 1) ((h lxor Array.unsafe_get a i) * 0x100000001b3)
+
+let rec hash_cells (c : cell array) i h =
+  if i = Array.length c then mix h
+  else hash_cells c (i + 1) ((h lxor (Array.unsafe_get c i).cell_h) * 0x100000001b3)
+
+let rec same_handles (c : cell array) (a : int array) i =
+  i = Array.length a
+  || ((Array.unsafe_get c i).cell_h = Array.unsafe_get a i && same_handles c a (i + 1))
+
+let rec seek slots mask (a : int array) i =
+  let e = Array.unsafe_get slots i in
+  if e == vacant || same_handles e.cells a 0 then i else seek slots mask a ((i + 1) land mask)
+
+(* The index in [slots] of the entry whose handles are [a], or of the
+   empty slot where it would go. *)
+let slot slots (a : int array) =
+  let mask = Array.length slots - 1 in
+  seek slots mask a (hash_handles a 0 0 land mask)
+
+let rec free_slot slots mask i =
+  if Array.unsafe_get slots i == vacant then i else free_slot slots mask ((i + 1) land mask)
+
+let grow tbl =
+  let cap = 2 * Array.length tbl.slots in
+  let slots = Array.make cap vacant in
+  let mask = cap - 1 in
+  Array.iter
+    (fun e ->
+      if e != vacant then slots.(free_slot slots mask (hash_cells e.cells 0 0 land mask)) <- e)
+    tbl.slots;
+  tbl.slots <- slots
+
+(* Put [e] in the empty slot [i] (from {!slot}). *)
+let insert tbl i e =
+  tbl.slots.(i) <- e;
+  tbl.live <- tbl.live + 1;
+  if 4 * tbl.live > 3 * Array.length tbl.slots then grow tbl
+
+(* Empty slot [i], then shift back each later entry of its cluster that
+   may move: one whose home slot is not cyclically inside ([i], [j]], so
+   that every entry stays reachable from its home without a tombstone. *)
+let rec shift_back slots mask i j =
+  let j = (j + 1) land mask in
+  let e = Array.unsafe_get slots j in
+  if e == vacant then slots.(i) <- vacant
+  else
+    let home = hash_cells e.cells 0 0 land mask in
+    if (j - home) land mask >= (j - i) land mask then begin
+      slots.(i) <- e;
+      shift_back slots mask j j
+    end
+    else shift_back slots mask i j
+
+let delete tbl i =
+  shift_back tbl.slots (Array.length tbl.slots - 1) i i;
+  tbl.live <- tbl.live - 1
+
+(* The sort key: the cells' identifiers' encodings, concatenated. Dewey
+   encodings are self-delimiting, so the key is injective on the tuple. *)
+let rec keys_size (cells : cell array) p acc =
+  if p = Array.length cells then acc
+  else keys_size cells (p + 1) (acc + Dewey.encoded_size cells.(p).cell_id)
+
+let rec blit_keys (cells : cell array) b p pos =
+  if p < Array.length cells then
+    blit_keys cells b (p + 1) (Dewey.blit_encoded cells.(p).cell_id b pos)
+
+let key_of_cells cells =
+  let b = Bytes.create (keys_size cells 0 0) in
+  blit_keys cells b 0 0;
+  Bytes.unsafe_to_string b
 
 let sharing_payloads mv f =
   match mv.shared with
@@ -129,24 +213,41 @@ let make_cell mv i h =
     cell_content = (if store_cont then content_of mv h else None);
   }
 
-(* [hs] are the stored nodes' handles, in [mv.stored] order. *)
-let add_tuple mv hs ~count =
-  let key = key_of_handles mv hs in
-  match Hashtbl.find_opt mv.entries key with
-  | Some e -> e.count <- e.count + count
-  | None ->
-    let cells = Array.mapi (fun p h -> make_cell mv mv.stored.(p) h) hs in
-    Hashtbl.add mv.entries key { count; cells }
+(* An empty table may lack columns (an empty term output): it has no
+   rows to read either. *)
+let stored_columns mv t =
+  if Tuple_table.is_empty t then Array.map (fun _ -> [||]) mv.stored
+  else
+    let columns = Tuple_table.columns t in
+    Array.map (fun i -> columns.(Tuple_table.col_pos t i)) mv.stored
 
-let add_binding mv get = add_tuple mv (Array.map get mv.stored) ~count:1
+(* The slot of row [r]'s tuple, found through the view's probe. *)
+let find_row mv (cols : int array array) r =
+  let tbl = mv.entries in
+  let probe = tbl.probe in
+  for p = 0 to Array.length probe - 1 do
+    probe.(p) <- cols.(p).(r)
+  done;
+  slot tbl.slots probe
 
-let remove_binding mv get =
-  let key = key_of_handles mv (Array.map get mv.stored) in
-  match Hashtbl.find_opt mv.entries key with
-  | None -> invalid_arg "Mview.remove_binding: tuple not in view"
-  | Some e ->
-    e.count <- e.count - 1;
-    if e.count <= 0 then Hashtbl.remove mv.entries key
+let count_of mv cols r = mv.entries.slots.(find_row mv cols r).count
+
+let add_binding mv cols r =
+  let tbl = mv.entries in
+  let i = find_row mv cols r in
+  let e = tbl.slots.(i) in
+  if e != vacant then e.count <- e.count + 1
+  else
+    let cells = Array.mapi (fun p h -> make_cell mv mv.stored.(p) h) tbl.probe in
+    insert tbl i { count = 1; cells; key = key_of_cells cells }
+
+let remove_binding mv cols r =
+  let tbl = mv.entries in
+  let i = find_row mv cols r in
+  let e = tbl.slots.(i) in
+  if e == vacant then invalid_arg "Mview.remove_binding: tuple not in view";
+  e.count <- e.count - 1;
+  if e.count <= 0 then delete tbl i
 
 let mat_for mv s =
   List.find_map
@@ -217,58 +318,28 @@ let evaluate mv ~view =
         sets;
     full
 
-(* Handle tuples of the stored columns. *)
-module Tuple_tbl = Hashtbl.Make (struct
-  type t = int array
-
-  (* Top-level, so that no closure is allocated per probe. *)
-  let rec equal_from (a : t) (b : t) i =
-    i >= Array.length a || (a.(i) = b.(i) && equal_from a b (i + 1))
-
-  let equal (a : t) (b : t) = Array.length a = Array.length b && equal_from a b 0
-
-  let hash (a : t) = Array.fold_left (fun h x -> (h * 65599) + x) 0 a land max_int
-end)
-
-(* Rows are folded by the handle tuple of the stored columns first, so
-   keys and cells are built once per distinct tuple, whose row count is
-   its derivation count. Entries are added in first-row order. *)
 let add_rows mv full =
-  let columns = Tuple_table.columns full in
-  let cols = Array.map (fun i -> columns.(Tuple_table.col_pos full i)) mv.stored in
-  let n = Array.length cols in
-  let counts = Tuple_tbl.create 1024 in
-  let order = ref [] in
-  let probe = Array.make n 0 in
+  let cols = stored_columns mv full in
   for r = 0 to Tuple_table.length full - 1 do
-    for p = 0 to n - 1 do
-      probe.(p) <- cols.(p).(r)
-    done;
-    match Tuple_tbl.find_opt counts probe with
-    | Some c -> incr c
-    | None ->
-      let tuple = Array.copy probe in
-      let c = ref 1 in
-      Tuple_tbl.add counts tuple c;
-      order := (tuple, c) :: !order
-  done;
-  List.iter (fun (tuple, c) -> add_tuple mv tuple ~count:!c) (List.rev !order)
+    add_binding mv cols r
+  done
 
 let populate mv =
   sharing_payloads mv @@ fun () ->
   Option.iter (add_rows mv) (evaluate mv ~view:true)
 
 let shell policy store pat =
+  let stored = Array.of_list (Pattern.stored_nodes pat) in
   {
     pat;
     store;
     policy;
-    stored = Array.of_list (Pattern.stored_nodes pat);
+    stored;
     cvn = Array.of_list (Pattern.cvn pat);
     all_snowcaps = Lattice.snowcaps pat;
     footprint = footprint_of pat;
     mats = [];
-    entries = Hashtbl.create 1024;
+    entries = new_table (Array.length stored);
     shared = None;
   }
 
@@ -277,8 +348,11 @@ let materialize ?(policy = Snowcaps) store pat =
   populate mv;
   mv
 
+(* The slot array is cleared in place: the view's size before the
+   rebuild is the best guess of its size after it. *)
 let rebuild mv =
-  Hashtbl.reset mv.entries;
+  Array.fill mv.entries.slots 0 (Array.length mv.entries.slots) vacant;
+  mv.entries.live <- 0;
   mv.mats <- [];
   populate mv
 
@@ -295,19 +369,37 @@ let restored_cell mv id ~value ~content =
     cell_content = content;
   }
 
+(* A restored entry is found by its cells' handles like any other, so
+   a cell the store never interned could never be maintained. *)
 let restore_entry mv ~count ~cells =
-  if Array.length cells <> Array.length mv.stored then
+  let tbl = mv.entries in
+  let probe = tbl.probe in
+  if Array.length cells <> Array.length probe then
     invalid_arg "Mview.restore_entry: cell arity mismatch";
-  Hashtbl.replace mv.entries (key_of_ids mv (fun p -> cells.(p).cell_id)) { count; cells }
+  Array.iteri
+    (fun p c ->
+      if c.cell_h < 0 then invalid_arg "Mview.restore_entry: identifier not in the store";
+      probe.(p) <- c.cell_h)
+    cells;
+  let i = slot tbl.slots probe in
+  if tbl.slots.(i) != vacant then invalid_arg "Mview.restore_entry: duplicate tuple";
+  insert tbl i { count; cells; key = key_of_cells cells }
 
-let cardinality mv = Hashtbl.length mv.entries
+let cardinality mv = mv.entries.live
 
-let total_count mv = Hashtbl.fold (fun _ e acc -> acc + e.count) mv.entries 0
+let iter_entries mv f = Array.iter (fun e -> if e != vacant then f e) mv.entries.slots
 
-let iter_entries mv f = Hashtbl.iter (fun _ e -> f e) mv.entries
+let total_count mv =
+  let n = ref 0 in
+  iter_entries mv (fun e -> n := !n + e.count);
+  !n
 
 let entries_in_order mv =
-  Hashtbl.fold (fun key e acc -> (key, e) :: acc) mv.entries []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  let out = ref [] in
+  iter_entries mv (fun e -> out := e :: !out);
+  List.sort (fun a b -> String.compare a.key b.key) !out
 
-let dump mv = List.map (fun (key, e) -> (key, e.count, e.cells)) (entries_in_order mv)
+let slot_count mv = Array.length mv.entries.slots
+let home_slot mv hs = hash_handles hs 0 0 land (slot_count mv - 1)
+
+let dump mv = List.map (fun e -> (e.key, e.count, e.cells)) (entries_in_order mv)

@@ -28,7 +28,13 @@ type cell = {
   mutable cell_content : string option;
 }
 
-type entry = { mutable count : int; cells : cell array }
+type entry = {
+  mutable count : int;
+  cells : cell array;
+  key : string;
+      (** the sort key: the concatenated {!Dewey.encode} of the cells'
+          identifiers, built once when the entry is created *)
+}
 
 (** Label footprint of the pattern, cached at materialization: the set of
     exact tags plus whether any node is the wildcard [*].  The batch
@@ -39,6 +45,10 @@ type footprint = { fp_star : bool; fp_tags : string array }
 (** Payloads resolved during one pass (see {!sharing_payloads}). *)
 type payloads
 
+(** The entries, in a table keyed by the arena handles of their stored
+    cells. *)
+type table
+
 type t = private {
   pat : Pattern.t;
   store : Store.t;
@@ -48,7 +58,7 @@ type t = private {
   all_snowcaps : Lattice.nset list;  (** cached, ascending size *)
   footprint : footprint;  (** cached label footprint of [pat] *)
   mutable mats : (Lattice.nset * Tuple_table.t) list;
-  entries : (string, entry) Hashtbl.t;
+  entries : table;
   mutable shared : payloads option;  (** set inside {!sharing_payloads} *)
 }
 
@@ -59,8 +69,9 @@ type t = private {
     the one below joined with the next preorder node's atom, and the last
     level is the view, so a k-node view costs k-1 joins. [Leaves]
     evaluates the view with {!Plan.eval}; [Chosen] evaluates each set on
-    its own. Rows are folded by their stored identifiers before keys and
-    payloads are built, once per distinct tuple. *)
+    its own. Each row is added to the entry table by the handles of its
+    stored columns; payloads and the sort key are built once per distinct
+    tuple, when its entry is created. *)
 val materialize : ?policy:policy -> Store.t -> Pattern.t -> t
 
 (** [rebuild mv] discards the view contents and snowcap tables and
@@ -83,23 +94,33 @@ val iter_entries : t -> (entry -> unit) -> unit
     display; the key is the concatenated encoding of the stored IDs. *)
 val dump : t -> (string * int * cell array) list
 
-(** The live entries with their keys, sorted by key — the read path of
-    answering from views ({!dump} copies out of it). Do not mutate. *)
-val entries_in_order : t -> (string * entry) list
+(** The live entries sorted by key — the read path of answering from
+    views ({!dump} copies out of it). Do not mutate. *)
+val entries_in_order : t -> entry list
 
 (** {1 Maintenance primitives} (used by [Maint]) *)
 
-(** [add_binding mv get] registers one new embedding; [get] maps pattern
-    node index to the arena handle of the bound node (in the view's
-    store). Creates the entry (resolving payloads by handle from the
-    current document) or bumps its count. The projection key is the
-    stored identifiers' encodings ({!Dewey.add_encoded}), concatenated. *)
-val add_binding : t -> (int -> int) -> unit
+(** [stored_columns mv t] are the handle columns of [t] for the stored
+    nodes of [mv], in [mv.stored] order: the [cols] of {!add_binding}
+    and {!remove_binding}, resolved once per table. Empty columns when
+    [t] has no rows, whatever columns it has. *)
+val stored_columns : t -> Tuple_table.t -> int array array
 
-(** [remove_binding mv get] decrements the derivation count of the
-    projected tuple, removing it at zero.
+(** [add_binding mv cols r] registers one new embedding, row [r] of the
+    stored columns [cols] (handles in the view's store). Creates the
+    entry (resolving payloads by handle from the current document and
+    building its sort key) or bumps its count; a bump allocates
+    nothing. *)
+val add_binding : t -> int array array -> int -> unit
+
+(** [count_of mv cols r] is the derivation count of the tuple of row [r]
+    of the stored columns [cols], [0] when the view does not hold it. *)
+val count_of : t -> int array array -> int -> int
+
+(** [remove_binding mv cols r] decrements the derivation count of the
+    projected tuple of row [r], removing it at zero. Allocates nothing.
     @raise Invalid_argument if the tuple is absent (view out of sync). *)
-val remove_binding : t -> (int -> int) -> unit
+val remove_binding : t -> int array array -> int -> unit
 
 (** Materialized table for exactly this snowcap, if any. *)
 val mat_for : t -> Lattice.nset -> Tuple_table.t option
@@ -138,12 +159,23 @@ val share_content : t -> int -> string -> unit
     updates in one. Nested calls join the outer pass. *)
 val sharing_payloads : t -> (unit -> 'a) -> 'a
 
+(** {1 Entry table layout}
+
+    For tests that force probe collisions: the entry table's slot count
+    (a power of two, at most three quarters full), and the home slot of
+    a stored-handle tuple at that size. *)
+
+val slot_count : t -> int
+val home_slot : t -> int array -> int
+
 (** {1 Restoration primitives} (used by [Mview_codec])
 
     [empty_shell] builds a view with no tuples but with the auxiliary
     snowcap tables of the given policy evaluated from the store;
     [restore_entry] injects one persisted tuple verbatim.
-    @raise Invalid_argument on a cell-arity mismatch. *)
+    @raise Invalid_argument on a cell-arity mismatch, a tuple already
+    restored, or a cell whose identifier the store never interned
+    ([cell_h = -1]): maintenance could never find that entry. *)
 
 val empty_shell : ?policy:policy -> Store.t -> Pattern.t -> t
 

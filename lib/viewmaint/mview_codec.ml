@@ -14,7 +14,9 @@
    - every declared length/count is validated against the bytes that
      remain before anything is allocated or looped over;
    - residual decoder exceptions (e.g. [Dewey.decode] on a stale-but-
-     CRC-valid image) are converted to [Corrupt]. *)
+     CRC-valid image) are converted to [Corrupt], among them
+     [Mview.restore_entry]'s refusal of a duplicated tuple or of a cell
+     whose identifier the store never interned. *)
 
 exception Corrupt of string
 
@@ -174,7 +176,6 @@ let load ?policy store pat data =
       Mview.restore_entry mv ~count ~cells
     done;
     if r.pos <> r.limit then raise (Corrupt "trailing bytes");
-    if Mview.cardinality mv <> entries then raise (Corrupt "duplicate tuple");
     mv
   with
   | Corrupt _ as e -> raise e

@@ -23,7 +23,8 @@ exception Corrupt of string
 (** [load ?policy store pat data] reconstructs a materialized view saved
     from an equal pattern over an equally-identified document.
     @raise Corrupt on malformed/corrupted input, an unsupported format
-    version, or a pattern/arity mismatch. *)
+    version, a pattern/arity mismatch, a tuple stored twice, or a cell
+    whose identifier the store never interned. *)
 val load : ?policy:Mview.policy -> Store.t -> Pattern.t -> string -> Mview.t
 
 (** [save_to_file mv path] / [load_from_file ?policy store pat path] —

@@ -227,7 +227,8 @@ let update t u =
             | Some a -> (buf_of a (name_of mv)).stale
             | None -> false
           in
-          let forced = Maint.watches_flipped mv watches || text_structural mv in
+          let flipped = Maint.watches_flipped mv watches in
+          let forced = flipped || text_structural mv in
           let cls =
             if is_stale then
               if (not forced) && Batch.can_skip mv labels affected then `Skip
@@ -239,18 +240,18 @@ let update t u =
               else if defer then `Defer
               else `Clean
           in
-          (mv, watches, cls))
+          (mv, flipped, cls))
         watched
     in
     let clean_reports =
       List.filter_map
-        (fun (mv, watches, cls) ->
+        (fun (mv, _, cls) ->
           match cls with
           | `Clean ->
             Some
               ( mv,
-                Maint.propagate_applied ~commit:false ~watches ?shared ~affected
-                  mv applied )
+                Maint.propagate_applied ~commit:false ?shared ~affected mv applied
+              )
           | `Skip | `Commit | `Defer -> None)
         classified
     in
@@ -269,7 +270,7 @@ let update t u =
     in
     let reports =
       List.map
-        (fun (mv, watches, cls) ->
+        (fun (mv, flipped, cls) ->
           match cls with
           | `Skip -> (mv, Maint.skipped_report ())
           | `Defer ->
@@ -282,7 +283,7 @@ let update t u =
               Obs.Counter.add c_defer_work stmt_work
             | None -> assert false);
             (mv, Maint.deferred_report ())
-          | `Commit -> (mv, Maint.propagate_applied ~watches ~affected mv applied)
+          | `Commit -> (mv, Maint.propagate_applied ~flipped ~affected mv applied)
           | `Clean -> (mv, List.assq mv clean_reports))
         classified
     in

@@ -117,6 +117,49 @@ let test_counts_preserved () =
   Alcotest.(check int) "count preserved" 3 (Mview.total_count loaded);
   Alcotest.(check int) "one tuple" 1 (Mview.cardinality loaded)
 
+(* Hand-built v2 images of the one-node view //a{id}: one entry per
+   identifier, each with count 1 and no payloads. Every length here is
+   below 128, so each varint is one byte. *)
+let a_view = Pattern.compile ~name:"a" (Pattern.n "a" ~id:true [])
+
+let image_of_ids ids =
+  let buf = Buffer.create 64 in
+  Buffer.add_string buf "XVM2";
+  List.iter (fun v -> Buffer.add_char buf (Char.chr v)) [ 1; 1; List.length ids ];
+  List.iter
+    (fun id ->
+      let enc = Dewey.encode id in
+      Buffer.add_char buf '\x01';
+      Buffer.add_char buf (Char.chr (String.length enc));
+      Buffer.add_string buf enc;
+      Buffer.add_string buf "\x00\x00")
+    ids;
+  with_footer (Buffer.contents buf)
+
+let a_ids store = List.map (Store.id_of store) (Update.select store (Xpath.parse "//a"))
+
+let refused store data expected =
+  match Mview_codec.load store a_view data with
+  | exception Mview_codec.Corrupt m -> Alcotest.(check string) "corrupt reason" expected m
+  | exception e -> Alcotest.failf "escaped exception: %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "image accepted"
+
+let test_duplicate_tuple () =
+  let store = Store.of_document (Xml_parse.document "<r><a/><a/></r>") in
+  let ids = a_ids store in
+  let loaded = Mview_codec.load store a_view (image_of_ids ids) in
+  Alcotest.(check bool) "hand-built image loads" true
+    (Recompute.equal loaded (Mview.materialize store a_view));
+  refused store (image_of_ids (ids @ [ List.hd ids ])) "Mview.restore_entry: duplicate tuple"
+
+let test_unknown_identifier () =
+  let store = Store.of_document (Xml_parse.document "<r><a/></r>") in
+  let a = List.hd (a_ids store) in
+  let unknown = Dewey.child a ~lab:(Dewey.label a) ~ord:[| 99 |] in
+  Alcotest.(check bool) "never interned" true
+    (Dewey_arena.find (Store.arena store) unknown = None);
+  refused store (image_of_ids [ a; unknown ]) "Mview.restore_entry: identifier not in the store"
+
 let () =
   Alcotest.run "codec"
     [
@@ -129,5 +172,7 @@ let () =
           Alcotest.test_case "format v2 hardening" `Quick test_format_v2;
           Alcotest.test_case "derivation counts preserved" `Quick
             test_counts_preserved;
+          Alcotest.test_case "duplicate tuple refused" `Quick test_duplicate_tuple;
+          Alcotest.test_case "unknown identifier refused" `Quick test_unknown_identifier;
         ] );
     ]

@@ -41,6 +41,22 @@ let test_codec =
   Tutil.qtest "encode/decode roundtrip" arb_id (fun id ->
       Dewey.equal (Dewey.decode (Dewey.encode id)) id)
 
+let test_codec_blit =
+  Tutil.qtest "exact-size blit = encode" (QCheck.pair arb_id (QCheck.int_bound 5))
+    (fun (id, off) ->
+      let enc = Dewey.encode id in
+      let n = Dewey.encoded_size id in
+      let b = Bytes.make (off + n + 2) '#' in
+      let stop = Dewey.blit_encoded id b off in
+      n = String.length enc
+      && stop = off + n
+      && Bytes.sub_string b off n = enc
+      && Bytes.sub_string b 0 off = String.make off '#'
+      && Bytes.sub_string b stop 2 = "##"
+      && (match Dewey.blit_encoded id b (off + 3) with
+         | exception Invalid_argument _ -> true
+         | _ -> false))
+
 let test_codec_injective =
   Tutil.qtest "distinct ids encode distinctly" (QCheck.pair arb_id arb_id)
     (fun (a, b) ->
@@ -599,6 +615,7 @@ let () =
       ( "codec",
         [
           test_codec;
+          test_codec_blit;
           test_codec_injective;
           test_codec_deep;
           Alcotest.test_case "varint known answers" `Quick test_codec_known;

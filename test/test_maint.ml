@@ -790,6 +790,238 @@ let splice_property =
             views)
         stmts)
 
+(* {1 Entry table}
+
+   The view's entries live in an open-addressing table keyed by the
+   handles of their stored cells. The property runs random adds, bumps,
+   removes and lookups against a [Hashtbl] model over a two-node view,
+   with tuples chosen to collide: homed at the last slot (so clusters
+   wrap past the end of the slot array) or at an existing tuple's home.
+   Each phase of 500 steps grows or shrinks the table, so it resizes. *)
+
+let table_view () =
+  let store = Store.of_document (Xmark_gen.document ~seed:3 ~target_kb:16) in
+  let pat = Pattern.compile ~name:"et" (n "a" ~id:true [ n "b" ~id:true [] ]) in
+  (store, Mview.empty_shell ~policy:Mview.Leaves store pat)
+
+let tuple_cols (a, b) = [| [| a |]; [| b |] |]
+
+(* Every model tuple is found with its count; with [~full], every entry
+   is in the model and carries its tuple's sort key. *)
+let check_table ?(full = true) what store mv model =
+  Alcotest.(check int) (what ^ ": cardinality") (Hashtbl.length model) (Mview.cardinality mv);
+  Hashtbl.iter
+    (fun t c ->
+      let got = Mview.count_of mv (tuple_cols t) 0 in
+      if got <> c then
+        Alcotest.failf "%s: tuple (%d, %d) count %d, expected %d" what (fst t) (snd t) got c)
+    model;
+  if full then begin
+    let arena = Store.arena store in
+    let key h = Dewey.encode (Dewey_arena.to_dewey arena h) in
+    Mview.iter_entries mv (fun e ->
+        let t = (e.Mview.cells.(0).Mview.cell_h, e.Mview.cells.(1).Mview.cell_h) in
+        if Hashtbl.find_opt model t <> Some e.Mview.count then
+          Alcotest.failf "%s: entry (%d, %d) not in the model" what (fst t) (snd t);
+        if e.Mview.key <> key (fst t) ^ key (snd t) then
+          Alcotest.failf "%s: entry (%d, %d) sort key" what (fst t) (snd t))
+  end
+
+let entry_table_property seed () =
+  let rng = Random.State.make [| seed |] in
+  let store, mv = table_view () in
+  let handles = Dewey_arena.size (Store.arena store) in
+  let model = Hashtbl.create 64 in
+  let random_tuple () = (Random.State.int rng handles, Random.State.int rng handles) in
+  let home (a, b) = Mview.home_slot mv [| a; b |] in
+  (* A random tuple whose home slot is [slot], when one turns up. *)
+  let rec homed slot tries =
+    let t = random_tuple () in
+    if home t = slot || tries = 0 then t else homed slot (tries - 1)
+  in
+  let existing () =
+    let l = Hashtbl.fold (fun t _ acc -> t :: acc) model [] in
+    List.nth l (Random.State.int rng (List.length l))
+  in
+  let max_slots = ref 0 and collided = ref 0 in
+  for step = 0 to 2999 do
+    let growing = step / 500 mod 2 = 0 in
+    let t =
+      match Random.State.int rng 4 with
+      | 0 -> random_tuple ()
+      | 1 -> homed (Mview.slot_count mv - 1) 4000
+      | 2 when Hashtbl.length model > 0 -> homed (home (existing ())) 4000
+      | _ -> if Hashtbl.length model > 0 then existing () else random_tuple ()
+    in
+    if Hashtbl.fold (fun u _ acc -> acc || (u <> t && home u = home t)) model false then
+      incr collided;
+    let what = Printf.sprintf "seed %d step %d" seed step in
+    (if Random.State.int rng 10 < if growing then 7 else 3 then begin
+       Mview.add_binding mv (tuple_cols t) 0;
+       Hashtbl.replace model t (1 + Option.value (Hashtbl.find_opt model t) ~default:0)
+     end
+     else
+       match Hashtbl.find_opt model t with
+       | None ->
+         Alcotest.(check int) (what ^ ": absent lookup") 0 (Mview.count_of mv (tuple_cols t) 0);
+         Alcotest.check_raises (what ^ ": absent remove")
+           (Invalid_argument "Mview.remove_binding: tuple not in view") (fun () ->
+             Mview.remove_binding mv (tuple_cols t) 0)
+       | Some c ->
+         Mview.remove_binding mv (tuple_cols t) 0;
+         if c = 1 then Hashtbl.remove model t else Hashtbl.replace model t (c - 1));
+    max_slots := max !max_slots (Mview.slot_count mv);
+    check_table ~full:(step mod 50 = 0) what store mv model
+  done;
+  Hashtbl.iter
+    (fun t c ->
+      for _ = 1 to c do
+        Mview.remove_binding mv (tuple_cols t) 0
+      done)
+    model;
+  Hashtbl.reset model;
+  check_table "drained" store mv model;
+  Alcotest.(check bool) "table resized" true (!max_slots >= 256);
+  Alcotest.(check bool) "probes collided" true (!collided > 500)
+
+(* A cluster homed at the last slot wraps to slot 0, where more tuples
+   are homed; deleting from its head must shift every later member back
+   across the wrap. *)
+let test_wrapping_cluster () =
+  let store, mv = table_view () in
+  let handles = Dewey_arena.size (Store.arena store) in
+  let slots = Mview.slot_count mv in
+  let homed slot k =
+    let out = ref [] and a = ref 0 in
+    while List.length !out < k do
+      let t = (!a / handles, !a mod handles) in
+      if Mview.home_slot mv [| fst t; snd t |] = slot then out := t :: !out;
+      incr a
+    done;
+    List.rev !out
+  in
+  let tuples = homed (slots - 1) 3 @ homed 0 2 @ homed (slots - 2) 1 in
+  let model = Hashtbl.create 8 in
+  List.iter
+    (fun t ->
+      Mview.add_binding mv (tuple_cols t) 0;
+      Hashtbl.replace model t 1)
+    tuples;
+  Alcotest.(check int) "no resize" slots (Mview.slot_count mv);
+  check_table "filled" store mv model;
+  List.iter
+    (fun t ->
+      Mview.remove_binding mv (tuple_cols t) 0;
+      Hashtbl.remove model t;
+      check_table "after a delete" store mv model)
+    tuples
+
+(* {1 Value-predicate watches}
+
+   The walk from each target stops at the first node an earlier walk
+   visited. The reference is the full walk it replaced: every target's
+   whole ancestor chain, skipping nodes already watched. *)
+
+let reference_watches mv targets =
+  let pat = mv.Mview.pat and store = mv.Mview.store in
+  let vnodes = ref [] in
+  Array.iteri
+    (fun i vp ->
+      match vp with
+      | Some _ when String.length pat.Pattern.tags.(i) > 0 && pat.Pattern.tags.(i).[0] <> '@' ->
+        vnodes := i :: !vnodes
+      | Some _ | None -> ())
+    pat.Pattern.vpreds;
+  let seen = Hashtbl.create 16 and out = ref [] in
+  let watch node =
+    if not (Hashtbl.mem seen node.Xml_tree.serial) then begin
+      Hashtbl.add seen node.Xml_tree.serial ();
+      List.iter
+        (fun i ->
+          if Pattern.tag_matches pat.Pattern.tags.(i) node then
+            out := (i, Store.handle_of_node store node, Pattern.vpred_holds pat i node) :: !out)
+        !vnodes
+    end
+  in
+  let rec up node =
+    watch node;
+    match node.Xml_tree.parent with None -> () | Some p -> up p
+  in
+  List.iter up targets;
+  !out
+
+let watch_views =
+  [
+    Pattern.compile ~name:"wab" (n "a" ~vpred:"x" ~id:true [ n "b" ~vpred:"y" ~id:true [] ]);
+    Pattern.compile ~name:"wstar" (n "*" ~vpred:"z" ~id:true [ n "c" ~id:true [] ]);
+  ]
+
+let watches_match_full_walk =
+  Tutil.qtest ~count:300 "watches = full walk" Tutil.arb_doc (fun doc ->
+      let store = Store.of_document (Xml_tree.copy doc) in
+      List.for_all
+        (fun pat ->
+          let mv = Mview.materialize store pat in
+          List.for_all
+            (fun path ->
+              let targets = Update.select store (Xpath.parse path) in
+              Maint.vpred_watches mv targets = reference_watches mv targets)
+            [ "//b"; "//*"; "//c//d"; "//a//e"; "//b//*" ])
+        watch_views)
+
+let test_watches_shared_ancestors () =
+  (* Every b's ancestors are a's that share their upper chain. *)
+  let doc = {|<r><a>x<a>x<b/><b/></a><a><b/><a><b/></a></a></a></r>|} in
+  let store = Store.of_document (Xml_parse.document doc) in
+  let mv = Mview.materialize store (List.hd watch_views) in
+  let targets = Update.select store (Xpath.parse "//b") in
+  let got = Maint.vpred_watches mv targets in
+  Alcotest.(check (list (triple int int bool))) "early stop = full walk"
+    (reference_watches mv targets) got;
+  (* Four a's, each watched once, plus the four targets on node b. *)
+  Alcotest.(check int) "watches" 8 (List.length got);
+  Alcotest.(check bool) "no flip before any update" false (Maint.watches_flipped mv got)
+
+(* One statement through a view set over [pats]: returns whether each
+   view took the fallback, after checking every view against
+   recomputation. *)
+let set_fallbacks doc pats stmt =
+  let store = Store.of_document (Xml_parse.document doc) in
+  let set = View_set.create store in
+  let views = List.map (View_set.add set) pats in
+  let reports = View_set.update set stmt in
+  List.iter
+    (fun mv ->
+      let fresh = Mview.materialize ~policy:Mview.Leaves store mv.Mview.pat in
+      match Recompute.diff mv fresh with
+      | None -> ()
+      | Some d -> Alcotest.failf "%s: %s" mv.Mview.pat.Pattern.name d)
+    views;
+  List.map (fun mv -> (List.assq mv reports).Maint.fallback_recompute) views
+
+let test_watch_flips () =
+  let plain = Pattern.compile ~name:"plain" (n "b" ~id:true ~value:true []) in
+  let cold = Pattern.compile ~name:"cold" (n "b" ~vpred:"cold" ~id:true []) in
+  Alcotest.(check (list bool)) "replace value of flips"
+    [ true; false ]
+    (set_fallbacks {|<r><a><b>hot</b><b>cold</b></a></r>|} [ cold; plain ]
+       (Update.replace_value ~target:"/r/a/b" "cold"));
+  let z = Pattern.compile ~name:"cz" (n "c" ~vpred:"z" ~id:true []) in
+  Alcotest.(check (list bool)) "text insert flips"
+    [ true; false ]
+    (set_fallbacks {|<r><c>z<d/></c><b/></r>|} [ z; plain ]
+       (Update.insert ~into:"//d" "<t>q</t>"));
+  let zb = Pattern.compile ~name:"zb" (n "b" ~vpred:"z" ~id:true []) in
+  let doc = {|<r><b>z<a/></b><b>z</b><b>y</b></r>|} in
+  Alcotest.(check (list bool)) "deleted watched nodes do not flip"
+    [ false; false ]
+    (set_fallbacks doc [ zb; plain ] (Update.delete "/r/b"));
+  (* The single-view path checks its watches itself. *)
+  let _, r = check_matches_recompute doc zb (Update.delete "/r/b") in
+  Alcotest.(check bool) "single view: no fallback" false r.Maint.fallback_recompute;
+  let _, r = check_matches_recompute doc zb (Update.insert ~into:"//a" "<t>q</t>") in
+  Alcotest.(check bool) "single view: flip" true r.Maint.fallback_recompute
+
 let () =
   Alcotest.run "maint"
     [
@@ -841,6 +1073,18 @@ let () =
             Alcotest.test_case "Appendix-A items" `Quick test_splice_xmark;
             splice_property;
           ] );
+      ( "entry table",
+        [
+          Alcotest.test_case "model property, seed 1" `Quick (entry_table_property 1);
+          Alcotest.test_case "model property, seed 2" `Quick (entry_table_property 2);
+          Alcotest.test_case "wrapping cluster" `Quick test_wrapping_cluster;
+        ] );
+      ( "vpred watches",
+        [
+          watches_match_full_walk;
+          Alcotest.test_case "shared ancestors" `Quick test_watches_shared_ancestors;
+          Alcotest.test_case "flips in a view set" `Quick test_watch_flips;
+        ] );
       ( "golden properties",
         [ golden_snowcaps; golden_leaves; golden_sequence; golden_no_pruning;
           pruning_soundness; mats_integrity ] );
