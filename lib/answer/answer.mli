@@ -22,8 +22,13 @@
       document's canonical relations.
 
     Exactness (not just soundness) of the single-view step requires the
-    isomorphism: a mere homomorphism (see {!Containment}) would prove
-    containment of the result {e sets} but not preserve counts.
+    isomorphism. A homomorphism [h] from the view's pattern into the
+    query's proves only that the query's result {e set} is contained in
+    the view's: [h] need not be one-to-one or onto, so distinct query
+    embeddings can compose with [h] into the same view embedding, and
+    derivation counts differ. An isomorphism is a bijection of nodes
+    and edges, so embeddings, and with them counts, correspond one to
+    one.
 
     Every plan returns {e canonical} rows (see {!canonical}), ordered and
     merged by their ID keys; no payload is copied into a key. The

@@ -42,7 +42,6 @@ val parse : string -> t
 (** {1 Regex semantics} (Brzozowski derivatives) *)
 
 val nullable : regex -> bool
-val deriv : regex -> string -> regex
 
 (** [word_matches re w]: [w] ∈ L([re]). *)
 val word_matches : regex -> string list -> bool

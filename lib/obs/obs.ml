@@ -137,13 +137,6 @@ let scopes () =
 let iter_cells f =
   List.iter (fun s -> List.iter f !(Scope.cells s)) (scopes ())
 
-let reset () =
-  iter_cells (function
-    | C c -> c.count <- 0
-    | T t ->
-      t.secs <- 0.;
-      t.nspans <- 0)
-
 (* Snapshots *)
 
 type snapshot = {
@@ -198,7 +191,6 @@ let with_scope ?(enable = true) f =
   restore ();
   (r, diff before (snapshot ()))
 
-let counters s = s.snap_counters
 let timers s = s.snap_timers
 
 let counter_value s key =

@@ -84,9 +84,6 @@ end
 val scopes : unit -> string list
 (** All registered scope names, sorted. *)
 
-val reset : unit -> unit
-(** Zero every cell in the registry.  Cells stay registered. *)
-
 (** {1 Snapshots} *)
 
 type snapshot
@@ -102,9 +99,6 @@ val with_scope : ?enable:bool -> (unit -> 'a) -> 'a * snapshot
 
 val snapshot : unit -> snapshot
 (** Absolute snapshot of current cell values. *)
-
-val counters : snapshot -> (string * int) list
-(** All counters (including zeros), as [full_key, value], sorted by key. *)
 
 val timers : snapshot -> (string * float * int) list
 (** All timers as [full_key, seconds, spans], sorted by key. *)

@@ -104,12 +104,6 @@ let tag_matches tag (node : Xml_tree.node) =
     && String.sub tag 1 (String.length tag - 1) = node.Xml_tree.name
   | Xml_tree.Text -> tag = "#text"
 
-let tag_subsumes general specific =
-  general = specific
-  || general = "*"
-     && specific <> "#text"
-     && not (String.length specific > 0 && specific.[0] = '@')
-
 let subpattern t i ~name =
   if i < 0 || i >= node_count t then invalid_arg "Pattern.subpattern";
   (* Preorder layout: the subtree of [i] is the contiguous index range

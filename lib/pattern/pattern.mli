@@ -67,12 +67,6 @@ val descendants : t -> int -> int list
     node? [*] accepts any element; ["@x"] accepts attribute [x]. *)
 val tag_matches : string -> Xml_tree.node -> bool
 
-(** [tag_subsumes general specific]: every document node accepted by
-    [specific] is accepted by [general] — equality, or [general = "*"]
-    with [specific] an element tag (attributes and ["#text"] are not
-    elements). The label-level test of the containment checker. *)
-val tag_subsumes : string -> string -> bool
-
 (** [subpattern pat i ~name] is the subtree of [pat] rooted at node [i]
     as a standalone pattern: the root's axis becomes [Descendant] (a
     standalone evaluation must reach the node anywhere in the document)

@@ -6,11 +6,6 @@ let target_of = function Ins { target; _ } -> target | Del { target } -> target
 
 let target = target_of
 
-let op_to_string = function
-  | Ins { target; forest } ->
-    Printf.sprintf "ins↘(%s, %d trees)" (Dewey.to_string target) (List.length forest)
-  | Del { target } -> Printf.sprintf "del(%s)" (Dewey.to_string target)
-
 let atomic_ops store u =
   let targets = Update.targets store u in
   match u with

@@ -13,8 +13,6 @@ type op =
   | Ins of { target : Dewey.t; forest : Xml_tree.node list }
   | Del of { target : Dewey.t }
 
-val op_to_string : op -> string
-
 (** Target identifier of an operation. *)
 val target : op -> Dewey.t
 

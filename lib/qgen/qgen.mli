@@ -18,10 +18,8 @@
 type report = {
   iterations : int;
   failed : int;
-  failures : string list;  (** capped at {!max_reported} *)
+  failures : string list;  (** the first 5 *)
 }
-
-val max_reported : int
 
 val ok : report -> bool
 
@@ -60,12 +58,6 @@ type profile = {
 val ingestion : profile
 val plain : profile
 
-(** [gen_text profile rnd] — 1–3 space-joined pieces (never blank). *)
-val gen_text : profile -> Random.State.t -> string
-
-(** [gen_attrs profile rnd] — distinct-named attribute nodes. *)
-val gen_attrs : profile -> Random.State.t -> Xml_tree.node list
-
 (** [gen_element profile rnd depth] — one canonical element of the
     given maximum depth. *)
 val gen_element : profile -> Random.State.t -> int -> Xml_tree.node
@@ -73,9 +65,6 @@ val gen_element : profile -> Random.State.t -> int -> Xml_tree.node
 (** [random_document ?profile rnd] — one randomized canonical tree of
     depth 1–4 (default profile: {!ingestion}). *)
 val random_document : ?profile:profile -> Random.State.t -> Xml_tree.node
-
-(** [zipf rnd ~alpha ~n] draws [0..n-1] with P(i) ∝ 1/(i+1)^alpha. *)
-val zipf : Random.State.t -> alpha:float -> n:int -> int
 
 (** [skewed_document ?profile rnd] — a canonical tree with Zipfian
     label concentration and occasional large same-label sibling runs:

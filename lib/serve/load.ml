@@ -203,6 +203,11 @@ let max_batch_fill log =
     log;
   !m
 
+(* [f ()], with an exception caught as a value (and its backtrace), so
+   that one failure does not stop the joins that follow it. *)
+let catch f = match f () with v -> Ok v | exception e -> Error (e, Printexc.get_raw_backtrace ())
+let get = function Ok v -> v | Error (e, bt) -> Printexc.raise_with_backtrace e bt
+
 let run ?on_server config set ~gen =
   let server = Server.create ~max_batch:config.max_batch set in
   Option.iter (fun f -> f server) on_server;
@@ -226,7 +231,7 @@ let run ?on_server config set ~gen =
     Domain.spawn (fun () ->
         let rec wait () =
           let remaining = deadline -. Obs.now () in
-          if remaining > 0. then begin
+          if remaining > 0. && not (Atomic.get stop_flag) then begin
             Unix.sleepf (min remaining 0.05);
             wait ()
           end
@@ -235,13 +240,22 @@ let run ?on_server config set ~gen =
         Atomic.set stop_flag true;
         Server.stop server)
   in
-  (* The serving loop itself runs here: this is the store's writer. *)
-  Server.run server;
-  Domain.join timer;
-  let submit_times, rejected =
-    match submitter with Some d -> Domain.join d | None -> ([||], 0)
+  (* The serving loop itself runs here: this is the store's writer. On
+     any exit the load is stopped and every domain joined before [run]
+     returns or re-raises the first failure: a reader or submitter left
+     running would spin. *)
+  let served = catch (fun () -> Server.run server) in
+  Atomic.set stop_flag true;
+  Server.stop server;
+  let timed = catch (fun () -> Domain.join timer) in
+  let submitted =
+    catch (fun () -> match submitter with Some d -> Domain.join d | None -> ([||], 0))
   in
-  let reader_results = Array.map Domain.join readers in
+  let read = Array.map (fun d -> catch (fun () -> Domain.join d)) readers in
+  get served;
+  get timed;
+  let submit_times, rejected = get submitted in
+  let reader_results = Array.map get read in
   let wall = Obs.now () -. t0 in
   let reads = Array.fold_left (fun acc (_, c) -> acc + c) 0 reader_results in
   let all_lats =

@@ -66,7 +66,10 @@ val percentile : float array -> float -> float
     [on_server] is called with the freshly created server before any
     load starts — the hook for attaching a {!Metrics_http} endpoint to
     the run. The server outlives [run] only for reads (snapshot /
-    prometheus); it is stopped and drained by the time [run] returns. *)
+    prometheus); it is stopped and drained by the time [run] returns.
+    If the serving loop (or a spawned domain) raises, [run] stops the
+    load, joins every domain it spawned, and re-raises the first
+    exception. *)
 val run :
   ?on_server:(Server.t -> unit) -> config -> View_set.t ->
   gen:(int -> Update.t) -> report

@@ -66,7 +66,6 @@ let stop t =
   Mutex.unlock t.mutex
 
 let snapshot t = Atomic.get t.published
-let metrics t = Atomic.get t.published_metrics
 
 let pending t =
   Mutex.lock t.mutex;

@@ -64,10 +64,6 @@ val stop : t -> unit
 (** The current published snapshot. Any domain. *)
 val snapshot : t -> Snapshot.t
 
-(** The Obs registry snapshot taken at the last publication (empty if
-    the registry is disabled). Any domain. *)
-val metrics : t -> Obs.snapshot
-
 (** Queue length right now. Any domain. *)
 val pending : t -> int
 

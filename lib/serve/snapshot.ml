@@ -85,7 +85,6 @@ let advance prev ~applied ~changed set =
 let find_view t name =
   Array.find_opt (fun v -> String.equal v.v_name name) t.views
 
-let view_names t = Array.map (fun v -> v.v_name) t.views
 
 let cardinality v = Array.length v.v_tuples
 

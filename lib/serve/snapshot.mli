@@ -58,7 +58,6 @@ val advance : t -> applied:int -> changed:(string -> bool) -> View_set.t -> t
 (** {1 Reads} — safe from any domain on a published snapshot. *)
 
 val find_view : t -> string -> view option
-val view_names : t -> string array
 
 val cardinality : view -> int
 

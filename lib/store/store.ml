@@ -444,9 +444,6 @@ let label_stat t label =
       ls_max_fanout = Itbl.fold (fun _ n acc -> max n acc) fanout 0;
     }
 
-let label_stats t =
-  List.map (fun lab -> (lab, label_stat t lab)) (relation_labels t)
-
 let rec last_child = function
   | [] -> None
   | [ c ] -> Some c

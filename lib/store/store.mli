@@ -166,9 +166,6 @@ type label_stat = {
     callers amortize (see [Viewmaint.Hl]). *)
 val label_stat : t -> string -> label_stat
 
-(** Statistics for every label with a non-empty relation. *)
-val label_stats : t -> (string * label_stat) list
-
 (** {1 Updates} *)
 
 (** Number of nodes attached since the last commit (including any

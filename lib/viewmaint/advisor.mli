@@ -19,17 +19,11 @@
     evaluation happens here. *)
 
 (** Relative update rate per element label; labels not listed get
-    {!default_rate}. *)
+    rate 1. *)
 type profile = (string * float) list
-
-val default_rate : float
 
 (** The uniform profile: every label equally likely to be updated. *)
 val uniform : profile
-
-(** [score store pat ~profile s] — the estimated net benefit of
-    materializing snowcap [s]; positive means worth keeping. *)
-val score : Store.t -> Pattern.t -> profile:profile -> Lattice.nset -> float
 
 (** [choose ?max_mats store pat ~profile] returns the snowcaps with
     positive score, best first, at most [max_mats] (default: one per

@@ -12,14 +12,6 @@ type update_labels =
   | Labels of Delta.Shared.t
   | Text_only
 
-(** [touches labels tag]: the update region contains a node matching
-    [tag] ([*] matches any element). *)
-val touches : update_labels -> string -> bool
-
-(** [relevant mv labels]: the view's footprint intersects the update's
-    labels. A [*] node intersects any update region holding an element. *)
-val relevant : Mview.t -> update_labels -> bool
-
 (** [can_skip mv labels affected]: propagation for [mv] would provably be
     a no-op — disjoint footprint, and no val/cont node of [mv] carries a
     label on the root paths of the update's payload-affected nodes

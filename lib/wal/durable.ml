@@ -24,7 +24,6 @@ type outcome = {
 
 let last_seq t = Wal.next_seq t.writer - 1
 let durable_seq t = Wal.durable_seq t.writer
-let checkpoint_seq (t : t) = t.ck_seq
 
 let journal t u =
   if not (Update.journalable u) then

@@ -1,8 +1,9 @@
 (** The durability engine: checkpoint + write-ahead log + recovery.
 
     Protocol (write-ahead ordering):
-    + a statement is journaled ({!journal}, installed as the view set's
-      [View_set.set_journal] hook) {e before} any document mutation;
+    + a statement is journaled (by the view set's [View_set.set_journal]
+      hook that {!init} and {!recover} install) {e before} any document
+      mutation;
     + after a batch of statements is applied, {!sync} makes their records
       durable with one group fsync — only then may the batch be
       acknowledged or published;
@@ -53,22 +54,12 @@ val recover :
   unit ->
   outcome option
 
-(** Last sequence handed out by {!journal} (equals the checkpoint
+(** Last sequence journaled (equals the checkpoint
     sequence right after {!init}/{!recover}/{!checkpoint}). *)
 val last_seq : t -> int
 
 (** Highest sequence known to be on disk ({!sync} moves it). *)
 val durable_seq : t -> int
-
-(** Sequence of the last committed checkpoint. *)
-val checkpoint_seq : t -> int
-
-(** [journal t u] appends the statement to the log (buffered — not yet
-    durable) and returns its sequence. This is what the view-set hook
-    calls; use {!sync} to make a batch durable.
-    @raise Invalid_argument on a non-journalable statement (an opaque
-    [Update.insert_forest]). *)
-val journal : t -> Update.t -> int
 
 (** [sync t] group-commits every buffered record (single fsync). *)
 val sync : t -> unit

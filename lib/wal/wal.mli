@@ -14,7 +14,7 @@
     length, sequence and payload bytes, so a torn length prefix, a torn
     payload and a bit-flip anywhere in the record are all detected.
     Sequence numbers are monotone: consecutive records carry consecutive
-    sequences. Payload length is capped at {!max_payload} so a forged
+    sequences. Payload length is capped at 1 MiB so a forged
     length can never drive allocation.
 
     Robustness contract: {!scan_bytes} / {!scan_file} never raise on any
@@ -25,15 +25,12 @@
 (** First bytes of every log file. *)
 val header : string
 
-(** Hard cap on a record's payload length (1 MiB). *)
-val max_payload : int
-
 (** Why a scan stopped before the end of the file. The [int] is the byte
     offset of the offending record's length prefix. *)
 type damage =
   | Bad_header  (** file shorter than, or not starting with, {!header} *)
   | Torn_length of int  (** fewer than 12 header bytes remain *)
-  | Oversized of int * int  (** declared payload length exceeds {!max_payload} *)
+  | Oversized of int * int  (** declared payload length exceeds the 1 MiB cap *)
   | Torn_record of int  (** payload + CRC extend past end of file *)
   | Crc_mismatch of int  (** stored CRC disagrees with the bytes *)
   | Bad_sequence of int * int * int  (** offset, expected seq, found seq *)
@@ -54,7 +51,7 @@ type scan = {
 
 (** [encode_record ~seq payload] is the exact byte string {!append}
     writes.
-    @raise Invalid_argument if [payload] exceeds {!max_payload}. *)
+    @raise Invalid_argument if [payload] exceeds the 1 MiB cap. *)
 val encode_record : seq:int -> string -> string
 
 (** [scan_bytes ?expect_seq data] decodes records until end-of-data or
@@ -100,7 +97,7 @@ val next_seq : writer -> int
 val durable_seq : writer -> int
 
 (** [append w payload] buffers one record and returns its sequence.
-    @raise Invalid_argument if [payload] exceeds {!max_payload}. *)
+    @raise Invalid_argument if [payload] exceeds the 1 MiB cap. *)
 val append : writer -> string -> int
 
 (** [sync w] flushes buffered records and fsyncs the file; afterwards

@@ -11,6 +11,3 @@
 (** [statement i] is the [i]-th statement of the stream (0-based,
     deterministic). *)
 val statement : int -> Update.t
-
-(** The cycle length of the mix. *)
-val period : int

@@ -42,13 +42,10 @@ let element ?(children = []) name =
 let text s = make Text "#text" s
 let attribute name value = make Attribute name value
 
-let remove_children parent pred =
-  let keep, drop = List.partition (fun c -> not (pred c)) parent.children in
+let remove_child parent child =
+  let keep, drop = List.partition (fun c -> c != child) parent.children in
   List.iter (fun c -> c.parent <- None) drop;
   parent.children <- keep
-
-let remove_child parent child =
-  remove_children parent (fun c -> c == child)
 
 let insert_children parent ~anchor ~where kids =
   if not (List.memq anchor parent.children) then

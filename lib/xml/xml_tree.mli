@@ -39,10 +39,6 @@ val remove_child : node -> node -> unit
 val insert_children :
   node -> anchor:node -> where:[ `Before | `After ] -> node list -> unit
 
-(** [remove_children parent pred] detaches all children satisfying [pred]
-    in one pass. *)
-val remove_children : node -> (node -> bool) -> unit
-
 (** Deep copy with fresh serials and no parent. *)
 val copy : node -> node
 
@@ -84,8 +80,6 @@ val equal : node -> node -> bool
 
 (** [serialize ?decl n] renders the subtree as XML text. *)
 val serialize : ?decl:bool -> node -> string
-
-val add_to_buffer : Buffer.t -> node -> unit
 
 (** Byte length of {!serialize} output without materializing it,
     escapes included. *)

@@ -1,158 +1,12 @@
-(* The answering subsystem under test: the containment checker against
-   brute-force homomorphism enumeration (with semantic witness replay
-   through [Embed]), the rewriting planner's three plan shapes on
-   handcrafted views, the seeded answer-from-views differential oracle,
-   and known answers for the relevance skip that keeps views under
-   independent updates. *)
+(* The answering subsystem under test: the rewriting planner's three
+   plan shapes on handcrafted views, the known answers of query
+   answering from person views (single view, view joins), the seeded
+   answer-from-views differential oracle, and known answers for the
+   relevance skip that keeps views under independent updates. *)
 
 let doc_of = Xml_parse.document
 
 let compact = Difftest.view_of_compact
-
-(* {1 Containment vs brute force} *)
-
-(* Small patterns: a root with at most three descendants over a tiny
-   alphabet, so exhaustive map enumeration stays trivial (<= 4^4). *)
-let gen_small_pattern =
-  let open QCheck.Gen in
-  let label = frequency [ (4, oneofl [ "a"; "b"; "c" ]); (1, pure "*") ] in
-  let axis = oneofl [ Pattern.Child; Pattern.Descendant ] in
-  let vpred =
-    frequency [ (4, pure None); (1, map (fun w -> Some w) (oneofl [ "x"; "y" ])) ]
-  in
-  let leaf =
-    let* tag = label in
-    let* ax = axis in
-    let* vp = vpred in
-    pure (Pattern.n ~axis:ax ~id:true ?vpred:vp tag [])
-  in
-  let* tag = label in
-  let* ax = axis in
-  let* vp = vpred in
-  let* shape = int_range 0 3 in
-  let* kids =
-    match shape with
-    | 0 -> pure []
-    | 1 -> map (fun k -> [ k ]) leaf
-    | 2 -> map (fun (a, b) -> [ a; b ]) (pair leaf leaf)
-    | _ ->
-      (* one nested chain: root -> mid -> leaf *)
-      let* mid_tag = label in
-      let* mid_ax = axis in
-      let* l = leaf in
-      pure [ Pattern.n ~axis:mid_ax ~id:true mid_tag [ l ] ]
-  in
-  pure (Pattern.compile ~name:"p" (Pattern.n ~axis:ax ~id:true ?vpred:vp tag kids))
-
-let arb_small_pattern = QCheck.make gen_small_pattern ~print:Pattern.to_string
-
-(* Independently-written validity predicate for a candidate map
-   [h : p -> q] — the oracle the search is checked against. *)
-let valid_hom (p : Pattern.t) (q : Pattern.t) h =
-  let ok_tag general specific =
-    general = specific
-    || general = "*"
-       && specific <> "#text"
-       && not (String.length specific > 0 && specific.[0] = '@')
-  in
-  let strict_desc j anc =
-    let rec up k = k >= 0 && (k = anc || up q.Pattern.parents.(k)) in
-    j <> anc && up q.Pattern.parents.(j)
-  in
-  let ok = ref true in
-  for i = 0 to Pattern.node_count p - 1 do
-    let j = h.(i) in
-    if not (ok_tag p.Pattern.tags.(i) q.Pattern.tags.(j)) then ok := false;
-    (match p.Pattern.vpreds.(i) with
-    | None -> ()
-    | Some c -> if q.Pattern.vpreds.(j) <> Some c then ok := false);
-    if i = 0 then begin
-      if
-        p.Pattern.axes.(0) = Pattern.Child
-        && not (j = 0 && q.Pattern.axes.(0) = Pattern.Child)
-      then ok := false
-    end
-    else begin
-      let pj = h.(p.Pattern.parents.(i)) in
-      match p.Pattern.axes.(i) with
-      | Pattern.Child ->
-        if not (q.Pattern.parents.(j) = pj && q.Pattern.axes.(j) = Pattern.Child)
-        then ok := false
-      | Pattern.Descendant -> if not (strict_desc j pj) then ok := false
-    end
-  done;
-  !ok
-
-(* Every map p -> q, exhaustively. *)
-let all_maps np nq =
-  let rec go i acc =
-    if i = np then [ Array.of_list (List.rev acc) ]
-    else
-      List.concat (List.init nq (fun j -> go (i + 1) (j :: acc)))
-  in
-  go 0 []
-
-let hom_set hs =
-  List.sort compare (List.map Array.to_list hs)
-
-let test_containment_vs_brute =
-  QCheck.Test.make ~count:500 ~name:"homomorphisms = brute-force enumeration"
-    (QCheck.pair arb_small_pattern arb_small_pattern)
-    (fun (p, q) ->
-      let got = hom_set (Containment.homomorphisms ~from:p ~into:q) in
-      let want =
-        hom_set
-          (List.filter (valid_hom p q)
-             (all_maps (Pattern.node_count p) (Pattern.node_count q)))
-      in
-      if got <> want then
-        QCheck.Test.fail_reportf "checker %d maps, oracle %d maps"
-          (List.length got) (List.length want);
-      true)
-
-(* Witness replay: a homomorphism [h : p -> q] composed with any document
-   embedding of [q] must be a document embedding of [p]. *)
-let test_containment_witness_replay =
-  QCheck.Test.make ~count:300 ~name:"witness replay over random documents"
-    (QCheck.triple Tutil.arb_doc arb_small_pattern arb_small_pattern)
-    (fun (doc, p, q) ->
-      match Containment.homomorphism ~from:p ~into:q with
-      | None -> true
-      | Some h ->
-        let store = Store.of_document doc in
-        let p_embs = Embed.embeddings store p in
-        List.iter
-          (fun eq ->
-            let composed = Array.map (fun i -> eq.(i)) h in
-            let mem =
-              List.exists
-                (fun ep ->
-                  Array.length ep = Array.length composed
-                  && Array.for_all2 Dewey.equal ep composed)
-                p_embs
-            in
-            if not mem then
-              QCheck.Test.fail_reportf
-                "composed q-embedding is not a p-embedding (hom %s)"
-                (String.concat ","
-                   (List.map string_of_int (Array.to_list h))))
-          (Embed.embeddings store q);
-        true)
-
-let test_contains_basics () =
-  let p s = compact ~name:"p" s in
-  Alcotest.(check bool) "//a contains /a" true
-    (Containment.contains (p "//a{id}") (p "/a{id}"));
-  Alcotest.(check bool) "/a does not contain //a" false
-    (Containment.contains (p "/a{id}") (p "//a{id}"));
-  Alcotest.(check bool) "star generalizes" true
-    (Containment.contains (p "//*{id}") (p "//b{id}"));
-  Alcotest.(check bool) "star never matches text" false
-    (Containment.contains (p "//*{id}") (p "//#text{id}"));
-  Alcotest.(check bool) "dropping a predicate generalizes" true
-    (Containment.contains (p "//a{id}") (p "//a{id}[/b]"));
-  Alcotest.(check bool) "vpred must be preserved" false
-    (Containment.contains (p "//a[val='x']{id}") (p "//a{id}"))
 
 (* {1 Answering plans on handcrafted views} *)
 
@@ -160,8 +14,9 @@ let tdoc = "<r><a><b>x</b></a><a><b>y</b><c>w</c></a><b>z</b></r>"
 
 (* Each case: one store, the listed views materialized, the query
    answered, the plan's describe-prefix asserted, and the rows compared
-   tuple-for-tuple against base recomputation. *)
-let check_plan ?(doc = tdoc) ~views ~query ~expect () =
+   tuple-for-tuple against base recomputation (and counted, when [nrows]
+   is given). *)
+let check_plan ?(doc = tdoc) ?nrows ~views ~query ~expect () =
   let store = Store.of_document (doc_of doc) in
   let set = View_set.create store in
   List.iteri
@@ -180,7 +35,8 @@ let check_plan ?(doc = tdoc) ~views ~query ~expect () =
     then Alcotest.failf "expected a %s… plan, got %s" expect d;
     (match Answer.diff ~expect:(Answer.base_rows store q) ~got:rows with
     | None -> ()
-    | Some msg -> Alcotest.failf "views vs base: %s" msg)
+    | Some msg -> Alcotest.failf "views vs base: %s" msg);
+    Option.iter (fun n -> Alcotest.(check int) "rows" n (List.length rows)) nrows
 
 let test_single_exact =
   check_plan ~views:[ "//a{id}[/b{id,val}]" ] ~query:"//a{id}[/b{id,val}]"
@@ -256,6 +112,59 @@ let test_root_parent_none () =
   | n :: _ ->
     Alcotest.(check bool) "non-root has a parent" true
       (Dewey.parent (Store.id_of store n) <> None)
+
+(* {1 Answering from person views}
+
+   Known answers on three persons, two named ann and two with a
+   homepage. Every case is also diffed against base recomputation. *)
+
+let pdoc =
+  {|<site><people>
+      <person id="p0"><name>ann</name><homepage>h0</homepage></person>
+      <person id="p1"><name>bob</name></person>
+      <person id="p2"><name>ann</name><homepage>h2</homepage></person>
+    </people></site>|}
+
+let persons_names = "/site[/people[/person{id}[/name{id,val}]]]"
+let persons_homepages = "/site[/people[/person{id}[/homepage{id,val}]]]"
+
+let test_person_exact =
+  check_plan ~doc:pdoc ~nrows:3 ~views:[ persons_names ] ~query:persons_names
+    ~expect:"single("
+
+let test_person_projection =
+  check_plan ~doc:pdoc ~nrows:3 ~views:[ persons_names ]
+    ~query:"/site[/people[/person[/name{val}]]]" ~expect:"single("
+
+let test_person_filter =
+  check_plan ~doc:pdoc ~nrows:2 ~views:[ persons_names ]
+    ~query:"/site[/people[/person{id}[/name[val='ann']{id,val}]]]" ~expect:"single("
+
+(* Content the view does not store, a different shape, and a view
+   narrower than the query: none answers from the view. *)
+let test_person_not_answerable () =
+  List.iter
+    (fun (view, query) -> check_plan ~doc:pdoc ~views:[ view ] ~query ~expect:"fallback(" ())
+    [
+      (persons_names, "/site[/people[/person{cont}[/name]]]");
+      (persons_names, "//person{id}");
+      ("/site[/people[/person{id}[/name[val='x']{id,val}]]]", persons_names);
+    ]
+
+(* Names beside homepages under one person, from a names view and a
+   homepages view: no view, nor a split of the query at one node, covers
+   both siblings, so the planner falls back. *)
+let test_person_sibling_stitch =
+  check_plan ~doc:pdoc ~nrows:2 ~views:[ persons_names; persons_homepages ]
+    ~query:"/site[/people[/person{id}[/name{id,val}][/homepage{id,val}]]]"
+    ~expect:"fallback("
+
+(* Homepages under persons: the persons view answers the query down to
+   the person, a homepage view the rest, joined on the person's ID. *)
+let test_person_join =
+  check_plan ~doc:pdoc ~nrows:2
+    ~views:[ "/site[/people[/person{id}]]"; "//person{id}[/homepage{id,val}]" ]
+    ~query:persons_homepages ~expect:"join("
 
 (* {1 prune / subpattern} *)
 
@@ -661,12 +570,6 @@ let test_skip_nested =
 let () =
   Alcotest.run "answer"
     [
-      ( "containment",
-        [
-          QCheck_alcotest.to_alcotest test_containment_vs_brute;
-          QCheck_alcotest.to_alcotest test_containment_witness_replay;
-          Alcotest.test_case "basic pairs" `Quick test_contains_basics;
-        ] );
       ( "plans",
         [
           Alcotest.test_case "single exact" `Quick test_single_exact;
@@ -684,6 +587,18 @@ let () =
           Alcotest.test_case "root parent is None" `Quick test_root_parent_none;
           Alcotest.test_case "prune/subpattern shapes" `Quick test_prune_subpattern;
           prop_degenerate_splits;
+        ] );
+      ( "single view",
+        [
+          Alcotest.test_case "exact" `Quick test_person_exact;
+          Alcotest.test_case "projection" `Quick test_person_projection;
+          Alcotest.test_case "residual filter" `Quick test_person_filter;
+          Alcotest.test_case "not answerable" `Quick test_person_not_answerable;
+        ] );
+      ( "view joins",
+        [
+          Alcotest.test_case "id join" `Quick test_person_sibling_stitch;
+          Alcotest.test_case "structural join" `Quick test_person_join;
         ] );
       ( "canonical",
         [

@@ -323,6 +323,49 @@ let test_load_driver () =
   Alcotest.(check bool) "closed loop applied writes" true
     (rc.Load.writes_applied > 0)
 
+exception Journal_failed
+
+(* A failure inside the serving loop (here the journal hook, raising on
+   the 3rd statement) reaches the caller of [Load.run], open- and
+   closed-loop, well before the configured duration runs out, and only
+   once every reader, submitter and timer domain has stopped: while the
+   caller then sleeps, the process uses next to no CPU time (a reader
+   left polling snapshots would use all of it). *)
+let test_load_failure_joins () =
+  let gen i =
+    if i mod 2 = 0 then Update.insert ~into:"/r/a" "<b>l</b>"
+    else Update.delete "/r/a/b[1]"
+  in
+  let config =
+    { Load.default with Load.readers = 2; duration = 3.; write_rate = 200.; seed = 7 }
+  in
+  List.iter
+    (fun (what, config) ->
+      let set = fresh_set () in
+      let journaled = ref 0 in
+      View_set.set_journal set
+        (Some
+           (fun _ ->
+             incr journaled;
+             if !journaled = 3 then raise Journal_failed));
+      let t0 = Unix.gettimeofday () in
+      (match Load.run config set ~gen with
+      | _ -> Alcotest.failf "%s: Load.run returned normally" what
+      | exception Journal_failed -> ());
+      let elapsed = Unix.gettimeofday () -. t0 in
+      if elapsed >= config.Load.duration then
+        Alcotest.failf "%s: Load.run took %.2f s of a %.0f s run" what elapsed
+          config.Load.duration;
+      let cpu0 = Sys.time () in
+      Unix.sleepf 0.2;
+      let cpu = Sys.time () -. cpu0 in
+      if cpu > 0.1 then
+        Alcotest.failf "%s: %.2f s of CPU time in a 0.2 s sleep after Load.run" what cpu)
+    [
+      ("open loop", config);
+      ("closed loop", { config with Load.write_rate = 0.; closed_loop = true });
+    ]
+
 let () =
   Alcotest.run "serve"
     [
@@ -349,5 +392,7 @@ let () =
         [
           Alcotest.test_case "percentiles" `Quick test_percentiles;
           Alcotest.test_case "load driver smoke" `Quick test_load_driver;
+          Alcotest.test_case "serving failure joins domains" `Quick
+            test_load_failure_joins;
         ] );
     ]
