@@ -9,53 +9,42 @@
    A Bechamel micro-benchmark section at the end samples the core
    operations behind the figures with statistical rigor. *)
 
-let full = Array.exists (( = ) "--full") Sys.argv
+(* Command line. Anything the table below does not name is a usage
+   error (exit 2): a mistyped flag must not silently run every section.
+   [--only] is validated against the section table at the end of this
+   file. *)
+let full_arg = ref false
+let runs_arg = ref 1
+let skip_counters_arg = ref false
+let only : string list option ref = ref None
+let list_sections = ref false
 
-let runs =
-  let rec find i =
-    if i >= Array.length Sys.argv - 1 then 1
-    else if Sys.argv.(i) = "--runs" then int_of_string Sys.argv.(i + 1)
-    else find (i + 1)
-  in
-  max 1 (find 1)
+let usage =
+  "usage: main.exe [--full] [--runs N] [--no-counters] [--only SECTION,...] [--list]"
 
-let skip_micro = Array.exists (( = ) "--no-micro") Sys.argv
-
-(* [--no-counters] skips the extra profiled (untimed) run per recorded
-   point that captures operator-counter snapshots. *)
-let skip_counters = Array.exists (( = ) "--no-counters") Sys.argv
-
-(* [--only figNN] restricts the run to the named section(s);
-   comma-separated, e.g. [--only fig22,prims]. *)
-let only =
-  let rec find i =
-    if i >= Array.length Sys.argv - 1 then None
-    else if Sys.argv.(i) = "--only" then
-      Some (String.split_on_char ',' Sys.argv.(i + 1))
-    else find (i + 1)
-  in
-  find 1
-
-(* The section list lives in [Bench_sections] (lib/benchreg), shared
-   with [xvmcli workload] — one registry, so the validation list, the
-   dispatch order and the CLI help text cannot drift apart. *)
-let valid_sections = Bench_sections.names
-
-(* A typo'd section name must not silently bench nothing. *)
 let () =
-  match only with
-  | None -> ()
-  | Some ts -> (
-    match List.filter (fun t -> not (List.mem t valid_sections)) ts with
-    | [] -> ()
-    | unknown ->
-      Printf.eprintf "error: unknown section%s %s\nvalid sections: %s\n"
-        (if List.length unknown > 1 then "s" else "")
-        (String.concat ", " unknown)
-        (String.concat ", " valid_sections);
-      exit 2)
+  Arg.parse
+    (Arg.align
+       [
+         ("--full", Arg.Set full_arg, " Paper-scale documents");
+         ( "--runs",
+           Arg.Set_int runs_arg,
+           "N Fresh runs averaged per data point (default 1)" );
+         ( "--no-counters",
+           Arg.Set skip_counters_arg,
+           " Skip the extra profiled (untimed) run per recorded point that \
+            captures operator-counter snapshots" );
+         ( "--only",
+           Arg.String (fun s -> only := Some (String.split_on_char ',' s)),
+           "SECTION,... Run only the named sections (see --list)" );
+         ("--list", Arg.Set list_sections, " Print every section with its title and exit");
+       ])
+    (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
+    usage
 
-let wanted tag = match only with None -> true | Some ts -> List.mem tag ts
+let full = !full_arg
+let runs = max 1 !runs_arg
+let skip_counters = !skip_counters_arg
 
 let seed = 42
 
@@ -175,6 +164,7 @@ let snowcap_kbs = if full then [ 1024; 5120; 10240; 20480 ] else [ 250; 500; 102
 let doc kb = Xmark_gen.document ~seed ~target_kb:kb
 
 let header title = Printf.printf "\n=== %s ===\n%!" title
+let subheader title = Printf.printf "--- %s ---\n%!" title
 
 let ms f = f *. 1000.
 
@@ -274,8 +264,7 @@ let breakdown_fields t =
     ("total_ms", Json.num (ms (totals_sum t)));
   ]
 
-let fig18_19 op tag title =
-  header title;
+let fig18_19 op tag =
   Printf.printf "(document ~%d KB)\n" big_kb;
   List.iter
     (fun (vname, unames) ->
@@ -300,8 +289,7 @@ let fig18_19 op tag title =
 
 (* {1 Figures 20 / 21: totals over all 35 pairs} *)
 
-let fig20_21 op tag title =
-  header title;
+let fig20_21 op tag =
   Printf.printf "  %-12s %12s\n" "view_update" "total(ms)";
   List.iter
     (fun (vname, uname) ->
@@ -324,7 +312,6 @@ let fig20_21 op tag title =
 (* {1 Figures 22 / 23: deletion path depth} *)
 
 let fig22_23 () =
-  header "Figure 22/23: deletion X1_L of varying depth against view Q1";
   let paths =
     [
       "/site"; "/site/people"; "/site/people/person"; "/site/people/person/@id";
@@ -356,7 +343,6 @@ let fig22_23 () =
 (* {1 Figure 24: annotation variants} *)
 
 let fig24 () =
-  header "Figure 24: fixed update X1_L against Q1 with varying annotations";
   (* Run on the small document: the VC-Root variants store the serialized
      document once per tuple, which is exactly the cost the figure
      studies — at large scale it dwarfs everything else. *)
@@ -377,7 +363,7 @@ let fig25 () =
   let u = Xmark_updates.find "A6_A" in
   List.iter
     (fun (op, label) ->
-      header (Printf.sprintf "Figure 25: scalability of view %s (Q1, update A6_A)" label);
+      subheader (label ^ " propagation");
       Obs.Fmt.phase_header ~label_width:10 "size(KB)" phase_cols;
       List.iter
         (fun kb ->
@@ -395,8 +381,7 @@ let fig25 () =
 
 (* {1 Figures 26 / 27: incremental vs full recomputation} *)
 
-let fig26_27 op tag title =
-  header title;
+let fig26_27 op tag =
   Printf.printf "(document ~%d KB)\n" big_kb;
   (* Both strategies locate the targets and mutate the document; the
      comparison is between what happens next: delta + terms + execution +
@@ -466,7 +451,6 @@ let fig26_27 op tag title =
 (* {1 Figure 28: bulk propagation vs node-at-a-time IVMA} *)
 
 let fig28 () =
-  header "Figure 28: PINT/PIMT vs IVMA (view Q1, 100 KB document)";
   Printf.printf "  %-8s %12s %12s %8s %12s\n" "update" "bulk(ms)" "ivma(ms)" "ratio"
     "invocations";
   List.iter
@@ -501,10 +485,7 @@ let fig28 () =
 let fig29_32 () =
   List.iter
     (fun (vname, uname) ->
-      header
-        (Printf.sprintf
-           "Figure 29-32: snowcaps vs leaves (view %s, insert %s); R = evaluate terms, U = update auxiliary structures"
-           vname uname);
+      subheader (Printf.sprintf "view %s, insert %s" vname uname);
       Printf.printf "  %-10s | %9s %9s %10s | %9s %9s %10s\n" "size(KB)" "R_snow"
         "U_snow" "tot_snow" "R_leaves" "U_leaves" "tot_leaves";
       let view = Xmark_views.find vname in
@@ -540,8 +521,6 @@ let fig29_32 () =
 (* {1 Figures 33–35: PUL reduction rules} *)
 
 let fig33_35 () =
-  header
-    "Figure 33-35: reduction rules O1 / O3 / I5 (view Q1, 100 KB document), optimise vs no-optimise";
   let pcts = [ 20; 40; 60; 80; 100 ] in
   let take_pct lst pct =
     let n = List.length lst * pct / 100 in
@@ -628,7 +607,7 @@ let fig33_35 () =
 (* {1 Ablations beyond the paper's figures} *)
 
 let ablation_pruning () =
-  header "Ablation: data-driven term pruning (Props 3.6/3.8/4.7) on vs off";
+  subheader "data-driven term pruning (Props 3.6/3.8/4.7) on vs off";
   Printf.printf "  %-14s %6s %12s %12s %12s %12s\n" "view_update" "op" "pruned(ms)"
     "unpruned(ms)" "terms_kept" "terms_all";
   List.iter
@@ -671,7 +650,7 @@ let ablation_pruning () =
     ]
 
 let ablation_advisor () =
-  header "Ablation: snowcap choice — chain vs cost-based advisor vs leaves";
+  subheader "snowcap choice — chain vs cost-based advisor vs leaves";
   Printf.printf "  %-10s %12s %14s %12s\n" "view" "chain(ms)" "advisor(ms)" "leaves(ms)";
   List.iter
     (fun (vname, uname, profile) ->
@@ -708,7 +687,7 @@ let ablation_advisor () =
     ]
 
 let ablation_deferred () =
-  header "Ablation: immediate vs deferred (reduced) propagation of an update burst";
+  subheader "immediate vs deferred (reduced) propagation of an update burst";
   (* A burst: two insertion rounds into the same bidders, then their
      deletion — deferred mode reduces it to the deletions alone. *)
   let statements =
@@ -773,7 +752,6 @@ let ablation_deferred () =
 (* {1 Bechamel micro-benchmarks} *)
 
 let micro () =
-  header "Bechamel micro-benchmarks (core operations behind the figures)";
   let open Bechamel in
   let open Toolkit in
   (* Shared prepared state (committed, never mutated by the benches). *)
@@ -847,7 +825,6 @@ let deep_doc ~chains ~depth =
    per-step work shows). *)
 
 let prims () =
-  header "prims: Dewey arena primitives (Dewey vs arena handles)";
   let store = Store.of_document (deep_doc ~chains:2000 ~depth:10) in
   let arena = Store.arena store in
   let entries, handles = Store.relation_handles store "wrap" in
@@ -948,7 +925,6 @@ let prims () =
    while the independent ones grow linearly. *)
 
 let figmv () =
-  header "figMV: batch maintenance of a view set (shared delta)";
   let kb = if full then 2048 else 256 in
   Printf.printf
     "(document ~%d KB; view sets are prefixes of the Figure-20 set)\n" kb;
@@ -1084,7 +1060,6 @@ let figmv () =
    the eager path plus classifier upkeep — the overhead bound. *)
 
 let fighl () =
-  header "figHL: heavy-light adaptive maintenance under skew";
   let kb = if full then 1024 else 256 in
   let cycles = if full then 24 else 16 in
   let read_every = 12 in
@@ -1314,277 +1289,6 @@ let fighl () =
      uniform %.2fx\n%!"
     !best_skew_combined !worst_uniform_combined
 
-(* {1 Fuzz oracle smoke}
-
-   The round-trip fuzzing oracle in bounded mode: a fixed seed and a few
-   thousand iterations, recorded into BENCH_results.json so CI tracks
-   the boundary's health (and its throughput) per commit. Any failure
-   aborts the harness — a corrupting parser invalidates every figure. *)
-
-let fuzz_oracle () =
-  header "Fuzz oracle: ingestion & persistence boundary (bounded smoke)";
-  let count = if full then 20000 else 5000 in
-  List.iter
-    (fun (name, runit) ->
-      let r, elapsed = Obs.duration (fun () -> runit ~seed ~count) in
-      let per_iter_ns = elapsed *. 1e9 /. float_of_int r.Fuzz_oracle.iterations in
-      Printf.printf "  %s  (%.0f ns/iter)\n%!" (Fuzz_oracle.summary name r)
-        per_iter_ns;
-      record "fuzz"
-        [
-          ("check", Json.Str name);
-          ("iterations", Json.int r.Fuzz_oracle.iterations);
-          ("failed", Json.int r.Fuzz_oracle.failed);
-          ("ns_per_iter", Json.num per_iter_ns);
-        ];
-      if not (Fuzz_oracle.ok r) then begin
-        write_results ();
-        failwith ("fuzz oracle failed: " ^ Fuzz_oracle.summary name r)
-      end)
-    [
-      ("tree_roundtrip", Fuzz_oracle.roundtrip_trees);
-      ("codec_corrupt", Fuzz_oracle.codec_corrupt);
-    ]
-
-(* {1 Differential maintenance oracle smoke}
-
-   The three-way engine cross-check in bounded mode: random (document,
-   view, update) triples through Recompute/Maint/Ivma, recorded into
-   BENCH_results.json per commit. Any disagreement aborts the harness —
-   the figures compare engines that are supposed to be equivalent. *)
-
-let difftest_oracle () =
-  header "Differential oracle: recompute vs maint vs ivma (bounded smoke)";
-  let iters = if full then 5000 else 1000 in
-  let r, elapsed = Obs.duration (fun () -> Difftest.run Difftest.Engines ~seed ~iters ()) in
-  let per_iter_ns = elapsed *. 1e9 /. float_of_int r.Qgen.iterations in
-  Printf.printf "  %s  (%.0f ns/iter)\n%!"
-    (Qgen.summary "maint=recompute=ivma" r)
-    per_iter_ns;
-  record "difftest"
-    [
-      ("check", Json.Str "maint=recompute=ivma");
-      ("iterations", Json.int r.Qgen.iterations);
-      ("failed", Json.int r.Qgen.failed);
-      ("ns_per_iter", Json.num per_iter_ns);
-    ];
-  if not (Qgen.ok r) then begin
-    List.iter print_endline r.Qgen.failures;
-    write_results ();
-    failwith ("differential oracle failed: " ^ Qgen.summary "difftest" r)
-  end
-
-(* {1 serve: the always-on server under concurrent load}
-
-   The pgbench-style driver: reader domains answering queries from
-   published snapshots while the serving loop applies the bounded XMark
-   update mix on the main domain. Three regimes per run: read-only
-   (baseline snapshot-read latency), an open-loop writer at a fixed
-   arrival rate (readers vs concurrent commits), and a closed-loop
-   writer (write-visibility latency floor). *)
-
-let serve_bench () =
-  header "serve: snapshot readers under a concurrent writer";
-  let dur = if full then 2.0 else 0.6 in
-  let rate = if full then 200. else 100. in
-  let views = [ "Q1"; "Q2"; "Q6" ] in
-  let fresh_set () =
-    let store = Store.of_document (doc small_kb) in
-    let set = View_set.create store in
-    List.iter
-      (fun n -> ignore (View_set.add set (Xmark_views.find n)))
-      views;
-    set
-  in
-  let scenarios =
-    [
-      ("read-only", { Load.default with Load.readers = 2; duration = dur });
-      ( "open-loop",
-        { Load.default with Load.readers = 2; duration = dur; write_rate = rate }
-      );
-      ( "closed-loop",
-        {
-          Load.default with
-          Load.readers = 2;
-          duration = dur;
-          closed_loop = true;
-        } );
-    ]
-  in
-  List.iter
-    (fun (name, config) ->
-      let r = Load.run config (fresh_set ()) ~gen:Xmark_mix.statement in
-      let lat prefix l =
-        match l with
-        | None -> []
-        | Some l ->
-          [
-            (prefix ^ "_p50_ms", Json.num l.Load.p50);
-            (prefix ^ "_p95_ms", Json.num l.Load.p95);
-            (prefix ^ "_p99_ms", Json.num l.Load.p99);
-            (prefix ^ "_max_ms", Json.num l.Load.max);
-          ]
-      in
-      Printf.printf
-        "  %-11s %7d reads (%.0f/s)%s, %d epoch(s), %d write(s) applied\n%!"
-        name r.Load.reads r.Load.read_rps
-        (match r.Load.read_ms with
-        | Some l ->
-          Printf.sprintf ", p50 %.4f / p95 %.4f / p99 %.4f ms" l.Load.p50
-            l.Load.p95 l.Load.p99
-        | None -> "")
-        r.Load.epochs r.Load.writes_applied;
-      record "serve"
-        ([
-           ("scenario", Json.Str name);
-           ("views", Json.Str (String.concat "," views));
-           ("doc_kb", Json.int small_kb);
-           ("readers", Json.int config.Load.readers);
-           ("write_rate", Json.num config.Load.write_rate);
-           ("closed_loop", Json.Bool config.Load.closed_loop);
-           ("wall_s", Json.num r.Load.wall_s);
-           ("epochs", Json.int r.Load.epochs);
-           ("reads", Json.int r.Load.reads);
-           ("read_rps", Json.num r.Load.read_rps);
-           ("writes_submitted", Json.int r.Load.writes_submitted);
-           ("writes_rejected", Json.int r.Load.writes_rejected);
-           ("writes_applied", Json.int r.Load.writes_applied);
-           ("max_batch_fill", Json.int r.Load.max_batch_fill);
-         ]
-        @ lat "read" r.Load.read_ms
-        @ lat "write_visible" r.Load.write_visible_ms);
-      (* The driver's accounting must be self-consistent. Rejection at
-         admission (the post-stop shutdown race) is benign and counted
-         separately; an {e admitted} statement that never applied was
-         lost in flight — a harness bug worth failing the bench over. *)
-      if r.Load.writes_applied <> r.Load.writes_submitted then begin
-        write_results ();
-        failwith
-          (Printf.sprintf
-             "%s: %d admitted statement(s) lost in flight (%d rejected at \
-              admission)"
-             name
-             (r.Load.writes_submitted - r.Load.writes_applied)
-             r.Load.writes_rejected)
-      end)
-    scenarios
-
-(* {1 wal: durability-layer costs}
-
-   Three numbers the durability layer owes the evaluation: raw
-   append+fsync throughput, group-commit cost as the batch grows (one
-   fsync amortized over [batch] records — the discipline the server's
-   admission loop uses), and recovery time as the log between
-   checkpoints lengthens (checkpoint load + full statement replay
-   through [View_set.update]). The writer figures exercise the [Wal]
-   layer alone; recovery runs the whole [Durable] path against a real
-   view set. *)
-
-let wal_bench () =
-  header "wal: append/fsync throughput, group commit, recovery";
-  let rec rm_rf path =
-    match Unix.lstat path with
-    | exception Unix.Unix_error _ -> ()
-    | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      (try Unix.rmdir path with Unix.Unix_error _ -> ())
-    | _ -> ( try Sys.remove path with Sys_error _ -> ())
-  in
-  let tmp =
-    let f = Filename.temp_file "xvmwal" ".bench" in
-    Sys.remove f;
-    Unix.mkdir f 0o700;
-    f
-  in
-  Fun.protect ~finally:(fun () -> rm_rf tmp) @@ fun () ->
-  (* Group commit: realistic statement payloads, one fsync per [batch]
-     records. batch = 1 is the every-statement-durable worst case. *)
-  let payloads =
-    Array.init 64 (fun i -> Update.to_string (Xmark_mix.statement i))
-  in
-  let n = if full then 40_000 else 6_000 in
-  List.iter
-    (fun batch ->
-      let path = Filename.concat tmp (Printf.sprintf "thr-%d.log" batch) in
-      let w = Wal.create_writer ~path ~next_seq:1 in
-      let (), elapsed =
-        Obs.duration (fun () ->
-            for i = 0 to n - 1 do
-              ignore (Wal.append w payloads.(i land 63));
-              if (i + 1) mod batch = 0 then Wal.sync w
-            done;
-            Wal.sync w)
-      in
-      Wal.close_writer w;
-      let size = (Unix.stat path).Unix.st_size in
-      let syncs = ((n + batch - 1) / batch) + 1 in
-      Printf.printf
-        "  batch %4d: %9.0f rec/s, %6.2f MB/s, %8.1f us/sync, %6.2f us/rec\n%!"
-        batch
-        (float_of_int n /. elapsed)
-        (float_of_int size /. elapsed /. 1048576.)
-        (elapsed *. 1e6 /. float_of_int syncs)
-        (elapsed *. 1e6 /. float_of_int n);
-      record "wal"
-        [
-          ("metric", Json.Str "group_commit");
-          ("batch", Json.int batch);
-          ("records", Json.int n);
-          ("file_bytes", Json.int size);
-          ("records_per_s", Json.num (float_of_int n /. elapsed));
-          ("mb_per_s", Json.num (float_of_int size /. elapsed /. 1048576.));
-          ("us_per_sync", Json.num (elapsed *. 1e6 /. float_of_int syncs));
-          ("us_per_record", Json.num (elapsed *. 1e6 /. float_of_int n));
-        ])
-    [ 1; 8; 64; 512 ];
-  (* Recovery time vs log length: journal K statements past checkpoint 0,
-     crash, and time the full recover walk (checkpoint load + replay).
-     The replay count doubles as a correctness check. *)
-  let views = [ "Q1"; "Q2"; "Q6" ] in
-  let sizes = if full then [ 250; 1000; 4000 ] else [ 100; 400; 1600 ] in
-  let parse_pattern ~name s = Difftest.view_of_compact ~name s in
-  List.iter
-    (fun k ->
-      let dir = Filename.concat tmp (Printf.sprintf "rec-%d" k) in
-      let store = Store.of_document (doc small_kb) in
-      let set = View_set.create store in
-      List.iter
-        (fun nm -> ignore (View_set.add set (Xmark_views.find nm)))
-        views;
-      let d = Durable.init ~dir set in
-      for i = 0 to k - 1 do
-        ignore (View_set.update set (Xmark_mix.statement i))
-      done;
-      Durable.sync d;
-      Durable.crash d;
-      let o, elapsed =
-        Obs.duration (fun () ->
-            match Durable.recover ~dir ~parse_pattern () with
-            | Some o -> o
-            | None -> failwith "wal bench: recovery found no checkpoint")
-      in
-      Durable.close o.Durable.engine;
-      Printf.printf "  recover %5d stmts: %8.1f ms (%.3f ms/stmt)\n%!" k
-        (elapsed *. 1e3)
-        (elapsed *. 1e3 /. float_of_int k);
-      record "wal"
-        [
-          ("metric", Json.Str "recovery");
-          ("log_statements", Json.int k);
-          ("views", Json.Str (String.concat "," views));
-          ("doc_kb", Json.int small_kb);
-          ("replayed", Json.int o.Durable.replayed);
-          ("recover_ms", Json.num (elapsed *. 1e3));
-          ("ms_per_statement", Json.num (elapsed *. 1e3 /. float_of_int k));
-        ];
-      if o.Durable.replayed <> k then begin
-        write_results ();
-        failwith
-          (Printf.sprintf "wal bench: replayed %d of %d logged statements"
-             o.Durable.replayed k)
-      end)
-    sizes
-
 (* {1 answer: rewriting from views}
 
    Answering a fresh query from the materialized views against algebraic
@@ -1594,7 +1298,6 @@ let wal_bench () =
    exercises the two-view intersection plan. *)
 
 let answer_bench () =
-  header "answer: answering from views vs base recompute";
   let root = doc small_kb in
   let store = Store.of_document root in
   let set = View_set.create store in
@@ -1698,7 +1401,71 @@ let answer_bench () =
         ])
     queries
 
+(* The section table, in dispatch order: [--only] validates against it,
+   [--list] prints it, and each run starts with its title as header. *)
+let sections =
+  [
+    ( "fig18",
+      "Figure 18: PINT/PIMT time breakdown (insert propagation)",
+      fun () -> fig18_19 Insert "fig18" );
+    ( "fig19",
+      "Figure 19: PDDT/PDMT time breakdown (delete propagation)",
+      fun () -> fig18_19 Delete "fig19" );
+    ( "fig20",
+      "Figure 20: insert propagation, all XMark views",
+      fun () -> fig20_21 Insert "fig20" );
+    ( "fig21",
+      "Figure 21: delete propagation, all XMark views",
+      fun () -> fig20_21 Delete "fig21" );
+    ("fig22", "Figure 22/23: deletions of varying depth against view Q1", fig22_23);
+    ( "fig24",
+      "Figure 24: one person deleted, view Q1 with varying annotations",
+      fig24 );
+    ("fig25", "Figure 25: scalability of view Q1 under update A6_A", fig25);
+    ( "fig26",
+      "Figure 26: PINT/PIMT vs full recomputation",
+      fun () -> fig26_27 Insert "fig26" );
+    ( "fig27",
+      "Figure 27: PDDT/PDMT vs full recomputation",
+      fun () -> fig26_27 Delete "fig27" );
+    ("fig28", "Figure 28: PINT/PIMT vs IVMA (view Q1, 100 KB document)", fig28);
+    ( "fig29",
+      "Figure 29-32: snowcaps vs leaves; R = evaluate terms, U = update \
+       auxiliary structures",
+      fig29_32 );
+    ( "fig33",
+      "Figure 33-35: reduction rules O1 / O3 / I5 (view Q1, 100 KB document), \
+       optimise vs no-optimise",
+      fig33_35 );
+    ( "ablations",
+      "Ablations: term pruning, snowcap choice, deferred propagation",
+      fun () ->
+        ablation_pruning ();
+        ablation_advisor ();
+        ablation_deferred () );
+    ("prims", "prims: Dewey arena primitives (Dewey vs arena handles)", prims);
+    ("figMV", "figMV: batch maintenance of a view set (shared delta)", figmv);
+    ("figHL", "figHL: heavy-light adaptive maintenance under skew", fighl);
+    ("answer", "answer: answering from views vs base recompute", answer_bench);
+    ("micro", "Bechamel micro-benchmarks (core operations behind the figures)", micro);
+  ]
+
 let () =
+  let names = List.map (fun (name, _, _) -> name) sections in
+  if !list_sections then begin
+    List.iter (fun (name, title, _) -> Printf.printf "%-10s %s\n" name title) sections;
+    exit 0
+  end;
+  (match !only with
+  | None -> ()
+  | Some ts -> (
+    match List.filter (fun t -> not (List.mem t names)) ts with
+    | [] -> ()
+    | unknown ->
+      Printf.eprintf "error: unknown section%s %s\nvalid sections: %s\n%s\n"
+        (if List.length unknown > 1 then "s" else "")
+        (String.concat ", " unknown) (String.concat ", " names) usage;
+      exit 2));
   Printf.printf "xvm benchmark harness — %s mode, %d run(s) per point\n"
     (if full then "full (paper-scale)" else "scaled")
     runs;
@@ -1707,66 +1474,13 @@ let () =
     big_kb
     (Xmark_gen.actual_bytes d / 1024)
     (Xml_tree.size d);
-  (* Dispatch is driven by the shared registry: a section registered in
-     [Bench_sections] without an implementation here fails loudly, and
-     an implementation not registered there can never run. *)
-  let impls =
-    [
-      ( "fig18",
-        fun () ->
-          fig18_19 Insert "fig18"
-            "Figure 18: PINT/PIMT time breakdown (insert propagation)" );
-      ( "fig19",
-        fun () ->
-          fig18_19 Delete "fig19"
-            "Figure 19: PDDT/MT time breakdown (delete propagation)" );
-      ( "fig20",
-        fun () ->
-          fig20_21 Insert "fig20" "Figure 20: insert propagation, all XMark views"
-      );
-      ( "fig21",
-        fun () ->
-          fig20_21 Delete "fig21" "Figure 21: delete propagation, all XMark views"
-      );
-      ("fig22", fig22_23);
-      ("fig24", fig24);
-      ("fig25", fig25);
-      ( "fig26",
-        fun () -> fig26_27 Insert "fig26" "Figure 26: PINT/PIMT vs full recomputation"
-      );
-      ( "fig27",
-        fun () -> fig26_27 Delete "fig27" "Figure 27: PDDT/PDMT vs full recomputation"
-      );
-      ("fig28", fig28);
-      ("fig29", fig29_32);
-      ("fig33", fig33_35);
-      ( "ablations",
-        fun () ->
-          ablation_pruning ();
-          ablation_advisor ();
-          ablation_deferred () );
-      ("prims", prims);
-      ("figMV", figmv);
-      ("figHL", fighl);
-      ("fuzz", fuzz_oracle);
-      ("difftest", difftest_oracle);
-      ("serve", serve_bench);
-      ("wal", wal_bench);
-      ("answer", answer_bench);
-      ("micro", fun () -> if not skip_micro then micro ());
-    ]
-  in
   List.iter
-    (fun (name, _) ->
-      if not (Bench_sections.mem name) then
-        failwith ("bench section not in Bench_sections registry: " ^ name))
-    impls;
-  List.iter
-    (fun (name, _doc) ->
-      match List.assoc_opt name impls with
-      | Some f -> if wanted name then f ()
-      | None ->
-        failwith ("Bench_sections registers an unimplemented section: " ^ name))
-    Bench_sections.all;
+    (fun (name, title, run) ->
+      match !only with
+      | Some ts when not (List.mem name ts) -> ()
+      | _ ->
+        header title;
+        run ())
+    sections;
   write_results ();
   print_newline ()

@@ -23,9 +23,23 @@ let pos_int =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+(* [--name] takes a built-in view: an unknown name is a usage error
+   that lists the valid ones. *)
+let view_name =
+  let parse s =
+    match Xmark_views.find s with
+    | pat -> Ok pat
+    | exception Not_found ->
+      Error
+        (`Msg
+          (Printf.sprintf "unknown view %S; valid names: %s" s
+             (String.concat ", " (List.map fst Xmark_views.all))))
+  in
+  Arg.conv (parse, fun ppf pat -> Format.pp_print_string ppf pat.Pattern.name)
+
 let resolve_view ~name ~query =
   match (name, query) with
-  | Some n, None -> Xmark_views.find n
+  | Some pat, None -> pat
   | None, Some q -> View_parser.parse ~name:"cli" q
   | _ -> invalid_arg "give exactly one of --name or --query"
 
@@ -235,7 +249,7 @@ let view_cmd =
   in
   let doc = Arg.(required & pos 0 (some file) None & info [] ~docv:"DOC") in
   let vname =
-    Arg.(value & opt (some string) None & info [ "name" ] ~doc:"Built-in view (Q1…Q17).")
+    Arg.(value & opt (some view_name) None & info [ "name" ] ~doc:"Built-in view (Q1…Q17).")
   in
   let vquery =
     Arg.(value & opt (some string) None & info [ "query" ] ~doc:"View statement.")
@@ -258,7 +272,7 @@ let maintain_cmd =
     with_metrics metrics @@ fun () ->
     let store = load_store doc in
     let pats =
-      List.map Xmark_views.find vnames
+      vnames
       @ List.mapi
           (fun i q -> View_parser.parse ~name:(Printf.sprintf "cli%d" (i + 1)) q)
           vqueries
@@ -313,7 +327,7 @@ let maintain_cmd =
   let doc = Arg.(required & pos 0 (some file) None & info [] ~docv:"DOC") in
   let vnames =
     Arg.(
-      value & opt_all string []
+      value & opt_all view_name []
       & info [ "name" ] ~doc:"Built-in view (Q1…Q17); repeatable.")
   in
   let vqueries =
@@ -524,12 +538,12 @@ let answer_cmd =
     in
     let store = Store.of_document root in
     let pats =
-      List.map Xmark_views.find vnames
+      vnames
       @ List.mapi
           (fun i q -> parse_query ~name:(Printf.sprintf "cli%d" (i + 1)) q)
           vqueries
     in
-    let pats = if pats = [] then [ Xmark_views.find "Q1" ] else pats in
+    let pats = if pats = [] then [ Xmark_views.q1 ] else pats in
     let set = View_set.create store in
     List.iter (fun pat -> ignore (View_set.add set pat)) pats;
     let q = parse_query ~name:"query" query in
@@ -599,7 +613,7 @@ let answer_cmd =
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Generator seed.") in
   let vnames =
     Arg.(
-      value & opt_all string []
+      value & opt_all view_name []
       & info [ "name" ]
           ~doc:"Built-in view (Q1…Q17) to materialize; repeatable. Default Q1.")
   in
@@ -651,12 +665,12 @@ let serve_set ~doc ~gen_kb ~seed ~vnames ~vqueries =
   in
   let store = Store.of_document root in
   let pats =
-    List.map Xmark_views.find vnames
+    vnames
     @ List.mapi
         (fun i q -> View_parser.parse ~name:(Printf.sprintf "cli%d" (i + 1)) q)
         vqueries
   in
-  let pats = if pats = [] then [ Xmark_views.find "Q1" ] else pats in
+  let pats = if pats = [] then [ Xmark_views.q1 ] else pats in
   let set = View_set.create store in
   List.iter (fun pat -> ignore (View_set.add set pat)) pats;
   set
@@ -841,7 +855,7 @@ let serve_cmd =
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Generator seed.") in
   let vnames =
     Arg.(
-      value & opt_all string []
+      value & opt_all view_name []
       & info [ "name" ] ~doc:"Built-in view (Q1…Q17); repeatable. Default Q1.")
   in
   let vqueries =
@@ -992,6 +1006,16 @@ let bench_serve_cmd =
            %.2f ms\n"
           l.Load.p50 l.Load.p95 l.Load.p99 l.Load.max
       | None -> ()
+    end;
+    (* Rejection at admission (the post-stop shutdown race) is counted
+       apart; an admitted statement that never applied was lost. *)
+    if r.Load.writes_applied <> r.Load.writes_submitted then begin
+      Printf.eprintf
+        "bench-serve: %d admitted statement(s) lost in flight (%d rejected at \
+         admission)\n"
+        (r.Load.writes_submitted - r.Load.writes_applied)
+        r.Load.writes_rejected;
+      exit 1
     end
   in
   let gen_kb =
@@ -1002,7 +1026,7 @@ let bench_serve_cmd =
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed.") in
   let vnames =
     Arg.(
-      value & opt_all string []
+      value & opt_all view_name []
       & info [ "name" ] ~doc:"Built-in view (Q1…Q17); repeatable. Default Q1.")
   in
   let vqueries =
@@ -1065,7 +1089,8 @@ let bench_serve_cmd =
          "pgbench-style load driver for the serving loop: reader domains \
           answering snapshot queries, an open- or closed-loop writer feeding \
           the bounded XMark update mix, throughput and p50/p95/p99 latency \
-          reporting, and an optional Prometheus self-scrape.")
+          reporting, and an optional Prometheus self-scrape. Exits 1 if an \
+          admitted statement was never applied.")
     Term.(
       const run $ metrics_term $ gen_kb $ seed $ vnames $ vqueries $ readers
       $ duration $ write_rate $ closed_loop $ max_batch $ port $ prom_out
@@ -1085,20 +1110,12 @@ let workload_cmd =
       (fun u ->
         Printf.printf "  %-7s (%-2s) %s\n" u.Xmark_updates.name u.Xmark_updates.cls
           u.Xmark_updates.path)
-      Xmark_updates.all;
-    (* Same registry the bench harness validates and dispatches from —
-       one definition, so this listing cannot drift from `--only`. *)
-    Printf.printf "bench sections (bench/main.exe --only <name>,...):\n";
-    List.iter
-      (fun (n, doc) -> Printf.printf "  %-10s %s\n" n doc)
-      Bench_sections.all
+      Xmark_updates.all
   in
   Cmd.v
     (Cmd.info "workload"
        ~doc:
-         "List the built-in benchmark views, updates, and bench harness \
-          sections (the section list is generated from the same registry \
-          the bench's $(b,--only) flag validates against).")
+         "List the built-in benchmark views and updates.")
     Term.(const run $ metrics_term $ const ())
 
 let () =
